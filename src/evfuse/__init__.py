@@ -7,7 +7,7 @@ through a :class:`FusionState` and take rule snapshots on demand.
 """
 
 from .errors import ExpressionError, TotalConflictError, ValidationError
-from .lattice import Frame, Model, Proposition, format_prop, make_model, parse_prop
+from .lattice import Frame, Model, Proposition, make_model, parse_prop
 from .mass import ColumnSums, MassFunction, column_sums, deviation, vbf
 from .rules import (
     ConjunctiveResult,
@@ -46,7 +46,6 @@ __all__ = [
     "conflict_of",
     "conjunctive",
     "deviation",
-    "format_prop",
     "make_model",
     "oracle_conjunctive",
     "parse_prop",

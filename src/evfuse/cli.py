@@ -135,11 +135,8 @@ def load_scenario(path: str) -> Scenario:
     return scenario_from_dict(doc)
 
 
-def _fused_state(scenario: Scenario, upto: int | None = None) -> FusionState:
-    state = FusionState.initial(scenario.model, scenario.prune_epsilon)
-    for name, mass in scenario.sources[:upto]:
-        state = state.fuse(mass, name)
-    return state
+def _initial(scenario: Scenario) -> FusionState:
+    return FusionState.initial(scenario.model, scenario.prune_epsilon)
 
 
 def _rows(mass_like) -> list[tuple[str, float]]:
@@ -161,7 +158,8 @@ def _emit_json(payload) -> None:
 
 
 def cmd_fuse(scenario: Scenario, rule: Rule, output: str) -> int:
-    state = _fused_state(scenario)
+    names, masses = zip(*scenario.sources)
+    state = _initial(scenario).fold(masses, names)
     snapshot = state.snapshot(rule)
     conflict = conflict_of(state.accumulator)
     rows = _rows(snapshot)
@@ -173,7 +171,7 @@ def cmd_fuse(scenario: Scenario, rule: Rule, output: str) -> int:
 
 
 def cmd_stream(scenario: Scenario, rule: Rule, output: str) -> int:
-    state = FusionState.initial(scenario.model, scenario.prune_epsilon)
+    state = _initial(scenario)
     steps = []
     for name, mass in scenario.sources:
         state = state.fuse(mass, name)
@@ -213,22 +211,24 @@ def _orderings(count: int, trials: int, seed: int):
     return orders
 
 
+def _worst_refold(scenario: Scenario, rule: Rule, source_lists) -> float:
+    """Largest deviation of a refold of each source list from the
+    scenario's own snapshot."""
+    baseline = _initial(scenario).fold(m for _, m in scenario.sources).snapshot(rule)
+    return max(deviation(_initial(scenario).fold(masses).snapshot(rule), baseline)
+               for masses in source_lists)
+
+
 def _check_permutation(scenario: Scenario, rule: Rule, trials: int, seed: int) -> float:
-    baseline = _fused_state(scenario).snapshot(rule)
     masses = [m for _, m in scenario.sources]
-    worst = 0.0
-    for order in _orderings(len(masses), trials, seed):
-        state = FusionState.initial(scenario.model, scenario.prune_epsilon)
-        for i in order:
-            state = state.fuse(masses[i])
-        worst = max(worst, deviation(state.snapshot(rule), baseline))
-    return worst
+    orders = _orderings(len(masses), trials, seed)
+    return _worst_refold(scenario, rule, ([masses[i] for i in order] for order in orders))
 
 
 def _check_markov(scenario: Scenario) -> float:
     masses = [m for _, m in scenario.sources]
     worst = 0.0
-    state = FusionState.initial(scenario.model, scenario.prune_epsilon)
+    state = _initial(scenario)
     for k, mass in enumerate(masses, start=1):
         state = state.fuse(mass)
         if k >= 2:
@@ -239,29 +239,16 @@ def _check_markov(scenario: Scenario) -> float:
 
 
 def _check_vbf(scenario: Scenario, rule: Rule) -> float:
-    baseline = _fused_state(scenario).snapshot(rule)
     masses = [m for _, m in scenario.sources]
-    neutral = vbf(scenario.model)
-    worst = 0.0
-    for position in range(len(masses) + 1):
-        padded = masses[:position] + [neutral] + masses[position:]
-        state = FusionState.initial(scenario.model, scenario.prune_epsilon)
-        for m in padded:
-            state = state.fuse(m)
-        worst = max(worst, deviation(state.snapshot(rule), baseline))
-    return worst
+    neutral = [vbf(scenario.model)]
+    padded = (masses[:k] + neutral + masses[k:] for k in range(len(masses) + 1))
+    return _worst_refold(scenario, rule, padded)
 
 
 def _check_eq7(scenario: Scenario) -> float:
-    masses = [m for _, m in scenario.sources]
-    worst = 0.0
-    for i, j in combinations(range(len(masses)), 2):
-        pair = [masses[i], masses[j]]
-        state = FusionState.initial(scenario.model, scenario.prune_epsilon)
-        for m in pair:
-            state = state.fuse(m)
-        worst = max(worst, deviation(sdli2(*pair), state.snapshot(Rule.SDLI)))
-    return worst
+    pairs = combinations([m for _, m in scenario.sources], 2)
+    return max((deviation(sdli2(*pair), _initial(scenario).fold(pair).snapshot(Rule.SDLI))
+                for pair in pairs), default=0.0)
 
 
 def cmd_verify(scenario: Scenario, rule: Rule, checks: list[str], trials: int, seed: int) -> int:

@@ -54,8 +54,6 @@ class FusionState:
         The new accumulator is the conjunctive product of the old one
         with the source, never of any transferred snapshot.
         """
-        if m.model != self.model:
-            raise ValidationError("source uses a different model")
         if not m.is_input_valid():
             raise ValidationError("source puts mass on model-empty propositions")
         accumulator = conjunctive(self.accumulator, m)
@@ -69,6 +67,15 @@ class FusionState:
             self.labels + (name,),
             self.prune_epsilon,
         )
+
+    def fold(self, masses, labels=None) -> "FusionState":
+        """Fuse each source in turn, named by ``labels`` when given."""
+        masses = list(masses)
+        labels = [None] * len(masses) if labels is None else labels
+        state = self
+        for m, label in zip(masses, labels, strict=True):
+            state = state.fuse(m, label)
+        return state
 
     def snapshot(self, rule: Rule | str) -> MassFunction:
         """Decision view of the stored state under a rule.
@@ -97,10 +104,7 @@ def batch(model: Model, masses, rule: Rule | str) -> MassFunction:
     masses = list(masses)
     if not masses:
         raise ValidationError("need at least one source")
-    state = FusionState.initial(model)
-    for m in masses:
-        state = state.fuse(m)
-    return state.snapshot(rule)
+    return FusionState.initial(model).fold(masses).snapshot(rule)
 
 
 def oracle_conjunctive(masses) -> ConjunctiveResult:
@@ -113,9 +117,8 @@ def oracle_conjunctive(masses) -> ConjunctiveResult:
     if len(masses) < 2:
         raise ValidationError("the oracle needs at least two sources")
     model = masses[0].model
-    for m in masses[1:]:
-        if m.model != model:
-            raise ValidationError("sources use different models")
+    if any(m.model != model for m in masses):
+        raise ValidationError("sources use different models")
     terms = {}
     for combo in _cartesian(*(list(m.items()) for m in masses)):
         prop, weight = combo[0]

@@ -16,12 +16,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 
 from .errors import ExpressionError, ValidationError
 
 MAX_ATOMS = 16
+# Deeper parentheses would exhaust Python's recursion limit in the
+# recursive-descent parser; no canonical expression needs any.
+MAX_NESTING = 100
 
 _ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -183,9 +187,7 @@ class Proposition:
         if self.is_void:
             raise ValidationError("empty proposition has no conflict parties")
         terms = self.minimal_minterms()
-        support = 0
-        for m in terms:
-            support |= m
+        support = reduce(or_, terms, 0)
         atoms = [i for i in range(self.frame.n) if support >> i & 1]
         found: list[int] = []
         for size in range(1, len(atoms) + 1):
@@ -197,40 +199,28 @@ class Proposition:
                     continue  # already covered by a smaller hitting set
                 if all(mask & t for t in terms):
                     found.append(mask)
-        atom_bits = self.frame._atom_bits
-        parties = []
-        for mask in found:
-            bits = 0
-            for i in atoms:
-                if mask >> i & 1:
-                    bits |= atom_bits[i]
-            parties.append(Proposition(self.frame, bits))
-        return tuple(parties)
+        return tuple(self._union_of_atoms(mask) for mask in found)
 
     def atoms_union(self) -> "Proposition":
         """Union of every atom mentioned in the DNF of this proposition."""
         if self.is_void:
             raise ValidationError("empty proposition mentions no atoms")
-        support = 0
-        for m in self.minimal_minterms():
-            support |= m
+        return self._union_of_atoms(reduce(or_, self.minimal_minterms(), 0))
+
+    def _union_of_atoms(self, mask: int) -> "Proposition":
+        # the union of the atoms whose bits are set in an atom mask
+        atom_bits = self.frame._atom_bits
         bits = 0
         for i in range(self.frame.n):
-            if support >> i & 1:
-                bits |= self.frame._atom_bits[i]
+            if mask >> i & 1:
+                bits |= atom_bits[i]
         return Proposition(self.frame, bits)
 
     def text(self) -> str:
         """Canonical DNF rendering; parses back to the same proposition."""
         if self.is_void:
             return "∅"
-        names = self.frame.atoms
-        n = self.frame.n
-        terms = sorted(
-            "&".join(names[i] for i in range(n) if m >> i & 1)
-            for m in self.minimal_minterms()
-        )
-        return "|".join(terms)
+        return "|".join("&".join(term) for term in self.dnf_terms())
 
     def __str__(self) -> str:
         return self.text()
@@ -333,6 +323,7 @@ class _Parser:
         self.frame = frame
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def _peek(self):
         return self.tokens[self.pos]
@@ -371,15 +362,15 @@ class _Parser:
             except ValidationError:
                 raise ExpressionError(f"unknown atom {value!r}", at) from None
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ExpressionError(f"parentheses nested deeper than {MAX_NESTING}", at)
+            self.depth += 1
             p = self._expr()
+            self.depth -= 1
             kind, value, at = self._next()
             if kind != ")":
                 raise ExpressionError("expected ')'", at)
             return p
-        return self._fail_factor(kind, value, at)
-
-    @staticmethod
-    def _fail_factor(kind, value, at):
         what = "end of input" if kind == "end" else repr(value)
         raise ExpressionError(f"expected atom or '(', found {what}", at)
 
@@ -388,7 +379,3 @@ def parse_prop(frame: Frame, text: str) -> Proposition:
     """Parse a proposition expression; '&' binds tighter than '|'."""
     return _Parser(frame, text).parse()
 
-
-def format_prop(p: Proposition) -> str:
-    """Canonical DNF text of a proposition ('∅' for the empty one)."""
-    return p.text()

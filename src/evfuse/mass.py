@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from math import inf
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
-from .lattice import Model, Proposition
+from .lattice import Model, Proposition, _require_same_frame
 
 SUM_TOLERANCE = 1e-9
 
@@ -22,8 +24,9 @@ def _clean_assignments(model: Model, assignments: Assignments, allow_conflict: b
         if prop.frame != model.frame:
             raise ValidationError("focal element belongs to a different frame")
         value = float(value)
-        if value < 0.0:
-            raise ValidationError(f"negative mass {value!r} on {prop.text()}")
+        if not 0.0 <= value < inf:  # also false for NaN
+            problem = "negative" if value < 0.0 else "non-finite"
+            raise ValidationError(f"{problem} mass {value!r} on {prop.text()}")
         if value > 0.0:
             merged[prop] = merged.get(prop, 0.0) + value
     total = sum(merged.values())
@@ -87,8 +90,7 @@ class MassFunction:
         Focal elements that are themselves empty under the model carry
         no support for anything and are skipped.
         """
-        if p.frame != self.frame:
-            raise ValidationError("proposition belongs to a different frame")
+        _require_same_frame(p.frame, self.frame)
         visible = ~self.model.constrained
         target = p.bits & visible
         total = 0.0
@@ -100,8 +102,7 @@ class MassFunction:
 
     def plausibility(self, p: Proposition) -> float:
         """Mass on everything whose overlap with p survives the model."""
-        if p.frame != self.frame:
-            raise ValidationError("proposition belongs to a different frame")
+        _require_same_frame(p.frame, self.frame)
         visible = ~self.model.constrained
         return sum(
             v for q, v in self._masses.items() if q.bits & p.bits & visible
@@ -154,10 +155,7 @@ def column_sums(masses: Iterable[MassFunction]) -> ColumnSums:
     masses = list(masses)
     if not masses:
         raise ValidationError("need at least one mass function")
-    acc = ColumnSums.empty(masses[0].model)
-    for m in masses:
-        acc = acc.add(m)
-    return acc
+    return reduce(ColumnSums.add, masses, ColumnSums.empty(masses[0].model))
 
 
 def deviation(a, b) -> float:

@@ -5,7 +5,9 @@ pointwise under intersection (the conjunctive stage), then apply a
 transfer operator that decides where mass on model-empty propositions
 goes.  The conjunctive stage never collapses conflicting terms, so
 distinct partial conflicts such as A&B and A&B|B&C stay separate until
-a transfer runs.
+a transfer runs.  The transfers differ only in that routing, so each is
+a route from a conflicting term to ``[(target, share)]`` that one loop,
+``_redistribute``, applies; Dempster's instead drops the conflict.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from enum import Enum
 
 from .errors import TotalConflictError, ValidationError
 from .lattice import Proposition
-from .mass import SUM_TOLERANCE, ColumnSums, MassFunction, column_sums
+from .mass import ColumnSums, MassFunction, _clean_assignments, column_sums
 
 
 class Rule(str, Enum):
@@ -31,13 +33,6 @@ class Rule(str, Enum):
     SDLI = "sdli"
 
 
-# Rules whose transfer stage is the identity (pre-transfer masses are the
-# decision output): dsm_classic is the conjunctive rule on the free lattice.
-_NO_TRANSFER = frozenset({Rule.CONJUNCTIVE, Rule.DSM_CLASSIC})
-# Both of these move each conflicting term to the union of its atoms.
-_UNION_TRANSFER = frozenset({Rule.DUBOIS_PRADE, Rule.DSM_HYBRID})
-
-
 @dataclass(frozen=True)
 class ConjunctiveResult:
     """Product-of-sources masses kept on free-form propositions.
@@ -51,22 +46,8 @@ class ConjunctiveResult:
     source_count: int
 
     def __post_init__(self):
-        merged: dict[Proposition, float] = {}
-        for prop, value in self.terms.items():
-            if prop.frame != self.model.frame:
-                raise ValidationError("term belongs to a different frame")
-            value = float(value)
-            if value < 0.0:
-                raise ValidationError(f"negative term mass {value!r} on {prop.text()}")
-            if value > 0.0:
-                merged[prop] = merged.get(prop, 0.0) + value
-        total = sum(merged.values())
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise ValidationError(
-                f"conjunctive terms sum to {total!r}, expected 1 within {SUM_TOLERANCE}"
-            )
-        ordered = {p: merged[p] / total for p in sorted(merged, key=lambda q: q.bits)}
-        object.__setattr__(self, "terms", ordered)
+        terms = _clean_assignments(self.model, self.terms, allow_conflict=True)
+        object.__setattr__(self, "terms", terms)
 
     def items(self):
         return self.terms.items()
@@ -114,35 +95,50 @@ def _split(result: ConjunctiveResult):
     return kept, conflicting
 
 
-def transfer_dempster(result: ConjunctiveResult) -> MassFunction:
-    """Drop conflicting terms and rescale the survivors by 1/(1-k)."""
+def _union_target(model, p: Proposition) -> Proposition:
+    """The union of p's atoms; total ignorance if p is void or that union
+    is empty under the model."""
+    top = model.frame.total_ignorance()
+    if p.is_void:
+        return top
+    target = p.atoms_union()
+    return top if model.is_empty(target) else target
+
+
+def _redistribute(result: ConjunctiveResult, route, allow_conflict=False) -> MassFunction:
+    """Keep the non-conflicting terms and send each conflicting term's
+    mass to the targets ``route(term)`` names, as ``[(target, share)]``
+    with shares summing to 1."""
     kept, conflicting = _split(result)
-    k = sum(conflicting.values())
-    if not kept or 1.0 - k <= 0.0:
-        raise TotalConflictError(
-            f"conflict k={k!r}: Dempster combination is undefined"
-        )
-    scale = 1.0 / (1.0 - k)
-    return MassFunction(result.model, {p: v * scale for p, v in kept.items()})
+    out = dict(kept)
+    for p, v in conflicting.items():
+        for target, share in route(p):
+            out[target] = out.get(target, 0.0) + v * share
+    return MassFunction(result.model, out, allow_conflict=allow_conflict)
+
+
+def transfer_dempster(result: ConjunctiveResult) -> MassFunction:
+    """Drop conflicting terms and renormalise the survivors."""
+    kept, conflicting = _split(result)
+    # Divide by the kept mass itself, not by 1 - k: when k rounds to 1 on
+    # long conflicting streams, 1 - k keeps no significant digit.
+    total = sum(kept.values())
+    if total <= 0.0:
+        k = sum(conflicting.values())
+        raise TotalConflictError(f"conflict k={k!r}: Dempster combination is undefined")
+    return MassFunction(result.model, {p: v / total for p, v in kept.items()})
 
 
 def transfer_smets(result: ConjunctiveResult) -> MassFunction:
     """Pool all conflicting mass on the empty proposition (open world)."""
-    kept, conflicting = _split(result)
-    out = dict(kept)
-    if conflicting:
-        out[result.model.frame.empty()] = sum(conflicting.values())
-    return MassFunction(result.model, out, allow_conflict=True)
+    empty = [(result.model.frame.empty(), 1.0)]
+    return _redistribute(result, lambda p: empty, allow_conflict=True)
 
 
 def transfer_yager(result: ConjunctiveResult) -> MassFunction:
     """Move all conflicting mass to total ignorance."""
-    kept, conflicting = _split(result)
-    out = dict(kept)
-    if conflicting:
-        top = result.model.frame.total_ignorance()
-        out[top] = out.get(top, 0.0) + sum(conflicting.values())
-    return MassFunction(result.model, out)
+    top = [(result.model.frame.total_ignorance(), 1.0)]
+    return _redistribute(result, lambda p: top)
 
 
 def transfer_union(result: ConjunctiveResult) -> MassFunction:
@@ -151,18 +147,10 @@ def transfer_union(result: ConjunctiveResult) -> MassFunction:
     Serves both the Dubois-Prade and the hybrid DSm rules.  Falls back
     to total ignorance when even that union is empty under the model.
     """
-    kept, conflicting = _split(result)
-    top = result.model.frame.total_ignorance()
-    out = dict(kept)
-    for p, v in conflicting.items():
-        target = top if p.is_void else p.atoms_union()
-        if result.model.is_empty(target):
-            target = top
-        out[target] = out.get(target, 0.0) + v
-    return MassFunction(result.model, out)
+    return _redistribute(result, lambda p: [(_union_target(result.model, p), 1.0)])
 
 
-def transfer_sdli(result: ConjunctiveResult, columns: ColumnSums) -> MassFunction:
+def transfer_sdli(result: ConjunctiveResult, columns: ColumnSums | None) -> MassFunction:
     """Redistribute each conflicting term over its conflict parties,
     proportionally to the parties' accumulated column sums.
 
@@ -170,28 +158,21 @@ def transfer_sdli(result: ConjunctiveResult, columns: ColumnSums) -> MassFunctio
     column mass the term falls back to the union transfer.  The column
     sums must cover exactly the sources whose product is ``result``.
     """
+    if columns is None:
+        raise ValidationError("the sdli transfer needs column sums")
     if columns.model != result.model:
         raise ValidationError("column sums use a different model")
-    kept, conflicting = _split(result)
-    top = result.model.frame.total_ignorance()
-    out = dict(kept)
-    for p, v in conflicting.items():
-        if p.is_void:
-            out[top] = out.get(top, 0.0) + v
-            continue
-        parties = p.conflict_parties()
-        weights = [columns.value(g) for g in parties]
-        total = sum(weights)
-        if total > 0.0:
-            for g, w in zip(parties, weights):
-                if w:
-                    out[g] = out.get(g, 0.0) + v * (w / total)
-        else:
-            target = p.atoms_union()
-            if result.model.is_empty(target):
-                target = top
-            out[target] = out.get(target, 0.0) + v
-    return MassFunction(result.model, out)
+
+    def route(p):
+        if not p.is_void:
+            parties = p.conflict_parties()
+            weights = [columns.value(g) for g in parties]
+            total = sum(weights)
+            if total > 0.0:
+                return [(g, w / total) for g, w in zip(parties, weights) if w]
+        return [(_union_target(result.model, p), 1.0)]
+
+    return _redistribute(result, route)
 
 
 def sdli2(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -228,23 +209,30 @@ def sdli2(m1: MassFunction, m2: MassFunction) -> MassFunction:
     return MassFunction(model, out)
 
 
+def _no_transfer(result: ConjunctiveResult, columns) -> MassFunction:
+    # the pre-transfer masses are the decision output; dsm_classic is the
+    # conjunctive rule on the free lattice
+    return MassFunction(result.model, result.terms, allow_conflict=True)
+
+
+# Each entry calls its transfer through the module global, looked up at
+# call time, so that the transfers can be replaced from outside.
+_TRANSFERS = {
+    Rule.CONJUNCTIVE: _no_transfer,
+    Rule.DSM_CLASSIC: _no_transfer,
+    Rule.DEMPSTER: lambda r, c: transfer_dempster(r),
+    Rule.SMETS: lambda r, c: transfer_smets(r),
+    Rule.YAGER: lambda r, c: transfer_yager(r),
+    Rule.DUBOIS_PRADE: lambda r, c: transfer_union(r),
+    Rule.DSM_HYBRID: lambda r, c: transfer_union(r),
+    Rule.SDLI: lambda r, c: transfer_sdli(r, c),
+}
+
+
 def apply_transfer(rule: Rule | str, result: ConjunctiveResult,
                    columns: ColumnSums | None = None) -> MassFunction:
     """Apply only the transfer stage of a rule to a stored result."""
-    rule = Rule(rule)
-    if rule in _NO_TRANSFER:
-        return MassFunction(result.model, result.terms, allow_conflict=True)
-    if rule is Rule.DEMPSTER:
-        return transfer_dempster(result)
-    if rule is Rule.SMETS:
-        return transfer_smets(result)
-    if rule is Rule.YAGER:
-        return transfer_yager(result)
-    if rule in _UNION_TRANSFER:
-        return transfer_union(result)
-    if columns is None:
-        raise ValidationError("the sdli transfer needs column sums")
-    return transfer_sdli(result, columns)
+    return _TRANSFERS[Rule(rule)](result, columns)
 
 
 def combine2(rule: Rule | str, m1: MassFunction, m2: MassFunction):
@@ -255,8 +243,6 @@ def combine2(rule: Rule | str, m1: MassFunction, m2: MassFunction):
     """
     rule = Rule(rule)
     product = conjunctive(m1, m2)
-    if rule in _NO_TRANSFER:
+    if _TRANSFERS[rule] is _no_transfer:
         return product
-    if rule is Rule.SDLI:
-        return transfer_sdli(product, column_sums([m1, m2]))
-    return apply_transfer(rule, product)
+    return apply_transfer(rule, product, column_sums([m1, m2]))

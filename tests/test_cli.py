@@ -98,6 +98,22 @@ def test_fuse_total_conflict_exit_code(capsys, tmp_path):
     assert "rule error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count, expected", [(20, {"A": 0.5, "B": 0.5}), (41, {"A": 0.9, "B": 0.1})])
+def test_fuse_dempster_long_alternating_stream(capsys, tmp_path, count, expected):
+    # k reaches 1 - 1e-21 here; the kept masses still fix the exact answer
+    doc = total_conflict_doc()
+    doc["sources"] = [
+        {"name": f"s{i + 1}", "masses": {"A": 0.9, "B": 0.1} if i % 2 == 0 else {"A": 0.1, "B": 0.9}}
+        for i in range(count)
+    ]
+    path = write_scenario(tmp_path, doc)
+    assert main(["fuse", path, "--output", "json"]) == 0
+    masses = json.loads(capsys.readouterr().out)["masses"]
+    assert masses.keys() == expected.keys()
+    for expr, value in expected.items():
+        assert masses[expr] == pytest.approx(value, rel=1e-12)
+
+
 # stream -------------------------------------------------------------------------
 
 def test_stream_steps_follow_fixture(capsys):
@@ -257,6 +273,22 @@ def test_invalid_json(capsys, tmp_path):
         (
             lambda d: d["sources"].append({"name": "bad", "masses": {"Z": 1.0}}),
             "sources[2].masses['Z']",
+        ),
+        # explicit ids keep the generated ids of the cases above unique
+        pytest.param(
+            lambda d: d["sources"].append({"name": "bad", "masses": {"A": float("nan"), "B": 1.0}}),
+            "sources[2] (bad)",
+            id="nan-mass",
+        ),
+        pytest.param(
+            lambda d: d["sources"].append({"name": "bad", "masses": {"A": float("inf"), "B": 1.0}}),
+            "sources[2] (bad)",
+            id="inf-mass",
+        ),
+        pytest.param(
+            lambda d: d["sources"].append({"name": "bad", "masses": {"(" * 5000 + "A" + ")" * 5000: 1.0}}),
+            "sources[2].masses",
+            id="deep-nesting",
         ),
     ],
 )

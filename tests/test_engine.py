@@ -115,6 +115,36 @@ def test_snapshot_dempster_total_conflict(exclusive, frame):
         state.snapshot(Rule.DEMPSTER)
 
 
+# fold --------------------------------------------------------------------------------
+
+def test_fold_equals_fuse_loop(exclusive, m1, m2, m3, m4):
+    state = FusionState.initial(exclusive)
+    for m in (m1, m2, m3, m4):
+        state = state.fuse(m)
+    assert FusionState.initial(exclusive).fold([m1, m2, m3, m4]) == state
+
+
+def test_fold_labels(exclusive, m1, m2, m3):
+    named = FusionState.initial(exclusive).fold([m1, m2, m3], ["x", "y", "z"])
+    assert named.labels == ("x", "y", "z")
+    unnamed = FusionState.initial(exclusive).fold(iter([m1, m2, m3]))
+    assert unnamed.labels == ("source_1", "source_2", "source_3")
+    assert named.fold([m1]).labels == ("x", "y", "z", "source_4")
+
+
+def test_fold_nothing(exclusive, m1):
+    state = FusionState.initial(exclusive).fuse(m1, "m1")
+    assert state.fold([]) == state
+
+
+def test_fold_keeps_prune_epsilon(exclusive, frame):
+    a = MassFunction(exclusive, {frame.parse("A"): 0.99, frame.parse("B"): 0.01})
+    folded = FusionState.initial(exclusive, prune_epsilon=0.05).fold([a, a])
+    assert folded.prune_epsilon == 0.05
+    assert folded == FusionState.initial(exclusive, prune_epsilon=0.05).fuse(a).fuse(a)
+    assert all(v >= 0.05 for _, v in folded.accumulator.items())
+
+
 # batch -------------------------------------------------------------------------------
 
 def test_batch_matches_fixture(exclusive, m1, m2, m3):
