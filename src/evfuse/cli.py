@@ -105,7 +105,10 @@ def scenario_from_dict(doc) -> Scenario:
                 _fail(f"sources[{i}].masses[{expr!r}]", str(exc))
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 _fail(f"sources[{i}].masses[{expr!r}]", f"mass must be a number, got {value!r}")
-            assignments.append((prop, float(value)))
+            try:
+                assignments.append((prop, float(value)))
+            except OverflowError:
+                _fail(f"sources[{i}].masses[{expr!r}]", "mass is too large for a float")
         try:
             mass = MassFunction(model, assignments)
         except ValidationError as exc:

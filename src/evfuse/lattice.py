@@ -7,6 +7,12 @@ exactly the propositions generated from the atoms by union and
 intersection, so ``&`` / ``|`` on the mask implement the lattice
 operations and integer equality is a canonical identity test.
 
+Decomposition works on whole masks, never one minterm at a time.  With
+``a_i`` the mask of atom i, ``up(b) = OR_i (b & ~a_i) << 2**i`` is the
+set of regions lying one atom above some region of ``b``: ``b`` is
+up-closed when ``up(b) & ~b == 0``, and its minimal regions are the bits
+of ``b & ~up(b)``.
+
 Whether a proposition counts as empty is decided by a :class:`Model`,
 which masks out the minterm regions its exclusivity constraints forbid.
 Propositions themselves are always kept in unconstrained form.
@@ -17,7 +23,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
 from operator import or_
 
 from .errors import ExpressionError, ValidationError
@@ -69,6 +74,23 @@ class Frame:
                 if j != i:
                     bits |= bits << (1 << j)
             out.append(bits)
+        return tuple(out)
+
+    def _up(self, bits: int) -> int:
+        # the regions lying one atom above some region of bits
+        up = 0
+        for i, atom in enumerate(self._atom_bits):
+            up |= (bits & ~atom) << (1 << i)
+        return up
+
+    def _minimal(self, bits: int) -> tuple[int, ...]:
+        # the regions of bits with no region of bits one atom below them
+        rem = bits & ~self._up(bits)
+        out = []
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            out.append(low.bit_length() - 1)
         return tuple(out)
 
     def atom_index(self, ref: int | str) -> int:
@@ -132,19 +154,7 @@ class Proposition:
         return self.bits == 0
 
     def is_up_closed(self) -> bool:
-        bits = self.bits
-        for m in self._iter_minterms():
-            for i in range(self.frame.n):
-                if not m >> i & 1 and not bits >> (m | 1 << i) & 1:
-                    return False
-        return True
-
-    def _iter_minterms(self):
-        rem = self.bits
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            yield low.bit_length() - 1
+        return self.frame._up(self.bits) & ~self.bits == 0
 
     def minimal_minterms(self) -> tuple[int, ...]:
         """Atom masks of the minimal regions present, in ascending order.
@@ -152,16 +162,7 @@ class Proposition:
         For an up-closed family these generate the whole proposition and
         form the unique DNF antichain.
         """
-        bits = self.bits
-        out = []
-        for m in self._iter_minterms():
-            for i in range(self.frame.n):
-                # a smaller region one atom down would make m redundant
-                if m >> i & 1 and bits >> (m ^ (1 << i)) & 1:
-                    break
-            else:
-                out.append(m)
-        return tuple(out)
+        return self.frame._minimal(self.bits)
 
     def dnf_terms(self) -> tuple[tuple[str, ...], ...]:
         """Minimal antichain of atom sets whose union of intersections
@@ -180,25 +181,22 @@ class Proposition:
         """The minimal union-of-atoms factors whose intersection equals
         this proposition.
 
-        Computed as the minimal hitting sets of the DNF antichain
-        (exhaustive search over the support atoms), each returned as the
-        union of its atoms, ordered by size then atom position.
+        These are the minimal atom sets T meeting every DNF term.  T
+        misses some term exactly when the region of the atoms outside T
+        is present, so the parties are the minimal elements of the
+        absent regions with the mask bit-reversed (region ``R`` becomes
+        atom set ``~R``).  Each is returned as the union of its atoms,
+        ordered by size then atom position.
         """
         if self.is_void:
             raise ValidationError("empty proposition has no conflict parties")
-        terms = self.minimal_minterms()
-        support = reduce(or_, terms, 0)
-        atoms = [i for i in range(self.frame.n) if support >> i & 1]
-        found: list[int] = []
-        for size in range(1, len(atoms) + 1):
-            for combo in combinations(atoms, size):
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
-                if any(f & mask == f for f in found):
-                    continue  # already covered by a smaller hitting set
-                if all(mask & t for t in terms):
-                    found.append(mask)
+        frame = self.frame
+        absent = (frame.full_bits & ~self.bits) | 1  # the empty region is never present
+        hitting = int(format(absent, f"0{1 << frame.n}b")[::-1], 2)
+        found = sorted(
+            frame._minimal(hitting),
+            key=lambda mask: (bin(mask).count("1"), [i for i in range(frame.n) if mask >> i & 1]),
+        )
         return tuple(self._union_of_atoms(mask) for mask in found)
 
     def atoms_union(self) -> "Proposition":

@@ -10,6 +10,7 @@ against values the package itself produced.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from pathlib import Path
 
 from evfuse import Frame, MassFunction, Model, Proposition
@@ -132,3 +133,52 @@ def random_mass(rng: random.Random, model: Model, max_focal: int = 3) -> MassFun
 def random_sources(rng: random.Random, model: Model, count: int,
                    max_focal: int = 3) -> list[MassFunction]:
     return [random_mass(rng, model, max_focal) for _ in range(count)]
+
+
+# reference lattice routines ---------------------------------------------------
+# Per-minterm versions of Proposition.is_up_closed, minimal_minterms and
+# conflict_parties on a raw (frame, bits) pair.  They share no code with
+# the whole-mask kernel in evfuse.lattice, which is checked against them.
+
+def _ref_minterms(bits: int):
+    m = 0
+    while bits >> m:
+        if bits >> m & 1:
+            yield m
+        m += 1
+
+
+def ref_is_up_closed(frame: Frame, bits: int) -> bool:
+    for m in _ref_minterms(bits):
+        for i in range(frame.n):
+            if not m >> i & 1 and not bits >> (m | 1 << i) & 1:
+                return False
+    return True
+
+
+def ref_minimal_minterms(frame: Frame, bits: int) -> tuple[int, ...]:
+    out = []
+    for m in _ref_minterms(bits):
+        # a smaller region one atom down would make m redundant
+        if not any(m >> i & 1 and bits >> (m ^ (1 << i)) & 1 for i in range(frame.n)):
+            out.append(m)
+    return tuple(out)
+
+
+def ref_conflict_parties(frame: Frame, bits: int) -> tuple[int, ...]:
+    """Atom masks of the minimal hitting sets of the DNF terms, by
+    exhaustive search over the support atoms, by size then position."""
+    terms = ref_minimal_minterms(frame, bits)
+    support = 0
+    for t in terms:
+        support |= t
+    atoms = [i for i in range(frame.n) if support >> i & 1]
+    found: list[int] = []
+    for size in range(1, len(atoms) + 1):
+        for combo in combinations(atoms, size):
+            mask = sum(1 << i for i in combo)
+            if any(f & mask == f for f in found):
+                continue  # already covered by a smaller hitting set
+            if all(mask & t for t in terms):
+                found.append(mask)
+    return tuple(found)

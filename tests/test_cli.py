@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from evfuse import MassFunction
+from evfuse import MassFunction, sdli2
 from evfuse.cli import main, load_scenario, ScenarioError
 
 from support import SCENARIO_DIR, SDLI_12, UNION_12, UNION_123, UNION_1234
@@ -112,6 +112,26 @@ def test_fuse_dempster_long_alternating_stream(capsys, tmp_path, count, expected
     assert masses.keys() == expected.keys()
     for expr, value in expected.items():
         assert masses[expr] == pytest.approx(value, rel=1e-12)
+
+
+def test_fuse_sixteen_atom_sdli_matches_closed_formula(capsys, tmp_path):
+    doc = {
+        "frame": [f"s{i}" for i in range(16)],
+        "model": "exclusive",
+        "rule": "sdli",
+        "sources": [
+            {"name": "m1", "masses": {"s0": 0.5, "s1|s2": 0.3, "s3|s4|s15": 0.2}},
+            {"name": "m2", "masses": {"s1": 0.6, "s0|s15": 0.25, "s7|s8|s9|s10": 0.15}},
+        ],
+    }
+    path = write_scenario(tmp_path, doc)
+    assert main(["fuse", path, "--output", "json"]) == 0
+    masses = json.loads(capsys.readouterr().out)["masses"]
+    (_, m1), (_, m2) = load_scenario(path).sources
+    want = {p.text(): v for p, v in sdli2(m1, m2).items()}
+    assert masses.keys() == want.keys()
+    for expr, value in want.items():
+        assert masses[expr] == pytest.approx(value, abs=1e-12)
 
 
 # stream -------------------------------------------------------------------------
@@ -289,6 +309,11 @@ def test_invalid_json(capsys, tmp_path):
             lambda d: d["sources"].append({"name": "bad", "masses": {"(" * 5000 + "A" + ")" * 5000: 1.0}}),
             "sources[2].masses",
             id="deep-nesting",
+        ),
+        pytest.param(
+            lambda d: d["sources"].append({"name": "bad", "masses": {"A": 10 ** 400}}),
+            "sources[2].masses['A']",
+            id="huge-int-mass",
         ),
     ],
 )

@@ -5,6 +5,13 @@ from hypothesis import given, strategies as st
 
 from evfuse import ExpressionError, Frame, Model, Proposition, ValidationError, make_model
 
+from support import (
+    ref_conflict_parties,
+    ref_is_up_closed,
+    ref_minimal_minterms,
+    union_of_atoms,
+)
+
 
 def minterm_bits(*masks: int) -> int:
     bits = 0
@@ -14,12 +21,13 @@ def minterm_bits(*masks: int) -> int:
 
 
 def all_up_closed(frame: Frame) -> list[Proposition]:
-    """Every non-empty up-closed minterm family, by brute enumeration."""
+    """Every non-empty up-closed minterm family, by brute enumeration
+    with the reference check."""
     n = frame.n
     out = []
     for mask in range(1, 1 << ((1 << n) - 1)):
         bits = mask << 1  # skip the unused bit for the empty region
-        if Proposition(frame, bits).is_up_closed():
+        if ref_is_up_closed(frame, bits):
             out.append(Proposition(frame, bits))
     return out
 
@@ -75,6 +83,21 @@ def test_sixteen_atom_frame_stays_responsive():
     assert (a & b).atoms_union() == a | b
     assert [p.text() for p in (a & b).conflict_parties()] == ["s0", "s15"]
     assert frame.parse((a | b).text()) == a | b
+
+    exclusive = Model.exclusive(frame)
+    # every region but the 16 singletons
+    assert bin(exclusive.constrained).count("1") == (1 << 16) - 1 - 16
+    assert exclusive.is_empty(a & b) and not exclusive.is_empty(a | b)
+
+    ring = Model.with_exclusions(frame, [(i, (i + 1) % 16) for i in range(16)])
+    # regions free of adjacent ring pairs number L16 = 2207 (Lucas),
+    # counting the unused empty region
+    assert bin(ring.constrained).count("1") == (1 << 16) - 2207
+    assert ring.is_empty(a & b) and ring.is_empty(frame.atom(7) & frame.atom(8))
+    assert not ring.is_empty(frame.atom(0) & frame.atom(2))
+    p = frame.parse("s0&s2|s2&s5&s9|s14")
+    assert p.text() == "s0&s2|s14|s2&s5&s9"
+    assert [q.text() for q in p.conflict_parties()] == ["s14|s2", "s0|s14|s5", "s0|s14|s9"]
 
 
 # atoms and constants ---------------------------------------------------------
@@ -256,6 +279,28 @@ def test_disjoint_pair_products_exhaustive(n, expected_pairs):
             assert set(product.conflict_parties()) == {x, y}
             checked += 1
     assert checked == expected_pairs
+
+
+@pytest.mark.parametrize("n, masks, elements", [(3, 127, 18), (4, 32767, 166)])
+def test_kernel_matches_reference_exhaustive(n, masks, elements):
+    frame = Frame(("A", "B", "C", "D")[:n])
+    free = Model.free(frame)
+    up_closed = []
+    for mask in range(1, 1 << ((1 << n) - 1)):
+        bits = mask << 1
+        p, closed = Proposition(frame, bits), ref_is_up_closed(frame, bits)
+        assert p.is_up_closed() == closed, bits
+        assert p.minimal_minterms() == ref_minimal_minterms(frame, bits), bits
+        if closed:
+            up_closed.append(p)
+    assert mask == masks and len(up_closed) == elements
+    for p in up_closed:
+        want = [union_of_atoms(free, m) for m in ref_conflict_parties(frame, p.bits)]
+        assert list(p.conflict_parties()) == want, p
+        support = 0
+        for m in ref_minimal_minterms(frame, p.bits):
+            support |= m
+        assert p.atoms_union() == union_of_atoms(free, support), p
 
 
 # parsing and formatting --------------------------------------------------------
