@@ -67,7 +67,8 @@ def scenario_from_dict(doc) -> Scenario:
         if not isinstance(pairs, list):
             _fail("model.exclusive_pairs", "must be a list of atom pairs")
         for i, pair in enumerate(pairs):
-            if not (isinstance(pair, list) and len(pair) == 2):
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(isinstance(a, str) for a in pair)):
                 _fail(f"model.exclusive_pairs[{i}]", "must be a pair of atom names")
         try:
             model = Model.with_exclusions(frame, [tuple(p) for p in pairs])
@@ -133,6 +134,8 @@ def load_scenario(path: str) -> Scenario:
             doc = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ScenarioError(f"{path}: not valid UTF-8") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from None
     return scenario_from_dict(doc)

@@ -119,9 +119,10 @@ class Frame:
         return parse_prop(self, text)
 
 
-def _require_same_frame(a: Frame, b: Frame) -> None:
-    if a != b:
-        raise ValidationError("operands belong to different frames")
+def _require_same_frame(a: Frame, b: Frame,
+                        message: str = "operands belong to different frames") -> None:
+    if a is not b and a != b:
+        raise ValidationError(message)
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,12 @@ class Proposition:
     def __post_init__(self):
         if not 0 <= self.bits <= self.frame.full_bits:
             raise ValidationError("minterm mask out of range for this frame")
+
+    def __hash__(self) -> int:
+        # Propositions key every mass dict; hashing the frame's atom tuple
+        # on each lookup would cost more than the lookup.  Equal bits on
+        # different frames collide here and are told apart by __eq__.
+        return hash(self.bits)
 
     def __and__(self, other: "Proposition") -> "Proposition":
         _require_same_frame(self.frame, other.frame)

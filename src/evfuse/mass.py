@@ -17,28 +17,34 @@ Assignments = Mapping[Proposition, float] | Iterable[tuple[Proposition, float]]
 
 def _clean_assignments(model: Model, assignments: Assignments, allow_conflict: bool):
     items = assignments.items() if isinstance(assignments, Mapping) else assignments
-    merged: dict[Proposition, float] = {}
+    frame = model.frame
+    # Every focal element shares the model's frame, so its minterm mask
+    # alone identifies it: merge on the masks, keep the first Proposition.
+    props: dict[int, Proposition] = {}
+    merged: dict[int, float] = {}
     for prop, value in items:
         if not isinstance(prop, Proposition):
             raise ValidationError(f"focal element must be a Proposition, got {prop!r}")
-        if prop.frame != model.frame:
-            raise ValidationError("focal element belongs to a different frame")
+        _require_same_frame(prop.frame, frame, "focal element belongs to a different frame")
         value = float(value)
         if not 0.0 <= value < inf:  # also false for NaN
             problem = "negative" if value < 0.0 else "non-finite"
             raise ValidationError(f"{problem} mass {value!r} on {prop.text()}")
         if value > 0.0:
-            merged[prop] = merged.get(prop, 0.0) + value
+            bits = prop.bits
+            props.setdefault(bits, prop)
+            merged[bits] = merged.get(bits, 0.0) + value
     total = sum(merged.values())
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise ValidationError(f"masses sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
+    visible = ~model.constrained
     cleaned: dict[Proposition, float] = {}
-    for prop in sorted(merged, key=lambda p: p.bits):
-        if not allow_conflict and model.is_empty(prop):
+    for bits in sorted(merged):
+        if not allow_conflict and not bits & visible:
             raise ValidationError(
-                f"focal element {prop.text()} is empty under the model"
+                f"focal element {props[bits].text()} is empty under the model"
             )
-        cleaned[prop] = merged[prop] / total
+        cleaned[props[bits]] = merged[bits] / total
     return cleaned
 
 

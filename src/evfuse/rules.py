@@ -74,12 +74,18 @@ def conjunctive(a, b) -> ConjunctiveResult:
     model_b, items_b, count_b = _term_view(b)
     if model_a != model_b:
         raise ValidationError("operands use different models")
-    out: dict[Proposition, float] = {}
+    # Both operands' focal elements lie on the model's frame, so the
+    # product runs on their minterm masks: X & Y is x.bits & y.bits.
+    masks_b = [(y.bits, my) for y, my in items_b]
+    out: dict[int, float] = {}
     for x, mx in items_a:
-        for y, my in items_b:
-            z = x & y
+        x_bits = x.bits
+        for y_bits, my in masks_b:
+            z = x_bits & y_bits
             out[z] = out.get(z, 0.0) + mx * my
-    return ConjunctiveResult(model_a, out, count_a + count_b)
+    frame = model_a.frame
+    terms = {Proposition(frame, z): v for z, v in out.items()}
+    return ConjunctiveResult(model_a, terms, count_a + count_b)
 
 
 def conflict_of(result: ConjunctiveResult) -> float:
@@ -88,10 +94,12 @@ def conflict_of(result: ConjunctiveResult) -> float:
 
 
 def _split(result: ConjunctiveResult):
-    kept: dict[Proposition, float] = {}
-    conflicting: dict[Proposition, float] = {}
+    # the stored terms as (term, mass) lists: kept, then model-empty
+    visible = ~result.model.constrained
+    kept: list[tuple[Proposition, float]] = []
+    conflicting: list[tuple[Proposition, float]] = []
     for p, v in result.terms.items():
-        (conflicting if result.model.is_empty(p) else kept)[p] = v
+        (kept if p.bits & visible else conflicting).append((p, v))
     return kept, conflicting
 
 
@@ -110,11 +118,15 @@ def _redistribute(result: ConjunctiveResult, route, allow_conflict=False) -> Mas
     mass to the targets ``route(term)`` names, as ``[(target, share)]``
     with shares summing to 1."""
     kept, conflicting = _split(result)
-    out = dict(kept)
-    for p, v in conflicting.items():
+    props = {p.bits: p for p, _ in kept}
+    out = {p.bits: v for p, v in kept}
+    for p, v in conflicting:
         for target, share in route(p):
-            out[target] = out.get(target, 0.0) + v * share
-    return MassFunction(result.model, out, allow_conflict=allow_conflict)
+            bits = target.bits
+            props.setdefault(bits, target)
+            out[bits] = out.get(bits, 0.0) + v * share
+    return MassFunction(result.model, [(props[bits], v) for bits, v in out.items()],
+                        allow_conflict=allow_conflict)
 
 
 def transfer_dempster(result: ConjunctiveResult) -> MassFunction:
@@ -122,11 +134,11 @@ def transfer_dempster(result: ConjunctiveResult) -> MassFunction:
     kept, conflicting = _split(result)
     # Divide by the kept mass itself, not by 1 - k: when k rounds to 1 on
     # long conflicting streams, 1 - k keeps no significant digit.
-    total = sum(kept.values())
+    total = sum(v for _, v in kept)
     if total <= 0.0:
-        k = sum(conflicting.values())
+        k = sum(v for _, v in conflicting)
         raise TotalConflictError(f"conflict k={k!r}: Dempster combination is undefined")
-    return MassFunction(result.model, {p: v / total for p, v in kept.items()})
+    return MassFunction(result.model, [(p, v / total) for p, v in kept])
 
 
 def transfer_smets(result: ConjunctiveResult) -> MassFunction:

@@ -182,3 +182,21 @@ def ref_conflict_parties(frame: Frame, bits: int) -> tuple[int, ...]:
             if all(mask & t for t in terms):
                 found.append(mask)
     return tuple(found)
+
+
+# reference conjunctive product --------------------------------------------
+# The conjunctive stage as one X & Y per pair of focal elements, keyed by
+# Proposition, then brought to the stored form of a ConjunctiveResult:
+# positive terms only, in mask order, divided by their sum.
+# evfuse.rules.conjunctive, which multiplies on masks, must equal it
+# exactly.
+
+def ref_conjunctive(a, b) -> dict[Proposition, float]:
+    out: dict[Proposition, float] = {}
+    for x, mx in a.items():
+        for y, my in b.items():
+            z = x & y
+            out[z] = out.get(z, 0.0) + mx * my
+    kept = {p: v for p, v in out.items() if v > 0.0}
+    total = sum(kept.values())
+    return {p: kept[p] / total for p in sorted(kept, key=lambda p: p.bits)}

@@ -272,6 +272,13 @@ def test_invalid_json(capsys, tmp_path):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"frame": "\xff"}')
+    assert main(["fuse", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: not valid UTF-8\n"
+
+
 @pytest.mark.parametrize(
     "mutate, needle",
     [
@@ -314,6 +321,20 @@ def test_invalid_json(capsys, tmp_path):
             lambda d: d["sources"].append({"name": "bad", "masses": {"A": 10 ** 400}}),
             "sources[2].masses['A']",
             id="huge-int-mass",
+        ),
+        *(
+            pytest.param(
+                lambda d, pair=pair: d.update(model={"exclusive_pairs": [pair]}),
+                "model.exclusive_pairs[0]: must be a pair of atom names",
+                id=f"pair-{name}",
+            )
+            for name, pair in [
+                ("float-int", [0.5, 1]),
+                ("nested-list", ["A", ["B"]]),
+                ("null", [None, "B"]),
+                ("positions", [0, 1]),
+                ("bool", [True, "A"]),
+            ]
         ),
     ],
 )

@@ -3,7 +3,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from evfuse import ExpressionError, Frame, Model, Proposition, ValidationError, make_model
+from evfuse import (
+    ExpressionError,
+    Frame,
+    MassFunction,
+    Model,
+    Proposition,
+    ValidationError,
+    conjunctive,
+    make_model,
+)
 
 from support import (
     ref_conflict_parties,
@@ -187,6 +196,34 @@ def test_frame_mismatch_rejected(frame):
     other = Frame(("A", "B"))
     with pytest.raises(ValidationError):
         frame.atom("A") & other.atom("A")
+
+
+@given(data=st.data())
+def test_hash_contract(data):
+    names = ("A", "B", "C", "D", "E")[:data.draw(st.integers(2, 5))]
+    frame, twin = Frame(names), Frame(tuple(names))  # equal, built apart
+    other = Frame(tuple(name.lower() for name in names))
+    p = data.draw(random_props(frame))
+    q = Proposition(twin, p.bits)
+    assert q == p and hash(q) == hash(p)
+    by_prop = {p: 1.0}
+    assert by_prop[q] == 1.0 and len({p: 0, q: 1}) == 1
+    # the same bits on another frame are another proposition
+    r = Proposition(other, p.bits)
+    assert r != p and r not in by_prop and len({p: 0, r: 1}) == 2
+    assert p & q == p
+    with pytest.raises(ValidationError):
+        p & r
+    free = Model.free(frame)
+    assert MassFunction(free, [(p, 0.5), (q, 0.5)]).mass(p) == 1.0
+    with pytest.raises(ValidationError):
+        MassFunction(free, {r: 1.0})
+    source = MassFunction(free, {p: 1.0})
+    assert conjunctive(source, MassFunction(Model.free(twin), {q: 1.0})).terms == {p: 1.0}
+    for model in (Model.free(other), Model.exclusive(frame)):
+        top = model.frame.total_ignorance()
+        with pytest.raises(ValidationError):
+            conjunctive(source, MassFunction(model, {top: 1.0}))
 
 
 def test_is_empty(frame, exclusive, free):

@@ -43,11 +43,14 @@ from support import (
     UNION_12,
     UNION_123,
     YAGER_12,
+    as_text_dict,
     assert_masses,
     mass_from_rows,
     random_mass,
     random_model,
+    random_prop,
     random_sources,
+    ref_conjunctive,
 )
 
 
@@ -130,6 +133,71 @@ def test_conjunctive_associative(seed):
     left = conjunctive(conjunctive(a, b), c)
     right = conjunctive(a, conjunctive(b, c))
     assert deviation(left, right) <= 1e-12
+
+
+# the mask-keyed product against the per-Proposition reference -------------
+
+def assert_same_terms(result, want):
+    # the same keys in the same order, and bit-equal masses
+    assert list(result.terms.items()) == list(want.items())
+
+
+def ring_model(frame):
+    return Model.with_exclusions(frame, [(i, (i + 1) % frame.n) for i in range(frame.n)])
+
+
+def random_pool(rng, model, size):
+    # total ignorance and non-empty random propositions; sources drawing
+    # from one pool share focal elements, so their products merge
+    pool = [model.frame.total_ignorance()]
+    while len(pool) < size:
+        p = random_prop(rng, model)
+        if not model.is_empty(p):
+            pool.append(p)
+    return pool
+
+
+def random_source(rng, model, pool):
+    props = rng.sample(pool, rng.randint(1, len(pool) - 1))
+    weights = [rng.uniform(0.05, 1.0) for _ in props]
+    total = sum(weights)
+    return MassFunction(model, [(p, w / total) for p, w in zip(props, weights)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 16])
+@pytest.mark.parametrize("build", [Model.free, Model.exclusive, ring_model],
+                         ids=["free", "exclusive", "ring"])
+def test_conjunctive_matches_reference(build, n):
+    rng = random.Random(f"conjunctive/{n}")
+    model = build(Frame(tuple(f"H{i}" for i in range(n))))
+    merged = 0
+    for _ in range(4):
+        pool = random_pool(rng, model, 4 if n == 16 else 7)
+        a, b, c, d = (random_source(rng, model, pool) for _ in range(4))
+        ab = conjunctive(a, b)
+        abc = conjunctive(ab, c)
+        for x, y in [(a, b), (ab, c), (abc, d)]:
+            want = ref_conjunctive(x, y)
+            assert_same_terms(conjunctive(x, y), want)
+            merged += len(want) < len(x.items()) * len(y.items())
+    assert merged  # some products landed on one key
+
+
+def test_conjunctive_merges_products_on_one_key(exclusive, frame):
+    a = mass_from_rows(exclusive, {"A": 0.5, "A|B": 0.5})
+    b = mass_from_rows(exclusive, {"A": 0.5, "A|C": 0.5})
+    # three of the four products land on A
+    assert as_text_dict(conjunctive(a, b)) == {"A": 0.75, "A|B&C": 0.25}
+    assert_same_terms(conjunctive(a, b), ref_conjunctive(a, b))
+
+
+def test_conjunctive_drops_underflowed_products(free, frame):
+    a = MassFunction(free, [(frame.parse("A"), 1.0), (frame.parse("B"), 1e-200)])
+    b = MassFunction(free, [(frame.parse("A"), 1.0), (frame.parse("C"), 1e-200)])
+    r = conjunctive(a, b)
+    # B&C gets 1e-400, which is 0.0 in floats, and is no focal element
+    assert sorted(as_text_dict(r)) == ["A", "A&B", "A&C"]
+    assert_same_terms(r, ref_conjunctive(a, b))
 
 
 # conflict --------------------------------------------------------------------
