@@ -49,6 +49,12 @@ def _fail(field: str, problem: str):
     raise ScenarioError(f"{field}: {problem}")
 
 
+def _reject_unknown(obj: dict, known: set[str], prefix: str, what: str):
+    for key in obj:
+        if key not in known:
+            _fail(f"{prefix}{key}", f"unknown {what} field")
+
+
 def scenario_from_dict(doc) -> Scenario:
     if not isinstance(doc, dict):
         _fail("scenario", "top level must be a JSON object")
@@ -63,6 +69,7 @@ def scenario_from_dict(doc) -> Scenario:
 
     model_spec = doc.get("model", "free")
     if isinstance(model_spec, dict):
+        _reject_unknown(model_spec, {"exclusive_pairs"}, "model.", "model")
         pairs = model_spec.get("exclusive_pairs")
         if not isinstance(pairs, list):
             _fail("model.exclusive_pairs", "must be a list of atom pairs")
@@ -92,6 +99,7 @@ def scenario_from_dict(doc) -> Scenario:
     for i, entry in enumerate(raw_sources):
         if not isinstance(entry, dict):
             _fail(f"sources[{i}]", "must be an object with 'name' and 'masses'")
+        _reject_unknown(entry, {"name", "masses"}, f"sources[{i}].", "source")
         name = entry.get("name", f"source_{i + 1}")
         if not isinstance(name, str):
             _fail(f"sources[{i}].name", "must be a string")
@@ -120,10 +128,7 @@ def scenario_from_dict(doc) -> Scenario:
     if not isinstance(prune, (int, float)) or isinstance(prune, bool) or not 0.0 <= prune < 1.0:
         _fail("prune_epsilon", f"must be a number in [0, 1), got {prune!r}")
 
-    known = {"frame", "model", "rule", "sources", "prune_epsilon"}
-    for key in doc:
-        if key not in known:
-            _fail(key, "unknown scenario field")
+    _reject_unknown(doc, {"frame", "model", "rule", "sources", "prune_epsilon"}, "", "scenario")
 
     return Scenario(frame, model, sources, rule, float(prune))
 
@@ -219,10 +224,25 @@ def _orderings(count: int, trials: int, seed: int):
 
 def _worst_refold(scenario: Scenario, rule: Rule, source_lists) -> float:
     """Largest deviation of a refold of each source list from the
-    scenario's own snapshot."""
+    scenario's own snapshot.
+
+    The state after a prefix depends on that prefix alone, so each list
+    is refolded only from the first source (by identity) where it leaves
+    the previous list; ``states[k]`` holds the state after k sources.
+    """
     baseline = _initial(scenario).fold(m for _, m in scenario.sources).snapshot(rule)
-    return max(deviation(_initial(scenario).fold(masses).snapshot(rule), baseline)
-               for masses in source_lists)
+    states, previous, worst = [_initial(scenario)], [], 0.0
+    for masses in source_lists:
+        masses = list(masses)
+        k = 0
+        while k < min(len(masses), len(previous)) and masses[k] is previous[k]:
+            k += 1
+        del states[k + 1:]
+        for m in masses[k:]:
+            states.append(states[-1].fuse(m))
+        previous = masses
+        worst = max(worst, deviation(states[-1].snapshot(rule), baseline))
+    return worst
 
 
 def _check_permutation(scenario: Scenario, rule: Rule, trials: int, seed: int) -> float:

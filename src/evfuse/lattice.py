@@ -197,6 +197,19 @@ class Proposition:
         """
         if self.is_void:
             raise ValidationError("empty proposition has no conflict parties")
+        return self._conflict_parties
+
+    def atoms_union(self) -> "Proposition":
+        """Union of every atom mentioned in the DNF of this proposition."""
+        if self.is_void:
+            raise ValidationError("empty proposition mentions no atoms")
+        return self._atoms_union
+
+    # A stored term keeps its Proposition from fold to fold, so each
+    # decomposition is computed once per object and lives as long as it.
+
+    @cached_property
+    def _conflict_parties(self) -> tuple["Proposition", ...]:
         frame = self.frame
         absent = (frame.full_bits & ~self.bits) | 1  # the empty region is never present
         hitting = int(format(absent, f"0{1 << frame.n}b")[::-1], 2)
@@ -206,10 +219,8 @@ class Proposition:
         )
         return tuple(self._union_of_atoms(mask) for mask in found)
 
-    def atoms_union(self) -> "Proposition":
-        """Union of every atom mentioned in the DNF of this proposition."""
-        if self.is_void:
-            raise ValidationError("empty proposition mentions no atoms")
+    @cached_property
+    def _atoms_union(self) -> "Proposition":
         return self._union_of_atoms(reduce(or_, self.minimal_minterms(), 0))
 
     def _union_of_atoms(self, mask: int) -> "Proposition":

@@ -152,8 +152,9 @@ class ColumnSums:
         merged = dict(self.sums)
         for p, v in m.items():
             merged[p] = merged.get(p, 0.0) + v
-        ordered = {p: merged[p] for p in sorted(merged, key=lambda q: q.bits)}
-        return ColumnSums(self.model, ordered, self.source_count + 1)
+        if len(merged) > len(self.sums):  # kept in mask order; only a new key breaks it
+            merged = {p: merged[p] for p in sorted(merged, key=lambda q: q.bits)}
+        return ColumnSums(self.model, merged, self.source_count + 1)
 
 
 def column_sums(masses: Iterable[MassFunction]) -> ColumnSums:

@@ -83,8 +83,13 @@ def conjunctive(a, b) -> ConjunctiveResult:
         for y_bits, my in masks_b:
             z = x_bits & y_bits
             out[z] = out.get(z, 0.0) + mx * my
+    # Most products repeat a mask an operand already holds: key them by
+    # that operand's Proposition, the stored one first, so a stored term
+    # keeps its object (and its cached decomposition) across folds.
+    props = {y.bits: y for y, _ in items_b}
+    props.update((x.bits, x) for x, _ in items_a)
     frame = model_a.frame
-    terms = {Proposition(frame, z): v for z, v in out.items()}
+    terms = {props[z] if z in props else Proposition(frame, z): v for z, v in out.items()}
     return ConjunctiveResult(model_a, terms, count_a + count_b)
 
 

@@ -13,7 +13,7 @@ import random
 from itertools import combinations
 from pathlib import Path
 
-from evfuse import Frame, MassFunction, Model, Proposition
+from evfuse import Frame, FusionState, MassFunction, Model, Proposition, deviation
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -200,3 +200,29 @@ def ref_conjunctive(a, b) -> dict[Proposition, float]:
     kept = {p: v for p, v in out.items() if v > 0.0}
     total = sum(kept.values())
     return {p: kept[p] / total for p in sorted(kept, key=lambda p: p.bits)}
+
+
+# reference column sums and refold ------------------------------------------
+# ColumnSums.add keeps its sums in mask order and re-sorts only when a
+# source brings a new key; cli._worst_refold shares the states of common
+# prefixes between consecutive source lists.  These are the versions
+# that copy and re-sort on every source and refold every list from the
+# initial state; both rewrites must equal them exactly.
+
+def ref_column_sums(masses) -> dict[Proposition, float]:
+    sums: dict[Proposition, float] = {}
+    for m in masses:
+        merged = dict(sums)
+        for p, v in m.items():
+            merged[p] = merged.get(p, 0.0) + v
+        sums = {p: merged[p] for p in sorted(merged, key=lambda q: q.bits)}
+    return sums
+
+
+def ref_worst_refold(scenario, rule, source_lists) -> float:
+    def initial():
+        return FusionState.initial(scenario.model, scenario.prune_epsilon)
+
+    baseline = initial().fold(m for _, m in scenario.sources).snapshot(rule)
+    return max(deviation(initial().fold(masses).snapshot(rule), baseline)
+               for masses in source_lists)

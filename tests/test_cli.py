@@ -1,13 +1,33 @@
 """End-to-end command-line behavior: output bytes, exit codes, checks."""
 
 import json
+import random
+from itertools import permutations
 
 import pytest
 
-from evfuse import MassFunction, sdli2
-from evfuse.cli import main, load_scenario, ScenarioError
+from evfuse import MassFunction, Rule, sdli2, vbf
+from evfuse.cli import (
+    CHECK_TOLERANCES,
+    Scenario,
+    ScenarioError,
+    _orderings,
+    _worst_refold,
+    load_scenario,
+    main,
+    scenario_from_dict,
+)
 
-from support import SCENARIO_DIR, SDLI_12, UNION_12, UNION_123, UNION_1234
+from support import (
+    SCENARIO_DIR,
+    SDLI_12,
+    UNION_12,
+    UNION_123,
+    UNION_1234,
+    random_model,
+    random_sources,
+    ref_worst_refold,
+)
 
 THREE = str(SCENARIO_DIR / "three_sources.json")
 FOUR = str(SCENARIO_DIR / "four_sources.json")
@@ -38,6 +58,20 @@ def total_conflict_doc():
         "sources": [
             {"name": "s1", "masses": {"A": 1.0}},
             {"name": "s2", "masses": {"B": 1.0}},
+        ],
+    }
+
+
+def pruned_doc():
+    return {
+        "frame": ["A", "B"],
+        "model": "exclusive",
+        "rule": "yager",
+        "prune_epsilon": 0.05,
+        "sources": [
+            {"name": "s1", "masses": {"A": 0.9, "B": 0.1}},
+            {"name": "s2", "masses": {"A": 0.9, "B": 0.1}},
+            {"name": "s3", "masses": {"A": 0.5, "B": 0.5}},
         ],
     }
 
@@ -221,18 +255,7 @@ def test_verify_bad_trials(capsys):
 def test_verify_pruned_scenario_fails_permutation(capsys, tmp_path):
     # epsilon pruning is a documented approximation: dropping small terms
     # mid-stream makes the result depend on the source order
-    doc = {
-        "frame": ["A", "B"],
-        "model": "exclusive",
-        "rule": "yager",
-        "prune_epsilon": 0.05,
-        "sources": [
-            {"name": "s1", "masses": {"A": 0.9, "B": 0.1}},
-            {"name": "s2", "masses": {"A": 0.9, "B": 0.1}},
-            {"name": "s3", "masses": {"A": 0.5, "B": 0.5}},
-        ],
-    }
-    path = write_scenario(tmp_path, doc)
+    path = write_scenario(tmp_path, pruned_doc())
     assert main(["verify", path, "--checks", "permutation"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("FAIL permutation")
@@ -256,6 +279,47 @@ def test_verify_seeded_random_scenario(capsys, tmp_path):
     }
     path = write_scenario(tmp_path, doc)
     assert main(["verify", path]) == 0
+
+
+# shared refold prefixes against refolding every list from scratch ---------------
+
+def random_scenario(rng, count):
+    model = random_model(rng, n=4)
+    sources = [(f"s{i + 1}", m) for i, m in enumerate(random_sources(rng, model, count))]
+    return Scenario(model.frame, model, sources, Rule.SDLI, 0.0)
+
+
+def padded_lists(scenario):
+    masses = [m for _, m in scenario.sources]
+    neutral = [vbf(scenario.model)]
+    return [masses[:k] + neutral + masses[k:] for k in range(len(masses) + 1)]
+
+
+def ordered_lists(scenario, orders):
+    masses = [m for _, m in scenario.sources]
+    return [[masses[i] for i in order] for order in orders]
+
+
+@pytest.mark.parametrize("rule", ["sdli", "dubois_prade", "yager", "smets"])
+def test_worst_refold_matches_reference(rule):
+    rng = random.Random(f"refold/{rule}")
+    six, eight = random_scenario(rng, 6), random_scenario(rng, 8)
+    pruned = scenario_from_dict(pruned_doc())
+    masses = [m for _, m in six.sources]
+    cases = [
+        (six, ordered_lists(six, permutations(range(6)))),  # all 720 orderings
+        (eight, ordered_lists(eight, _orderings(8, 100, 0))),  # sampled orderings
+        (six, padded_lists(six)),
+        (eight, padded_lists(eight)),
+        (pruned, ordered_lists(pruned, permutations(range(3)))),
+        (pruned, padded_lists(pruned)),
+        # repeats, a prefix of the previous list, then a longer list again
+        (six, [masses, masses, masses[:3], masses[:2] + masses[3:], masses[::-1], masses[:1]]),
+    ]
+    for scenario, lists in cases:
+        assert _worst_refold(scenario, rule, lists) == ref_worst_refold(scenario, rule, lists)
+    lists = ordered_lists(pruned, permutations(range(3)))
+    assert _worst_refold(pruned, rule, lists) > CHECK_TOLERANCES["permutation"]
 
 
 # scenario validation ---------------------------------------------------------------
@@ -321,6 +385,16 @@ def test_non_utf8_file(capsys, tmp_path):
             lambda d: d["sources"].append({"name": "bad", "masses": {"A": 10 ** 400}}),
             "sources[2].masses['A']",
             id="huge-int-mass",
+        ),
+        pytest.param(
+            lambda d: d.update(model={"exclusive_pairs": [["A", "B"]], "x": 1}),
+            "model.x: unknown model field",
+            id="model-unknown-key",
+        ),
+        pytest.param(
+            lambda d: d["sources"][0].update(discount=0.5),
+            "sources[0].discount: unknown source field",
+            id="source-unknown-key",
         ),
         *(
             pytest.param(

@@ -145,6 +145,26 @@ def test_fold_keeps_prune_epsilon(exclusive, frame):
     assert all(v >= 0.05 for _, v in folded.accumulator.items())
 
 
+@pytest.mark.parametrize("prune_epsilon", [0.0, 0.02])
+def test_fuse_keeps_the_terms_it_shares(prune_epsilon):
+    # a stored term that survives a fold is the same object afterwards,
+    # so its cached decomposition survives with it
+    rng = random.Random(f"identity/{prune_epsilon}")
+    shared = 0
+    for _ in range(5):
+        model = random_model(rng, n=4)
+        state = FusionState.initial(model, prune_epsilon)
+        for m in random_sources(rng, model, 5):
+            successor = state.fuse(m)
+            before = {p.bits: p for p in state.accumulator.terms}
+            for p in successor.accumulator.terms:
+                if p.bits in before:
+                    assert p is before[p.bits], p
+                    shared += 1
+            state = successor
+    assert shared
+
+
 # batch -------------------------------------------------------------------------------
 
 def test_batch_matches_fixture(exclusive, m1, m2, m3):

@@ -333,11 +333,43 @@ def test_kernel_matches_reference_exhaustive(n, masks, elements):
     assert mask == masks and len(up_closed) == elements
     for p in up_closed:
         want = [union_of_atoms(free, m) for m in ref_conflict_parties(frame, p.bits)]
-        assert list(p.conflict_parties()) == want, p
         support = 0
         for m in ref_minimal_minterms(frame, p.bits):
             support |= m
-        assert p.atoms_union() == union_of_atoms(free, support), p
+        for _ in range(2):  # the second call is served from the proposition's cache
+            assert list(p.conflict_parties()) == want, p
+            assert p.atoms_union() == union_of_atoms(free, support), p
+
+
+def test_void_decomposition_raises_on_every_call(frame):
+    void = frame.empty()
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="no conflict parties"):
+            void.conflict_parties()
+        with pytest.raises(ValidationError, match="mentions no atoms"):
+            void.atoms_union()
+
+
+def test_decomposition_is_per_frame():
+    # Each element of the 3-atom lattice meets the same bits on another
+    # frame first, so a decomposition cached by bits alone would hand the
+    # other frame's parties to it.
+    frame = Frame(("A", "B", "C"))
+    renamed = Frame(("X", "Y", "Z"))
+    wider = Frame(("A", "B", "C", "D"))  # in range there, though not up-closed
+    for p in all_up_closed(frame):
+        twin, wide = Proposition(renamed, p.bits), Proposition(wider, p.bits)
+        for q in (twin, wide):
+            assert all(g.frame == q.frame for g in q.conflict_parties()), q
+            assert q.atoms_union().frame == q.frame
+        for q in (twin, p):
+            free = Model.free(q.frame)
+            want = [union_of_atoms(free, m) for m in ref_conflict_parties(q.frame, q.bits)]
+            assert list(q.conflict_parties()) == want, q
+            support = 0
+            for m in ref_minimal_minterms(q.frame, q.bits):
+                support |= m
+            assert q.atoms_union() == union_of_atoms(free, support), q
 
 
 # parsing and formatting --------------------------------------------------------

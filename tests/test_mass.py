@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from evfuse import MassFunction, ValidationError, column_sums, deviation, vbf
+from evfuse import ColumnSums, MassFunction, ValidationError, column_sums, deviation, vbf
 
 from support import (
     COLUMNS_12,
@@ -15,6 +15,7 @@ from support import (
     mass_from_rows,
     random_mass,
     random_model,
+    ref_column_sums,
 )
 
 
@@ -146,6 +147,28 @@ def test_column_sums_permutation_and_concat():
         for p, v in combined.sums.items():
             assert folded.sums[p] == pytest.approx(v, abs=1e-12)
 
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_column_sums_match_reference(seed):
+    # the same keys in the same (mask) order and bit-equal sums as a
+    # copy-and-sort after every source, whether a source brings new keys
+    # or only repeats old ones
+    rng = random.Random(f"columns/{seed}")
+    model = random_model(rng, n=4)
+    sources = [random_mass(rng, model) for _ in range(10)]
+    sources += sources[:4]
+    sums = ColumnSums.empty(model)
+    grew = repeated = 0
+    for k, m in enumerate(sources, start=1):
+        new = any(p not in sums.sums for p, _ in m.items())
+        grew, repeated = grew + new, repeated + (not new)
+        previous, before = sums, list(sums.sums.items())
+        sums = sums.add(m)
+        assert list(sums.sums.items()) == list(ref_column_sums(sources[:k]).items())
+        assert list(previous.sums.items()) == before  # the old sums stay as they were
+    assert grew and repeated
+    assert list(column_sums(sources).sums.items()) == list(sums.sums.items())
 
 # belief and plausibility ---------------------------------------------------------
 
