@@ -10,11 +10,9 @@ from .errors import ExpressionError, TotalConflictError, ValidationError
 from .lattice import Frame, Model, Proposition, make_model, parse_prop
 from .mass import ColumnSums, MassFunction, column_sums, deviation, vbf
 from .rules import (
-    ConjunctiveResult,
     Rule,
     apply_transfer,
     combine2,
-    conflict_of,
     conjunctive,
     sdli2,
     transfer_dempster,
@@ -29,7 +27,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ColumnSums",
-    "ConjunctiveResult",
     "ExpressionError",
     "Frame",
     "FusionState",
@@ -43,7 +40,6 @@ __all__ = [
     "batch",
     "column_sums",
     "combine2",
-    "conflict_of",
     "conjunctive",
     "deviation",
     "make_model",

@@ -20,7 +20,7 @@ from .engine import FusionState, oracle_conjunctive
 from .errors import TotalConflictError, ValidationError
 from .lattice import Frame, Model, make_model
 from .mass import MassFunction, deviation, vbf
-from .rules import Rule, conflict_of, sdli2
+from .rules import Rule, sdli2
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -172,7 +172,7 @@ def cmd_fuse(scenario: Scenario, rule: Rule, output: str) -> int:
     names, masses = zip(*scenario.sources)
     state = _initial(scenario).fold(masses, names)
     snapshot = state.snapshot(rule)
-    conflict = conflict_of(state.accumulator)
+    conflict = state.accumulator.conflict_mass()
     rows = _rows(snapshot)
     if output == "json":
         _emit_json({"rule": rule.value, "conflict": conflict, "masses": dict(rows)})
@@ -187,7 +187,7 @@ def cmd_stream(scenario: Scenario, rule: Rule, output: str) -> int:
     for name, mass in scenario.sources:
         state = state.fuse(mass, name)
         steps.append(
-            (name, conflict_of(state.accumulator), _rows(state.snapshot(rule)))
+            (name, state.accumulator.conflict_mass(), _rows(state.snapshot(rule)))
         )
     if output == "json":
         payload = {
@@ -251,8 +251,10 @@ def _check_permutation(scenario: Scenario, rule: Rule, trials: int, seed: int) -
     return _worst_refold(scenario, rule, ([masses[i] for i in order] for order in orders))
 
 
-def _check_markov(scenario: Scenario) -> float:
+def _check_markov(scenario: Scenario) -> float | None:
     masses = [m for _, m in scenario.sources]
+    if len(masses) < 2:
+        return None  # no prefix of two or more sources to compare
     worst = 0.0
     state = _initial(scenario)
     for k, mass in enumerate(masses, start=1):
@@ -271,10 +273,10 @@ def _check_vbf(scenario: Scenario, rule: Rule) -> float:
     return _worst_refold(scenario, rule, padded)
 
 
-def _check_eq7(scenario: Scenario) -> float:
+def _check_eq7(scenario: Scenario) -> float | None:
     pairs = combinations([m for _, m in scenario.sources], 2)
     return max((deviation(sdli2(*pair), _initial(scenario).fold(pair).snapshot(Rule.SDLI))
-                for pair in pairs), default=0.0)
+                for pair in pairs), default=None)
 
 
 def cmd_verify(scenario: Scenario, rule: Rule, checks: list[str], trials: int, seed: int) -> int:
@@ -291,6 +293,9 @@ def cmd_verify(scenario: Scenario, rule: Rule, checks: list[str], trials: int, s
             worst = _check_vbf(scenario, rule)
         else:
             worst = _check_eq7(scenario)
+        if worst is None:  # the check had nothing to compare
+            lines.append(f"SKIP {check}")
+            continue
         passed = worst <= CHECK_TOLERANCES[check]
         all_passed &= passed
         lines.append(f"{'PASS' if passed else 'FAIL'} {check} deviation={worst:.3e}")

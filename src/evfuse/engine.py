@@ -16,8 +16,8 @@ from itertools import product as _cartesian
 
 from .errors import ValidationError
 from .lattice import Model
-from .mass import ColumnSums, MassFunction
-from .rules import ConjunctiveResult, Rule, apply_transfer, conjunctive
+from .mass import ColumnSums, MassFunction, vbf
+from .rules import Rule, apply_transfer, conjunctive
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class FusionState:
     """
 
     model: Model
-    accumulator: ConjunctiveResult
+    accumulator: MassFunction
     columns: ColumnSums
     labels: tuple[str, ...]
     prune_epsilon: float = 0.0
@@ -39,10 +39,7 @@ class FusionState:
         """Fresh state: vacuous accumulator, no columns, no sources."""
         if not 0.0 <= prune_epsilon < 1.0:
             raise ValidationError("prune_epsilon must lie in [0, 1)")
-        accumulator = ConjunctiveResult(
-            model, {model.frame.total_ignorance(): 1.0}, 0
-        )
-        return cls(model, accumulator, ColumnSums.empty(model), (), prune_epsilon)
+        return cls(model, vbf(model), ColumnSums.empty(model), (), prune_epsilon)
 
     @property
     def source_count(self) -> int:
@@ -71,9 +68,13 @@ class FusionState:
     def fold(self, masses, labels=None) -> "FusionState":
         """Fuse each source in turn, named by ``labels`` when given."""
         masses = list(masses)
-        labels = [None] * len(masses) if labels is None else labels
+        labels = [None] * len(masses) if labels is None else list(labels)
+        if len(labels) != len(masses):
+            raise ValidationError(
+                f"expected {len(masses)} labels, one per source, got {len(labels)}"
+            )
         state = self
-        for m, label in zip(masses, labels, strict=True):
+        for m, label in zip(masses, labels):
             state = state.fuse(m, label)
         return state
 
@@ -85,17 +86,15 @@ class FusionState:
         return apply_transfer(rule, self.accumulator, self.columns)
 
 
-def _pruned(result: ConjunctiveResult, epsilon: float) -> ConjunctiveResult:
+def _pruned(result: MassFunction, epsilon: float) -> MassFunction:
     # Approximation flag: dropping tiny terms and renormalizing breaks
     # exact order invariance; off by default.
     kept = {p: v for p, v in result.terms.items() if v >= epsilon}
     if not kept:
         raise ValidationError("pruning threshold removed every term")
     total = sum(kept.values())
-    return ConjunctiveResult(
-        result.model,
-        {p: v / total for p, v in kept.items()},
-        result.source_count,
+    return MassFunction(
+        result.model, {p: v / total for p, v in kept.items()}, allow_conflict=True
     )
 
 
@@ -107,7 +106,7 @@ def batch(model: Model, masses, rule: Rule | str) -> MassFunction:
     return FusionState.initial(model).fold(masses).snapshot(rule)
 
 
-def oracle_conjunctive(masses) -> ConjunctiveResult:
+def oracle_conjunctive(masses) -> MassFunction:
     """Direct n-way product with no incremental folding.
 
     Walks the full cartesian product of the sources' focal sets; the
@@ -126,4 +125,4 @@ def oracle_conjunctive(masses) -> ConjunctiveResult:
             prop = prop & p
             weight *= v
         terms[prop] = terms.get(prop, 0.0) + weight
-    return ConjunctiveResult(model, terms, len(masses))
+    return MassFunction(model, terms, allow_conflict=True)

@@ -51,40 +51,42 @@ def _clean_assignments(model: Model, assignments: Assignments, allow_conflict: b
 class MassFunction:
     """A belief assignment: positive masses on propositions, summing to 1.
 
-    Input sources may not put mass on anything the model declares empty.
-    Combination outputs may retain such mass (the open-world transfer
-    keeps it on ∅, and the no-transfer rules keep the conflicting terms
-    themselves); those are built with ``allow_conflict=True``.
+    ``terms`` maps each focal element to its mass, in mask order.  Input
+    sources may not put mass on anything the model declares empty.  The
+    stored conjunctive product and combination outputs may retain such
+    mass (the open-world transfer keeps it on ∅, and the no-transfer
+    rules keep the conflicting terms themselves); those are built with
+    ``allow_conflict=True``.
     """
 
-    __slots__ = ("model", "_masses")
+    __slots__ = ("model", "terms")
 
     def __init__(self, model: Model, assignments: Assignments, *, allow_conflict: bool = False):
         self.model = model
-        self._masses = _clean_assignments(model, assignments, allow_conflict)
+        self.terms = _clean_assignments(model, assignments, allow_conflict)
 
     @property
     def frame(self):
         return self.model.frame
 
     def items(self):
-        return self._masses.items()
+        return self.terms.items()
 
     def __len__(self) -> int:
-        return len(self._masses)
+        return len(self.terms)
 
     def focal(self) -> tuple[Proposition, ...]:
-        return tuple(self._masses)
+        return tuple(self.terms)
 
     def mass(self, p: Proposition) -> float:
-        return self._masses.get(p, 0.0)
+        return self.terms.get(p, 0.0)
 
     def as_dict(self) -> dict[Proposition, float]:
-        return dict(self._masses)
+        return dict(self.terms)
 
     def conflict_mass(self) -> float:
         """Total mass sitting on propositions empty under the model."""
-        return sum(v for p, v in self._masses.items() if self.model.is_empty(p))
+        return sum(v for p, v in self.terms.items() if self.model.is_empty(p))
 
     def is_input_valid(self) -> bool:
         """True when usable as a source: no mass on empty propositions."""
@@ -100,7 +102,7 @@ class MassFunction:
         visible = ~self.model.constrained
         target = p.bits & visible
         total = 0.0
-        for q, v in self._masses.items():
+        for q, v in self.terms.items():
             masked = q.bits & visible
             if masked and masked & ~target == 0:
                 total += v
@@ -111,18 +113,18 @@ class MassFunction:
         _require_same_frame(p.frame, self.frame)
         visible = ~self.model.constrained
         return sum(
-            v for q, v in self._masses.items() if q.bits & p.bits & visible
+            v for q, v in self.terms.items() if q.bits & p.bits & visible
         )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MassFunction):
             return NotImplemented
-        return self.model == other.model and self._masses == other._masses
+        return self.model == other.model and self.terms == other.terms
 
     __hash__ = None  # mutable-dict backed; compare by value only
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{p.text()}: {v:.6f}" for p, v in self._masses.items())
+        inner = ", ".join(f"{p.text()}: {v:.6f}" for p, v in self.terms.items())
         return f"MassFunction({{{inner}}})"
 
 

@@ -12,12 +12,11 @@ a route from a conflicting term to ``[(target, share)]`` that one loop,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import TotalConflictError, ValidationError
 from .lattice import Proposition
-from .mass import ColumnSums, MassFunction, _clean_assignments, column_sums
+from .mass import ColumnSums, MassFunction, column_sums
 
 
 class Rule(str, Enum):
@@ -33,52 +32,20 @@ class Rule(str, Enum):
     SDLI = "sdli"
 
 
-@dataclass(frozen=True)
-class ConjunctiveResult:
-    """Product-of-sources masses kept on free-form propositions.
-
-    Terms the model considers empty are retained as distinct entries;
-    a transfer operator decides later what happens to them.
-    """
-
-    model: object
-    terms: dict[Proposition, float]
-    source_count: int
-
-    def __post_init__(self):
-        terms = _clean_assignments(self.model, self.terms, allow_conflict=True)
-        object.__setattr__(self, "terms", terms)
-
-    def items(self):
-        return self.terms.items()
-
-    def as_dict(self) -> dict[Proposition, float]:
-        return dict(self.terms)
-
-
-def _term_view(x):
-    if isinstance(x, MassFunction):
-        return x.model, x.items(), 1
-    if isinstance(x, ConjunctiveResult):
-        return x.model, x.items(), x.source_count
-    raise TypeError(f"cannot combine {type(x).__name__}")
-
-
-def conjunctive(a, b) -> ConjunctiveResult:
+def conjunctive(a: MassFunction, b: MassFunction) -> MassFunction:
     """Pointwise product combination: mass of X from one operand and Y
     from the other lands on X & Y, with no emptiness collapse.
 
-    Operands may be mass functions or previously stored results.
+    Operands may be sources or previously stored products; the result
+    keeps its model-empty terms for a transfer to route later.
     """
-    model_a, items_a, count_a = _term_view(a)
-    model_b, items_b, count_b = _term_view(b)
-    if model_a != model_b:
+    if a.model != b.model:
         raise ValidationError("operands use different models")
     # Both operands' focal elements lie on the model's frame, so the
     # product runs on their minterm masks: X & Y is x.bits & y.bits.
-    masks_b = [(y.bits, my) for y, my in items_b]
+    masks_b = [(y.bits, my) for y, my in b.items()]
     out: dict[int, float] = {}
-    for x, mx in items_a:
+    for x, mx in a.items():
         x_bits = x.bits
         for y_bits, my in masks_b:
             z = x_bits & y_bits
@@ -86,19 +53,14 @@ def conjunctive(a, b) -> ConjunctiveResult:
     # Most products repeat a mask an operand already holds: key them by
     # that operand's Proposition, the stored one first, so a stored term
     # keeps its object (and its cached decomposition) across folds.
-    props = {y.bits: y for y, _ in items_b}
-    props.update((x.bits, x) for x, _ in items_a)
-    frame = model_a.frame
+    props = {y.bits: y for y in b.terms}
+    props.update((x.bits, x) for x in a.terms)
+    frame = a.model.frame
     terms = {props[z] if z in props else Proposition(frame, z): v for z, v in out.items()}
-    return ConjunctiveResult(model_a, terms, count_a + count_b)
+    return MassFunction(a.model, terms, allow_conflict=True)
 
 
-def conflict_of(result: ConjunctiveResult) -> float:
-    """Total conjunctive mass on propositions empty under the model."""
-    return sum(v for p, v in result.terms.items() if result.model.is_empty(p))
-
-
-def _split(result: ConjunctiveResult):
+def _split(result: MassFunction):
     # the stored terms as (term, mass) lists: kept, then model-empty
     visible = ~result.model.constrained
     kept: list[tuple[Proposition, float]] = []
@@ -118,7 +80,7 @@ def _union_target(model, p: Proposition) -> Proposition:
     return top if model.is_empty(target) else target
 
 
-def _redistribute(result: ConjunctiveResult, route, allow_conflict=False) -> MassFunction:
+def _redistribute(result: MassFunction, route, allow_conflict=False) -> MassFunction:
     """Keep the non-conflicting terms and send each conflicting term's
     mass to the targets ``route(term)`` names, as ``[(target, share)]``
     with shares summing to 1."""
@@ -134,7 +96,7 @@ def _redistribute(result: ConjunctiveResult, route, allow_conflict=False) -> Mas
                         allow_conflict=allow_conflict)
 
 
-def transfer_dempster(result: ConjunctiveResult) -> MassFunction:
+def transfer_dempster(result: MassFunction) -> MassFunction:
     """Drop conflicting terms and renormalise the survivors."""
     kept, conflicting = _split(result)
     # Divide by the kept mass itself, not by 1 - k: when k rounds to 1 on
@@ -146,19 +108,19 @@ def transfer_dempster(result: ConjunctiveResult) -> MassFunction:
     return MassFunction(result.model, [(p, v / total) for p, v in kept])
 
 
-def transfer_smets(result: ConjunctiveResult) -> MassFunction:
+def transfer_smets(result: MassFunction) -> MassFunction:
     """Pool all conflicting mass on the empty proposition (open world)."""
     empty = [(result.model.frame.empty(), 1.0)]
     return _redistribute(result, lambda p: empty, allow_conflict=True)
 
 
-def transfer_yager(result: ConjunctiveResult) -> MassFunction:
+def transfer_yager(result: MassFunction) -> MassFunction:
     """Move all conflicting mass to total ignorance."""
     top = [(result.model.frame.total_ignorance(), 1.0)]
     return _redistribute(result, lambda p: top)
 
 
-def transfer_union(result: ConjunctiveResult) -> MassFunction:
+def transfer_union(result: MassFunction) -> MassFunction:
     """Move each conflicting term to the union of the atoms it mentions.
 
     Serves both the Dubois-Prade and the hybrid DSm rules.  Falls back
@@ -167,7 +129,7 @@ def transfer_union(result: ConjunctiveResult) -> MassFunction:
     return _redistribute(result, lambda p: [(_union_target(result.model, p), 1.0)])
 
 
-def transfer_sdli(result: ConjunctiveResult, columns: ColumnSums | None) -> MassFunction:
+def transfer_sdli(result: MassFunction, columns: ColumnSums | None) -> MassFunction:
     """Redistribute each conflicting term over its conflict parties,
     proportionally to the parties' accumulated column sums.
 
@@ -226,9 +188,11 @@ def sdli2(m1: MassFunction, m2: MassFunction) -> MassFunction:
     return MassFunction(model, out)
 
 
-def _no_transfer(result: ConjunctiveResult, columns) -> MassFunction:
+def _no_transfer(result: MassFunction, columns) -> MassFunction:
     # the pre-transfer masses are the decision output; dsm_classic is the
-    # conjunctive rule on the free lattice
+    # conjunctive rule on the free lattice.  Rebuilt, not returned as is:
+    # the CLI output carries this second renormalisation, and a snapshot
+    # must not share the stored terms.
     return MassFunction(result.model, result.terms, allow_conflict=True)
 
 
@@ -246,20 +210,12 @@ _TRANSFERS = {
 }
 
 
-def apply_transfer(rule: Rule | str, result: ConjunctiveResult,
+def apply_transfer(rule: Rule | str, result: MassFunction,
                    columns: ColumnSums | None = None) -> MassFunction:
-    """Apply only the transfer stage of a rule to a stored result."""
+    """Apply only the transfer stage of a rule to a stored product."""
     return _TRANSFERS[Rule(rule)](result, columns)
 
 
-def combine2(rule: Rule | str, m1: MassFunction, m2: MassFunction):
-    """Combine two sources under a rule: conjunctive stage, then transfer.
-
-    The no-transfer rules return the raw :class:`ConjunctiveResult`; all
-    others return a :class:`MassFunction`.
-    """
-    rule = Rule(rule)
-    product = conjunctive(m1, m2)
-    if _TRANSFERS[rule] is _no_transfer:
-        return product
-    return apply_transfer(rule, product, column_sums([m1, m2]))
+def combine2(rule: Rule | str, m1: MassFunction, m2: MassFunction) -> MassFunction:
+    """Combine two sources under a rule: conjunctive stage, then transfer."""
+    return apply_transfer(rule, conjunctive(m1, m2), column_sums([m1, m2]))

@@ -186,7 +186,7 @@ def ref_conflict_parties(frame: Frame, bits: int) -> tuple[int, ...]:
 
 # reference conjunctive product --------------------------------------------
 # The conjunctive stage as one X & Y per pair of focal elements, keyed by
-# Proposition, then brought to the stored form of a ConjunctiveResult:
+# Proposition, then brought to the stored form of a MassFunction:
 # positive terms only, in mask order, divided by their sum.
 # evfuse.rules.conjunctive, which multiplies on masks, must equal it
 # exactly.

@@ -243,6 +243,16 @@ def test_verify_subset_of_checks(capsys):
     assert lines[1].split()[1] == "markov"
 
 
+def test_verify_single_source_skips_markov_and_eq7(capsys, tmp_path):
+    # one source has no prefix of two or more and no pair to compare
+    doc = total_conflict_doc()
+    doc["sources"] = doc["sources"][:1]
+    assert main(["verify", write_scenario(tmp_path, doc)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["PASS", "SKIP", "PASS", "SKIP"]
+    assert lines[1] == "SKIP markov" and lines[3] == "SKIP eq7"
+
+
 def test_verify_unknown_check(capsys):
     assert main(["verify", THREE, "--checks", "markov,entropy"]) == 2
     assert "entropy" in capsys.readouterr().err

@@ -13,7 +13,6 @@ from evfuse import (
     ValidationError,
     batch,
     combine2,
-    conflict_of,
     deviation,
     oracle_conjunctive,
     vbf,
@@ -130,6 +129,14 @@ def test_fold_labels(exclusive, m1, m2, m3):
     unnamed = FusionState.initial(exclusive).fold(iter([m1, m2, m3]))
     assert unnamed.labels == ("source_1", "source_2", "source_3")
     assert named.fold([m1]).labels == ("x", "y", "z", "source_4")
+
+
+def test_fold_rejects_a_wrong_number_of_labels(exclusive, m1, m2):
+    state = FusionState.initial(exclusive)
+    with pytest.raises(ValidationError, match="expected 2 labels, one per source, got 3"):
+        state.fold([m1, m2], ["x", "y", "z"])
+    with pytest.raises(ValidationError, match="expected 2 labels, one per source, got 1"):
+        state.fold(iter([m1, m2]), iter(["x"]))
 
 
 def test_fold_nothing(exclusive, m1):

@@ -1,5 +1,7 @@
 """Frames, models, and the proposition lattice."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -370,6 +372,28 @@ def test_decomposition_is_per_frame():
             for m in ref_minimal_minterms(q.frame, q.bits):
                 support |= m
             assert q.atoms_union() == union_of_atoms(free, support), q
+
+
+@pytest.mark.parametrize("n, pairs", [(3, 18), (4, 428)])
+def test_union_pair_parties_are_the_pair(n, pairs):
+    # The sdli transfer splits a conflicting product over its conflict
+    # parties, the closed formula between the two focal sets it came from.
+    # For unions of atoms these must be the same two sets under every
+    # exclusion model, whichever unordered pair empties its product.
+    frame = Frame(("A", "B", "C", "D")[:n])
+    unions = [union_of_atoms(Model.free(frame), mask) for mask in range(1, 1 << n)]
+    atom_pairs = list(combinations(frame.atoms, 2))
+    seen = 0
+    for chosen in range(1 << len(atom_pairs)):
+        model = Model.with_exclusions(
+            frame, [pair for i, pair in enumerate(atom_pairs) if chosen >> i & 1]
+        )
+        for x, y in combinations(unions, 2):
+            product = x & y
+            if model.is_empty(product):
+                seen += 1
+                assert {g.bits for g in product.conflict_parties()} == {x.bits, y.bits}
+    assert seen == pairs
 
 
 # parsing and formatting --------------------------------------------------------

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from evfuse import (
     ColumnSums,
-    ConjunctiveResult,
     Frame,
+    FusionState,
     MassFunction,
     Model,
     Proposition,
@@ -18,7 +18,6 @@ from evfuse import (
     ValidationError,
     column_sums,
     combine2,
-    conflict_of,
     conjunctive,
     deviation,
     sdli2,
@@ -55,10 +54,10 @@ from support import (
 )
 
 
-def result_from_rows(model, rows, count=2):
+def result_from_rows(model, rows):
     frame = model.frame
-    return ConjunctiveResult(
-        model, {frame.parse(expr): v for expr, v in rows.items()}, count
+    return MassFunction(
+        model, {frame.parse(expr): v for expr, v in rows.items()}, allow_conflict=True
     )
 
 
@@ -73,9 +72,8 @@ def test_conjunctive_fold_matches_reference(m1, m2, m3):
     assert_masses(conjunctive(m2, m3), CONJ_23)
 
 
-def test_conjunctive_source_count(m1, m2, m3):
-    r = conjunctive(conjunctive(m1, m2), m3)
-    assert r.source_count == 3
+def test_conjunctive_source_count(m1, m2, m3, exclusive):
+    assert FusionState.initial(exclusive).fold([m1, m2, m3]).source_count == 3
 
 
 def test_conjunctive_vbf_neutral(m1, exclusive):
@@ -103,10 +101,10 @@ def test_conjunctive_keys_true_empty_as_empty(exclusive, frame):
 
 def test_result_validation(exclusive, frame):
     with pytest.raises(ValidationError, match="sum"):
-        ConjunctiveResult(exclusive, {frame.parse("A"): 0.4}, 1)
+        MassFunction(exclusive, {frame.parse("A"): 0.4}, allow_conflict=True)
     with pytest.raises(ValidationError, match="negative"):
-        ConjunctiveResult(
-            exclusive, {frame.parse("A"): 1.2, frame.parse("B"): -0.2}, 1
+        MassFunction(
+            exclusive, {frame.parse("A"): 1.2, frame.parse("B"): -0.2}, allow_conflict=True
         )
 
 
@@ -231,19 +229,19 @@ def test_conjunctive_drops_underflowed_products(free, frame):
 # conflict --------------------------------------------------------------------
 
 def test_conflict_of_fixture(m1, m2):
-    assert conflict_of(conjunctive(m1, m2)) == pytest.approx(CONFLICT_12, abs=1e-9)
+    assert conjunctive(m1, m2).conflict_mass() == pytest.approx(CONFLICT_12, abs=1e-9)
 
 
 def test_conflict_free_model(free, frame):
     a = MassFunction(free, {frame.parse("A"): 0.5, frame.parse("B"): 0.5})
     b = MassFunction(free, {frame.parse("A&B"): 1.0})
-    assert conflict_of(conjunctive(a, b)) == 0.0
+    assert conjunctive(a, b).conflict_mass() == 0.0
 
 
 def test_conflict_total(exclusive, frame):
     a = MassFunction(exclusive, {frame.parse("A"): 1.0})
     b = MassFunction(exclusive, {frame.parse("B"): 1.0})
-    assert conflict_of(conjunctive(a, b)) == pytest.approx(1.0, abs=1e-12)
+    assert conjunctive(a, b).conflict_mass() == pytest.approx(1.0, abs=1e-12)
 
 
 # simple transfers --------------------------------------------------------------
@@ -294,7 +292,7 @@ def test_transfers_keep_nonconflicting_terms(m1, m2, exclusive, frame):
     r = conjunctive(m1, m2)
     smets = transfer_smets(r)
     dempster = transfer_dempster(r)
-    k = conflict_of(r)
+    k = r.conflict_mass()
     for p, v in r.terms.items():
         if exclusive.is_empty(p):
             continue
@@ -313,7 +311,7 @@ def test_transfer_mass_conservation(seed):
         transfer_union(r),
         transfer_sdli(r, ColumnSums.empty(model)),
     ]
-    if conflict_of(r) < 1.0:
+    if r.conflict_mass() < 1.0:
         outputs.append(transfer_dempster(r))
     for out in outputs:
         assert sum(v for _, v in out.items()) == pytest.approx(1.0, abs=1e-9)
@@ -457,9 +455,10 @@ def test_combine2_dempster(m1, m2):
 
 def test_combine2_classic_returns_raw_product(m1, m2):
     out = combine2(Rule.DSM_CLASSIC, m1, m2)
-    assert isinstance(out, ConjunctiveResult)
+    assert isinstance(out, MassFunction)
     assert_masses(out, CONJ_12)
     assert deviation(out, combine2(Rule.CONJUNCTIVE, m1, m2)) == 0.0
+    assert all(isinstance(combine2(rule, m1, m2), MassFunction) for rule in Rule)
 
 
 def test_combine2_sdli(m1, m2):

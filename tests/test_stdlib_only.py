@@ -1,0 +1,27 @@
+"""The runtime imports nothing outside the standard library."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Run isolated (-I: no PYTHONPATH, no user site).  ``site`` may still
+# preload third-party modules before any evfuse code runs, so the
+# snapshot of ``sys.modules`` comes first.
+PROBE = """
+import sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import evfuse, evfuse.cli
+print(*sorted({name.partition(".")[0] for name in set(sys.modules) - before}))
+"""
+
+
+def test_runtime_imports_only_the_standard_library():
+    run = subprocess.run([sys.executable, "-I", "-c", PROBE, str(SRC)],
+                         capture_output=True, text=True, check=True)
+    loaded = set(run.stdout.split())
+    assert "evfuse" in loaded
+    assert {name for name in loaded - {"evfuse"}
+            if name not in sys.stdlib_module_names} == set()
