@@ -245,8 +245,10 @@ def _worst_refold(scenario: Scenario, rule: Rule, source_lists) -> float:
     return worst
 
 
-def _check_permutation(scenario: Scenario, rule: Rule, trials: int, seed: int) -> float:
+def _check_permutation(scenario: Scenario, rule: Rule, trials: int, seed: int) -> float | None:
     masses = [m for _, m in scenario.sources]
+    if len(masses) < 2:
+        return None  # one source has one ordering, the scenario's own
     orders = _orderings(len(masses), trials, seed)
     return _worst_refold(scenario, rule, ([masses[i] for i in order] for order in orders))
 

@@ -16,7 +16,7 @@ from itertools import product as _cartesian
 
 from .errors import ValidationError
 from .lattice import Model
-from .mass import ColumnSums, MassFunction, vbf
+from .mass import ColumnSums, MassFunction, _props_of, vbf
 from .rules import Rule, apply_transfer, conjunctive
 
 
@@ -89,13 +89,12 @@ class FusionState:
 def _pruned(result: MassFunction, epsilon: float) -> MassFunction:
     # Approximation flag: dropping tiny terms and renormalizing breaks
     # exact order invariance; off by default.
-    kept = {p: v for p, v in result.terms.items() if v >= epsilon}
+    kept = {bits: v for bits, v in result._masses.items() if v >= epsilon}
     if not kept:
         raise ValidationError("pruning threshold removed every term")
     total = sum(kept.values())
-    return MassFunction(
-        result.model, {p: v / total for p, v in kept.items()}, allow_conflict=True
-    )
+    return MassFunction(result.model, ((bits, v / total) for bits, v in kept.items()),
+                        props=_props_of(result), allow_conflict=True)
 
 
 def batch(model: Model, masses, rule: Rule | str) -> MassFunction:

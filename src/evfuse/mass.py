@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from math import inf
-from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
+from math import inf
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
@@ -15,78 +15,95 @@ SUM_TOLERANCE = 1e-9
 Assignments = Mapping[Proposition, float] | Iterable[tuple[Proposition, float]]
 
 
-def _clean_assignments(model: Model, assignments: Assignments, allow_conflict: bool):
-    items = assignments.items() if isinstance(assignments, Mapping) else assignments
-    frame = model.frame
-    # Every focal element shares the model's frame, so its minterm mask
-    # alone identifies it: merge on the masks, keep the first Proposition.
-    props: dict[int, Proposition] = {}
-    merged: dict[int, float] = {}
-    for prop, value in items:
+def _entering(model: Model, assignments: Assignments, props: dict[int, Proposition]):
+    # checks the propositions handed in, keeps the first object per mask in props
+    for prop, value in assignments.items() if isinstance(assignments, Mapping) else assignments:
         if not isinstance(prop, Proposition):
             raise ValidationError(f"focal element must be a Proposition, got {prop!r}")
-        _require_same_frame(prop.frame, frame, "focal element belongs to a different frame")
+        _require_same_frame(prop.frame, model.frame, "focal element belongs to a different frame")
+        props.setdefault(prop.bits, prop)
+        yield prop.bits, value
+
+
+def _validated(model: Model, pairs, allow_conflict: bool) -> dict[int, float]:
+    """The one validation: ``(bits, value)`` pairs to normalised masses by mask, in mask order."""
+    merged: dict[int, float] = {}
+    for bits, value in pairs:
         value = float(value)
         if not 0.0 <= value < inf:  # also false for NaN
             problem = "negative" if value < 0.0 else "non-finite"
-            raise ValidationError(f"{problem} mass {value!r} on {prop.text()}")
+            text = Proposition(model.frame, bits).text()
+            raise ValidationError(f"{problem} mass {value!r} on {text}")
         if value > 0.0:
-            bits = prop.bits
-            props.setdefault(bits, prop)
             merged[bits] = merged.get(bits, 0.0) + value
     total = sum(merged.values())
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise ValidationError(f"masses sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
-    visible = ~model.constrained
-    cleaned: dict[Proposition, float] = {}
-    for bits in sorted(merged):
-        if not allow_conflict and not bits & visible:
-            raise ValidationError(
-                f"focal element {props[bits].text()} is empty under the model"
-            )
-        cleaned[props[bits]] = merged[bits] / total
-    return cleaned
+    empty = [] if allow_conflict else [b for b in merged if not b & ~model.constrained]
+    if empty:
+        text = Proposition(model.frame, min(empty)).text()
+        raise ValidationError(f"focal element {text} is empty under the model")
+    return {bits: merged[bits] / total for bits in sorted(merged)}
+
+
+def _props_of(*operands) -> dict[int, Proposition]:
+    # {bits: Proposition} of the operands' terms, the first operand's winning
+    return dict(chain.from_iterable(zip(m._masses, m._props) for m in reversed(operands)))
 
 
 class MassFunction:
     """A belief assignment: positive masses on propositions, summing to 1.
 
-    ``terms`` maps each focal element to its mass, in mask order.  Input
-    sources may not put mass on anything the model declares empty.  The
-    stored conjunctive product and combination outputs may retain such
-    mass (the open-world transfer keeps it on ∅, and the no-transfer
-    rules keep the conflicting terms themselves); those are built with
-    ``allow_conflict=True``.
+    Masses are kept by minterm mask in mask order, the focal propositions
+    in a tuple in that order.  Sources may not put mass on anything the
+    model declares empty; stored products and combination outputs may,
+    with ``allow_conflict=True``.  The engine passes ``(mask, mass)``
+    pairs and ``props``, its operands' propositions by mask; only a mask
+    that map lacks gets a new Proposition.
     """
 
-    __slots__ = ("model", "terms")
+    __slots__ = ("model", "_masses", "_props")
 
-    def __init__(self, model: Model, assignments: Assignments, *, allow_conflict: bool = False):
+    def __init__(self, model: Model, assignments: Assignments, *, allow_conflict: bool = False,
+                 props: Mapping[int, Proposition] | None = None):
+        if props is None:
+            props = {}
+            assignments = _entering(model, assignments, props)
         self.model = model
-        self.terms = _clean_assignments(model, assignments, allow_conflict)
+        self._masses = masses = _validated(model, assignments, allow_conflict)
+        # from a list, not a generator: a tuple of unknown length is resized
+        # as it fills, and CPython's tuple free lists keep what it leaves
+        self._props = tuple([props.get(b) or Proposition(model.frame, b) for b in masses])
 
     @property
     def frame(self):
         return self.model.frame
 
+    @property
+    def terms(self) -> dict[Proposition, float]:
+        return dict(zip(self._props, self._masses.values()))
+
     def items(self):
         return self.terms.items()
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._masses)
 
     def focal(self) -> tuple[Proposition, ...]:
-        return tuple(self.terms)
+        return self._props
 
     def mass(self, p: Proposition) -> float:
-        return self.terms.get(p, 0.0)
+        # the same bits on another frame are another proposition
+        same = p.frame is self.frame or p.frame == self.frame
+        return self._masses.get(p.bits, 0.0) if same else 0.0
 
     def as_dict(self) -> dict[Proposition, float]:
-        return dict(self.terms)
+        return self.terms
 
     def conflict_mass(self) -> float:
         """Total mass sitting on propositions empty under the model."""
-        return sum(v for p, v in self.terms.items() if self.model.is_empty(p))
+        visible = ~self.model.constrained
+        return sum(v for bits, v in self._masses.items() if not bits & visible)
 
     def is_input_valid(self) -> bool:
         """True when usable as a source: no mass on empty propositions."""
@@ -102,8 +119,8 @@ class MassFunction:
         visible = ~self.model.constrained
         target = p.bits & visible
         total = 0.0
-        for q, v in self.terms.items():
-            masked = q.bits & visible
+        for bits, v in self._masses.items():
+            masked = bits & visible
             if masked and masked & ~target == 0:
                 total += v
         return total
@@ -112,19 +129,15 @@ class MassFunction:
         """Mass on everything whose overlap with p survives the model."""
         _require_same_frame(p.frame, self.frame)
         visible = ~self.model.constrained
-        return sum(
-            v for q, v in self.terms.items() if q.bits & p.bits & visible
-        )
+        return sum(v for bits, v in self._masses.items() if bits & p.bits & visible)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MassFunction):
             return NotImplemented
-        return self.model == other.model and self.terms == other.terms
-
-    __hash__ = None  # mutable-dict backed; compare by value only
+        return self.model == other.model and self._masses == other._masses
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{p.text()}: {v:.6f}" for p, v in self.terms.items())
+        inner = ", ".join(f"{p.text()}: {v:.6f}" for p, v in self.items())
         return f"MassFunction({{{inner}}})"
 
 
@@ -133,30 +146,46 @@ def vbf(model: Model) -> MassFunction:
     return MassFunction(model, {model.frame.total_ignorance(): 1.0})
 
 
-@dataclass(frozen=True)
 class ColumnSums:
-    """Per-proposition totals of the raw source masses seen so far."""
+    """Per-proposition totals of the raw source masses seen so far, kept
+    by minterm mask in mask order."""
 
-    model: Model
-    sums: dict[Proposition, float]
-    source_count: int
+    __slots__ = ("model", "source_count", "_masses")
+
+    def __init__(self, model: Model, sums: Mapping[Proposition, float], source_count: int):
+        self.model, self.source_count = model, source_count
+        self._masses = {p.bits: sums[p] for p in sorted(sums, key=lambda p: p.bits)}
 
     @classmethod
     def empty(cls, model: Model) -> "ColumnSums":
         return cls(model, {}, 0)
 
-    def value(self, p: Proposition) -> float:
-        return self.sums.get(p, 0.0)
+    @property
+    def sums(self) -> dict[Proposition, float]:
+        return {Proposition(self.model.frame, bits): v for bits, v in self._masses.items()}
+
+    def value(self, bits: int) -> float:
+        """The column total of the proposition with minterm mask ``bits``."""
+        return self._masses.get(bits, 0.0)
 
     def add(self, m: MassFunction) -> "ColumnSums":
         if m.model != self.model:
             raise ValidationError("mass function uses a different model")
-        merged = dict(self.sums)
-        for p, v in m.items():
-            merged[p] = merged.get(p, 0.0) + v
-        if len(merged) > len(self.sums):  # kept in mask order; only a new key breaks it
-            merged = {p: merged[p] for p in sorted(merged, key=lambda q: q.bits)}
-        return ColumnSums(self.model, merged, self.source_count + 1)
+        merged = dict(self._masses)
+        for bits, v in m._masses.items():
+            merged[bits] = merged.get(bits, 0.0) + v
+        if len(merged) > len(self._masses):  # kept in mask order; only a new key breaks it
+            merged = {bits: merged[bits] for bits in sorted(merged)}
+        out = ColumnSums(self.model, {}, self.source_count + 1)
+        out._masses = merged
+        return out
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ColumnSums) and (self.model, self.source_count, self._masses) == (
+            other.model, other.source_count, other._masses)
+
+    def __repr__(self) -> str:
+        return f"ColumnSums({self.sums!r}, source_count={self.source_count})"
 
 
 def column_sums(masses: Iterable[MassFunction]) -> ColumnSums:
@@ -168,7 +197,7 @@ def column_sums(masses: Iterable[MassFunction]) -> ColumnSums:
 
 
 def deviation(a, b) -> float:
-    """Largest per-proposition mass difference between two assignments."""
-    da, db = a.as_dict(), b.as_dict()
-    keys = set(da) | set(db)
-    return max((abs(da.get(k, 0.0) - db.get(k, 0.0)) for k in keys), default=0.0)
+    """Largest per-proposition mass difference between two assignments on one frame."""
+    _require_same_frame(a.frame, b.frame)
+    da, db = a._masses, b._masses
+    return max((abs(da.get(k, 0.0) - db.get(k, 0.0)) for k in da.keys() | db.keys()), default=0.0)

@@ -6,7 +6,7 @@ transfer operator that decides where mass on model-empty propositions
 goes.  The conjunctive stage never collapses conflicting terms, so
 distinct partial conflicts such as A&B and A&B|B&C stay separate until
 a transfer runs.  The transfers differ only in that routing, so each is
-a route from a conflicting term to ``[(target, share)]`` that one loop,
+a route from a conflicting term to ``[(target mask, share)]`` that one loop,
 ``_redistribute``, applies; Dempster's instead drops the conflict.
 """
 
@@ -16,7 +16,7 @@ from enum import Enum
 
 from .errors import TotalConflictError, ValidationError
 from .lattice import Proposition
-from .mass import ColumnSums, MassFunction, column_sums
+from .mass import ColumnSums, MassFunction, _props_of, column_sums
 
 
 class Rule(str, Enum):
@@ -41,83 +41,62 @@ def conjunctive(a: MassFunction, b: MassFunction) -> MassFunction:
     """
     if a.model != b.model:
         raise ValidationError("operands use different models")
-    # Both operands' focal elements lie on the model's frame, so the
-    # product runs on their minterm masks: X & Y is x.bits & y.bits.
-    masks_b = [(y.bits, my) for y, my in b.items()]
+    # The product runs on minterm masks.  A product whose mask an operand
+    # holds keeps that operand's Proposition, the stored one first, so a stored
+    # term keeps its object (and its cached decomposition) across folds.
+    masks_b = list(b._masses.items())
     out: dict[int, float] = {}
-    for x, mx in a.items():
-        x_bits = x.bits
-        for y_bits, my in masks_b:
-            z = x_bits & y_bits
+    for x, mx in a._masses.items():
+        for y, my in masks_b:
+            z = x & y
             out[z] = out.get(z, 0.0) + mx * my
-    # Most products repeat a mask an operand already holds: key them by
-    # that operand's Proposition, the stored one first, so a stored term
-    # keeps its object (and its cached decomposition) across folds.
-    props = {y.bits: y for y in b.terms}
-    props.update((x.bits, x) for x in a.terms)
-    frame = a.model.frame
-    terms = {props[z] if z in props else Proposition(frame, z): v for z, v in out.items()}
-    return MassFunction(a.model, terms, allow_conflict=True)
+    return MassFunction(a.model, out.items(), props=_props_of(a, b), allow_conflict=True)
 
 
-def _split(result: MassFunction):
-    # the stored terms as (term, mass) lists: kept, then model-empty
-    visible = ~result.model.constrained
-    kept: list[tuple[Proposition, float]] = []
-    conflicting: list[tuple[Proposition, float]] = []
-    for p, v in result.terms.items():
-        (kept if p.bits & visible else conflicting).append((p, v))
-    return kept, conflicting
-
-
-def _union_target(model, p: Proposition) -> Proposition:
-    """The union of p's atoms; total ignorance if p is void or that union
-    is empty under the model."""
-    top = model.frame.total_ignorance()
-    if p.is_void:
-        return top
-    target = p.atoms_union()
-    return top if model.is_empty(target) else target
+def _union_target(model, p: Proposition) -> int:
+    # the union of p's atoms; total ignorance if p is void or that union is empty
+    if not p.is_void:
+        target = p.atoms_union().bits
+        if target & ~model.constrained:
+            return target
+    return model.frame.full_bits
 
 
 def _redistribute(result: MassFunction, route, allow_conflict=False) -> MassFunction:
-    """Keep the non-conflicting terms and send each conflicting term's
-    mass to the targets ``route(term)`` names, as ``[(target, share)]``
-    with shares summing to 1."""
-    kept, conflicting = _split(result)
-    props = {p.bits: p for p, _ in kept}
-    out = {p.bits: v for p, v in kept}
-    for p, v in conflicting:
-        for target, share in route(p):
-            bits = target.bits
-            props.setdefault(bits, target)
-            out[bits] = out.get(bits, 0.0) + v * share
-    return MassFunction(result.model, [(props[bits], v) for bits, v in out.items()],
+    """Keep the non-conflicting terms and send each conflicting term's mass
+    to the ``[(target mask, share)]`` that ``route(term)`` names."""
+    visible = ~result.model.constrained
+    out = {bits: v for bits, v in result._masses.items() if bits & visible}
+    for (bits, v), p in zip(result._masses.items(), result._props):
+        if not bits & visible:
+            for target, share in route(p):
+                out[target] = out.get(target, 0.0) + v * share
+    return MassFunction(result.model, out.items(), props=_props_of(result),
                         allow_conflict=allow_conflict)
 
 
 def transfer_dempster(result: MassFunction) -> MassFunction:
     """Drop conflicting terms and renormalise the survivors."""
-    kept, conflicting = _split(result)
+    visible = ~result.model.constrained
+    kept = [(bits, v) for bits, v in result._masses.items() if bits & visible]
     # Divide by the kept mass itself, not by 1 - k: when k rounds to 1 on
     # long conflicting streams, 1 - k keeps no significant digit.
     total = sum(v for _, v in kept)
     if total <= 0.0:
-        k = sum(v for _, v in conflicting)
+        k = result.conflict_mass()
         raise TotalConflictError(f"conflict k={k!r}: Dempster combination is undefined")
-    return MassFunction(result.model, [(p, v / total) for p, v in kept])
+    kept = [(bits, v / total) for bits, v in kept]
+    return MassFunction(result.model, kept, props=_props_of(result))
 
 
 def transfer_smets(result: MassFunction) -> MassFunction:
     """Pool all conflicting mass on the empty proposition (open world)."""
-    empty = [(result.model.frame.empty(), 1.0)]
-    return _redistribute(result, lambda p: empty, allow_conflict=True)
+    return _redistribute(result, lambda p: [(0, 1.0)], allow_conflict=True)
 
 
 def transfer_yager(result: MassFunction) -> MassFunction:
     """Move all conflicting mass to total ignorance."""
-    top = [(result.model.frame.total_ignorance(), 1.0)]
-    return _redistribute(result, lambda p: top)
+    return _redistribute(result, lambda p: [(result.model.frame.full_bits, 1.0)])
 
 
 def transfer_union(result: MassFunction) -> MassFunction:
@@ -144,7 +123,7 @@ def transfer_sdli(result: MassFunction, columns: ColumnSums | None) -> MassFunct
 
     def route(p):
         if not p.is_void:
-            parties = p.conflict_parties()
+            parties = [g.bits for g in p.conflict_parties()]
             weights = [columns.value(g) for g in parties]
             total = sum(weights)
             if total > 0.0:
@@ -193,7 +172,8 @@ def _no_transfer(result: MassFunction, columns) -> MassFunction:
     # conjunctive rule on the free lattice.  Rebuilt, not returned as is:
     # the CLI output carries this second renormalisation, and a snapshot
     # must not share the stored terms.
-    return MassFunction(result.model, result.terms, allow_conflict=True)
+    return MassFunction(result.model, result._masses.items(), props=_props_of(result),
+                        allow_conflict=True)
 
 
 # Each entry calls its transfer through the module global, looked up at

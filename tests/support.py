@@ -226,3 +226,50 @@ def ref_worst_refold(scenario, rule, source_lists) -> float:
     baseline = initial().fold(m for _, m in scenario.sources).snapshot(rule)
     return max(deviation(initial().fold(masses).snapshot(rule), baseline)
                for masses in source_lists)
+
+
+# seeded fusion lines for the library-level golden record -----------------
+# Each line folds 100-200 sources on a 5-atom frame under one model and
+# takes a snapshot under every rule after every source.  Focal sets come
+# from a fixed family, so the stored state settles at the family's
+# closure under intersection; the intersections reach the lattice terms
+# whose conflict parties are not their own operands.  Every source keeps
+# mass on a set holding A and on total ignorance, so no line is in total
+# conflict and every stored term stays alive.
+
+GOLDEN_ATOMS = ("A", "B", "C", "D", "E")
+_GOLDEN_UNIONS = ("A", "B", "C", "A|B", "A|E", "B|C", "C|D", "A|C", "B|D",
+                  "A|B|C", "C|D|E", "B|C|D")
+_GOLDEN_MEETS = ("A&C", "B&D|A", "A&C|C&E", "A&D|B")
+# (line, model kind, source count, prune_epsilon)
+GOLDEN_LINES = (
+    ("free", "free", 120, 0.0),
+    ("exclusive", "exclusive", 160, 0.0),
+    ("ring", "ring", 200, 0.0),
+    ("ring_pruned", "ring", 100, 1e-4),
+)
+
+
+def golden_model(kind: str) -> Model:
+    frame = Frame(GOLDEN_ATOMS)
+    if kind == "ring":
+        n = frame.n
+        return Model.with_exclusions(frame, [(i, (i + 1) % n) for i in range(n)])
+    return Model.exclusive(frame) if kind == "exclusive" else Model.free(frame)
+
+
+def golden_sources(line: str, model: Model, count: int) -> list[MassFunction]:
+    rng = random.Random(f"library-golden/{line}")
+    frame = model.frame
+    family = [frame.parse(e) for e in _GOLDEN_UNIONS]
+    if model.kind != "exclusive":
+        family += [p for p in map(frame.parse, _GOLDEN_MEETS) if not model.is_empty(p)]
+    truthy = [p for p in family if p.bits & frame.atom("A").bits == frame.atom("A").bits]
+    sources = []
+    for _ in range(count):
+        props = [rng.choice(truthy), frame.total_ignorance()]
+        props += rng.sample(family, rng.randint(0, 3))
+        weights = [rng.uniform(0.05, 1.0) for _ in props]
+        total = sum(weights)
+        sources.append(MassFunction(model, [(p, w / total) for p, w in zip(props, weights)]))
+    return sources

@@ -249,7 +249,7 @@ def test_verify_single_source_skips_markov_and_eq7(capsys, tmp_path):
     doc["sources"] = doc["sources"][:1]
     assert main(["verify", write_scenario(tmp_path, doc)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == ["PASS", "SKIP", "PASS", "SKIP"]
+    assert [line.split()[0] for line in lines] == ["SKIP", "SKIP", "PASS", "SKIP"]
     assert lines[1] == "SKIP markov" and lines[3] == "SKIP eq7"
 
 

@@ -5,13 +5,29 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from evfuse import ColumnSums, MassFunction, ValidationError, column_sums, deviation, vbf
+from evfuse import (
+    ColumnSums,
+    Frame,
+    FusionState,
+    MassFunction,
+    Model,
+    Proposition,
+    Rule,
+    TotalConflictError,
+    ValidationError,
+    column_sums,
+    deviation,
+    vbf,
+)
 
 from support import (
     COLUMNS_12,
     COLUMNS_123,
+    GOLDEN_LINES,
     UNION_12,
     as_text_dict,
+    golden_model,
+    golden_sources,
     mass_from_rows,
     random_mass,
     random_model,
@@ -252,9 +268,87 @@ def test_deviation(m1, m2, exclusive, frame):
     assert deviation(m1, disjoint) == 1.0
 
 
+def test_deviation_refuses_different_frames():
+    # {A: 1} on (A, B) and {X: 1} on (X, Y) hold the same mask, yet they
+    # are not two assignments on one frame to compare
+    ab, xy, twin = Frame(("A", "B")), Frame(("X", "Y")), Frame(("A", "B"))
+    a = MassFunction(Model.free(ab), {ab.parse("A"): 1.0})
+    x = MassFunction(Model.free(xy), {xy.parse("X"): 1.0})
+    for left, right in ((a, x), (x, a)):
+        with pytest.raises(ValidationError, match="different frames"):
+            deviation(left, right)
+    assert deviation(a, MassFunction(Model.free(twin), {twin.parse("A"): 1.0})) == 0.0
+    assert deviation(a, MassFunction(Model.exclusive(twin), {twin.parse("B"): 1.0})) == 1.0
+
+
 @given(st.integers(0, 10_000))
 def test_deviation_symmetry(seed):
     rng = random.Random(seed)
     model = random_model(rng)
     a, b = random_mass(rng, model), random_mass(rng, model)
     assert deviation(a, b) == deviation(b, a)
+
+
+# public views of the by-mask storage ---------------------------------------------------
+
+def _assert_views_agree(m: MassFunction):
+    """Every public view of ``m`` shows the same terms in mask order."""
+    items = list(m.items())
+    props = [p for p, _ in items]
+    bits = [p.bits for p in props]
+    assert bits == sorted(set(bits))
+    assert all(isinstance(p, Proposition) and p.frame == m.frame for p in props)
+    for view in (m.terms, m.as_dict()):
+        assert list(view.items()) == items
+        assert all(p is q for p, q in zip(view, props))
+    assert all(p is q for p, q in zip(m.focal(), props)) and len(m.focal()) == len(m) == len(items)
+    # the same bits on a separately built twin frame are the same
+    # proposition; on a frame with other atom names they are not
+    twin = Frame(m.frame.atoms)
+    other = Frame(tuple(name.lower() for name in m.frame.atoms))
+    for p, v in items:
+        assert m.mass(p) == m.mass(Proposition(twin, p.bits)) == v
+        assert m.mass(Proposition(other, p.bits)) == 0.0
+    atoms = [m.frame.atom(i) for i in range(m.frame.n)]
+    probes = {0, m.frame.full_bits} | {x.bits & y.bits for x in atoms for y in atoms}
+    probes |= {x.bits | y.bits for x in atoms for y in atoms}
+    assert all(m.mass(Proposition(m.frame, b)) == 0.0 for b in probes - set(bits))
+    assert len(m.items()) == len(m)
+    # belief and plausibility of every focal element, from the items
+    visible = ~m.model.constrained
+    for p in props:
+        target = p.bits & visible
+        bel = 0.0
+        for q, v in items:
+            if q.bits & visible and q.bits & visible & ~target == 0:
+                bel += v
+        assert m.belief(p) == bel
+        assert m.plausibility(p) == sum(v for q, v in items if q.bits & p.bits & visible)
+    assert repr(m) == "MassFunction({" + ", ".join(f"{p.text()}: {v:.6f}" for p, v in items) + "})"
+
+
+@pytest.mark.parametrize("line,kind,count,epsilon", GOLDEN_LINES, ids=[g[0] for g in GOLDEN_LINES])
+def test_views_agree_on_sources_and_snapshots(line, kind, count, epsilon):
+    model = golden_model(kind)
+    twin_model = Model(Frame(model.frame.atoms), model.constrained, model.kind)
+    sources, twins = golden_sources(line, model, 12), golden_sources(line, twin_model, 12)
+    state = FusionState.initial(model, epsilon).fold(sources)
+    twin_state = FusionState.initial(twin_model, epsilon).fold(twins)
+    assert sources == twins and sources[0] != sources[1]
+    checked = [*sources, vbf(model), state.accumulator]
+    for rule in Rule:
+        try:
+            snapshot = state.snapshot(rule)
+        except TotalConflictError:
+            continue
+        # equal on a twin frame, and a fresh object every time
+        assert snapshot == state.snapshot(rule) == twin_state.snapshot(rule)
+        assert snapshot is not state.snapshot(rule)
+        checked.append(snapshot)
+    for m in checked:
+        _assert_views_agree(m)
+    cols = state.columns
+    assert [p.bits for p in cols.sums] == sorted(p.bits for p in cols.sums)
+    assert all(cols.value(p.bits) == v for p, v in cols.sums.items())
+    assert cols == twin_state.columns and cols != ColumnSums.empty(model)
+    assert cols.value(0) == 0.0 and len(cols.sums) == len({p.bits for m in sources for p in m.focal()})
