@@ -14,6 +14,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 
 from .engine import FusionState, oracle_conjunctive
@@ -317,7 +318,10 @@ def _parse_checks(raw: str) -> list[str]:
     return checks
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``evfuse`` argument parser, built on the first call and shared
+    by every later one; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="evfuse",
         description="Combine belief sources from a scenario file.",

@@ -76,12 +76,24 @@ class Frame:
             out.append(bits)
         return tuple(out)
 
+    @cached_property
+    def _up_shifts(self) -> tuple[tuple[int, int], ...]:
+        # (~a_i, 2**i) per atom: the regions outside atom i, and the
+        # shift that adds atom i to each of them
+        return tuple((~atom, 1 << i) for i, atom in enumerate(self._atom_bits))
+
     def _up(self, bits: int) -> int:
         # the regions lying one atom above some region of bits
         up = 0
-        for i, atom in enumerate(self._atom_bits):
-            up |= (bits & ~atom) << (1 << i)
+        for outside, shift in self._up_shifts:
+            up |= (bits & outside) << shift
         return up
+
+    @cached_property
+    def _term_texts(self) -> dict[int, str]:
+        # atom mask -> "A&B", filled as DNF terms are rendered; at most
+        # 2**n - 1 entries, living as long as the frame
+        return {}
 
     def _minimal(self, bits: int) -> tuple[int, ...]:
         # the regions of bits with no region of bits one atom below them
@@ -233,10 +245,24 @@ class Proposition:
         return Proposition(self.frame, bits)
 
     def text(self) -> str:
-        """Canonical DNF rendering; parses back to the same proposition."""
+        """Canonical DNF rendering; parses back to the same proposition.
+
+        Term strings sort as :meth:`dnf_terms` sorts name tuples, since
+        ``&`` sorts below every character an atom name may hold.
+        """
         if self.is_void:
             return "∅"
-        return "|".join("&".join(term) for term in self.dnf_terms())
+        frame = self.frame
+        memo = frame._term_texts
+        terms = []
+        for mask in self.minimal_minterms():
+            term = memo.get(mask)
+            if term is None:
+                term = memo[mask] = "&".join(
+                    name for i, name in enumerate(frame.atoms) if mask >> i & 1)
+            terms.append(term)
+        terms.sort()
+        return "|".join(terms)
 
     def __str__(self) -> str:
         return self.text()

@@ -136,9 +136,10 @@ def random_sources(rng: random.Random, model: Model, count: int,
 
 
 # reference lattice routines ---------------------------------------------------
-# Per-minterm versions of Proposition.is_up_closed, minimal_minterms and
-# conflict_parties on a raw (frame, bits) pair.  They share no code with
-# the whole-mask kernel in evfuse.lattice, which is checked against them.
+# Per-minterm versions of Proposition.is_up_closed, minimal_minterms,
+# text and conflict_parties on a raw (frame, bits) pair.  They share no
+# code with the whole-mask kernel in evfuse.lattice, which is checked
+# against them.
 
 def _ref_minterms(bits: int):
     m = 0
@@ -163,6 +164,15 @@ def ref_minimal_minterms(frame: Frame, bits: int) -> tuple[int, ...]:
         if not any(m >> i & 1 and bits >> (m ^ (1 << i)) & 1 for i in range(frame.n)):
             out.append(m)
     return tuple(out)
+
+
+def ref_text(frame: Frame, bits: int) -> str:
+    """The DNF rendering as name tuples sorted as tuples, then joined."""
+    if bits == 0:
+        return "∅"
+    terms = sorted(tuple(frame.atoms[i] for i in range(frame.n) if m >> i & 1)
+                   for m in ref_minimal_minterms(frame, bits))
+    return "|".join("&".join(term) for term in terms)
 
 
 def ref_conflict_parties(frame: Frame, bits: int) -> tuple[int, ...]:

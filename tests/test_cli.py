@@ -1,7 +1,11 @@
 """End-to-end command-line behavior: output bytes, exit codes, checks."""
 
+import argparse
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
 
 import pytest
@@ -13,6 +17,7 @@ from evfuse.cli import (
     ScenarioError,
     _orderings,
     _worst_refold,
+    build_parser,
     load_scenario,
     main,
     scenario_from_dict,
@@ -460,3 +465,80 @@ def test_load_scenario_returns_sources_in_order():
     assert scenario.rule.value == "dsm_hybrid"
     with pytest.raises(ScenarioError):
         load_scenario(str(SCENARIO_DIR))  # a directory, not a file
+
+
+# the parser and the entry point --------------------------------------------------
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "evfuse":  # the top-level parser, not a subcommand's
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    for argv in (["fuse", THREE], ["stream", THREE], ["verify", THREE],
+                 ["fuse", FOUR, "--output", "json"]):
+        assert main(argv) == 0
+    assert len(built) == 1
+    assert build_parser() is built[0]
+
+
+def test_parser_survives_usage_errors(capsys):
+    runs = [["fuse", THREE], ["verify", FOUR]]
+    before = [(main(argv), capsys.readouterr().out) for argv in runs]
+    assert before[0] == (0, FUSE_THREE_TABLE)
+    for argv in (["fuse"], ["bogus"]):
+        with pytest.raises(SystemExit) as shared:
+            main(argv)
+        shared_err = capsys.readouterr().err
+        with pytest.raises(SystemExit) as fresh:
+            build_parser.__wrapped__().parse_args(argv)
+        assert shared.value.code == fresh.value.code == 2
+        assert shared_err == capsys.readouterr().err != ""
+    assert [(main(argv), capsys.readouterr().out) for argv in runs] == before
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fuse", "--help"], ["verify", "--help"]],
+                         ids=["evfuse", "fuse", "verify"])
+def test_help_matches_a_fresh_parser(capsys, argv):
+    main(["fuse", THREE])  # the shared parser has parsed a request before
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as shared:
+        main(argv)
+    shared_out = capsys.readouterr().out
+    with pytest.raises(SystemExit) as fresh:
+        build_parser.__wrapped__().parse_args(argv)
+    assert shared.value.code == fresh.value.code == 0
+    assert shared_out == capsys.readouterr().out != ""
+
+
+ROOT = SCENARIO_DIR.parent
+
+
+def run_module(*args):
+    """``python -m evfuse.cli`` from the checkout root, with an ASCII
+    stdout and stderr, so only ``main``'s switch to UTF-8 lets ``∅``
+    through."""
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), PYTHONIOENCODING="ascii")
+    return subprocess.run([sys.executable, "-m", "evfuse.cli", *args], cwd=ROOT, env=env,
+                          capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("rule", [[], ["--rule", "smets"]], ids=["scenario-rule", "smets"])
+def test_module_entry_point_matches_main(capsys, rule):
+    run = run_module("fuse", "scenarios/three_sources.json", "--output", "json", *rule)
+    assert main(["fuse", THREE, "--output", "json", *rule]) == run.returncode == 0
+    assert run.stdout == capsys.readouterr().out.encode("utf-8")
+    assert run.stderr == b""
+
+
+def test_module_entry_point_usage_error():
+    run = run_module("bogus")
+    assert run.returncode == 2
+    assert run.stdout == b""
+    assert run.stderr.startswith(b"usage: evfuse")

@@ -1,5 +1,6 @@
 """Frames, models, and the proposition lattice."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -15,11 +16,13 @@ from evfuse import (
     conjunctive,
     make_model,
 )
+from evfuse.lattice import MAX_ATOMS
 
 from support import (
     ref_conflict_parties,
     ref_is_up_closed,
     ref_minimal_minterms,
+    ref_text,
     union_of_atoms,
 )
 
@@ -444,6 +447,41 @@ def test_format_parse_round_trip_all_n3(frame):
     assert len(props) == 18
     for p in props:
         assert frame.parse(p.text()) == p
+
+
+# Atom names that are prefixes of one another, so that term order turns
+# on '&' sorting below every character a name may hold.
+PREFIX_NAMES = ("A", "A0", "A_", "AB", "a", "Z9", "A00", "A0_", "AB_", "Aa",
+                "B", "Z", "Z90", "b", "ZZ", "A_0")
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_text_matches_reference_exhaustive(n):
+    # Each element is rendered on two frames of the same size with
+    # different names, in turn, so a text memo shared between frames
+    # would hand one frame's names to the other.
+    plain = Frame(("A", "B", "C", "D")[:n])
+    prefixed = Frame(("A_", "A", "AB", "A0")[:n])
+    for p in all_up_closed(plain):
+        for frame in (plain, prefixed, plain):
+            q = Proposition(frame, p.bits)
+            assert q.text() == ref_text(frame, p.bits), (frame.atoms, p.bits)
+    assert Proposition(prefixed, 0).text() == ref_text(prefixed, 0) == "∅"
+
+
+def test_text_matches_reference_wide():
+    rng = random.Random(20260801)
+    for n in range(8, MAX_ATOMS + 1):
+        frame = Frame(tuple(rng.sample(PREFIX_NAMES, n)))
+        for _ in range(12 if n <= 12 else 2 if n <= 14 else 1):
+            p = None
+            for _ in range(rng.randint(1, 5)):
+                term = None
+                for i in rng.sample(range(n), rng.randint(1, 3)):
+                    term = frame.atom(i) if term is None else term & frame.atom(i)
+                p = term if p is None else p | term
+            for _ in range(2):  # the second call reads every term from the memo
+                assert p.text() == ref_text(frame, p.bits), (frame.atoms, p.bits)
 
 
 # algebraic laws ---------------------------------------------------------------
