@@ -39,7 +39,6 @@ class ScenarioError(ValidationError):
 
 @dataclass
 class Scenario:
-    frame: Frame
     model: Model
     sources: list[tuple[str, MassFunction]]
     rule: Rule
@@ -131,7 +130,7 @@ def scenario_from_dict(doc) -> Scenario:
 
     _reject_unknown(doc, {"frame", "model", "rule", "sources", "prune_epsilon"}, "", "scenario")
 
-    return Scenario(frame, model, sources, rule, float(prune))
+    return Scenario(model, sources, rule, float(prune))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -170,8 +169,7 @@ def _emit_json(payload) -> None:
 
 
 def cmd_fuse(scenario: Scenario, rule: Rule, output: str) -> int:
-    names, masses = zip(*scenario.sources)
-    state = _initial(scenario).fold(masses, names)
+    state = _initial(scenario).fold(m for _, m in scenario.sources)
     snapshot = state.snapshot(rule)
     conflict = state.accumulator.conflict_mass()
     rows = _rows(snapshot)
@@ -186,7 +184,7 @@ def cmd_stream(scenario: Scenario, rule: Rule, output: str) -> int:
     state = _initial(scenario)
     steps = []
     for name, mass in scenario.sources:
-        state = state.fuse(mass, name)
+        state = state.fuse(mass)
         steps.append(
             (name, state.accumulator.conflict_mass(), _rows(state.snapshot(rule)))
         )

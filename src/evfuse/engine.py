@@ -16,13 +16,14 @@ from itertools import product as _cartesian
 
 from .errors import ValidationError
 from .lattice import Model
-from .mass import ColumnSums, MassFunction, _props_of, vbf
+from .mass import ColumnSums, MassFunction, vbf
 from .rules import Rule, apply_transfer, conjunctive
 
 
 @dataclass(frozen=True)
 class FusionState:
-    """Stored fusion state: accumulator, column sums, source labels.
+    """Stored fusion state: the conjunctive accumulator and the column sums,
+    both by minterm mask.  The next fold and any snapshot need nothing else.
 
     States are immutable; :meth:`fuse` returns the successor state and
     :meth:`snapshot` never touches the stored values.
@@ -31,7 +32,6 @@ class FusionState:
     model: Model
     accumulator: MassFunction
     columns: ColumnSums
-    labels: tuple[str, ...]
     prune_epsilon: float = 0.0
 
     @classmethod
@@ -39,13 +39,13 @@ class FusionState:
         """Fresh state: vacuous accumulator, no columns, no sources."""
         if not 0.0 <= prune_epsilon < 1.0:
             raise ValidationError("prune_epsilon must lie in [0, 1)")
-        return cls(model, vbf(model), ColumnSums.empty(model), (), prune_epsilon)
+        return cls(model, vbf(model), ColumnSums.empty(model), prune_epsilon)
 
     @property
     def source_count(self) -> int:
         return self.columns.source_count
 
-    def fuse(self, m: MassFunction, label: str | None = None) -> "FusionState":
+    def fuse(self, m: MassFunction) -> "FusionState":
         """Fold one more source into the stored accumulator.
 
         The new accumulator is the conjunctive product of the old one
@@ -56,26 +56,13 @@ class FusionState:
         accumulator = conjunctive(self.accumulator, m)
         if self.prune_epsilon > 0.0:
             accumulator = _pruned(accumulator, self.prune_epsilon)
-        name = label if label is not None else f"source_{self.source_count + 1}"
-        return FusionState(
-            self.model,
-            accumulator,
-            self.columns.add(m),
-            self.labels + (name,),
-            self.prune_epsilon,
-        )
+        return FusionState(self.model, accumulator, self.columns.add(m), self.prune_epsilon)
 
-    def fold(self, masses, labels=None) -> "FusionState":
-        """Fuse each source in turn, named by ``labels`` when given."""
-        masses = list(masses)
-        labels = [None] * len(masses) if labels is None else list(labels)
-        if len(labels) != len(masses):
-            raise ValidationError(
-                f"expected {len(masses)} labels, one per source, got {len(labels)}"
-            )
+    def fold(self, masses) -> "FusionState":
+        """Fuse each source in turn."""
         state = self
-        for m, label in zip(masses, labels):
-            state = state.fuse(m, label)
+        for m in masses:
+            state = state.fuse(m)
         return state
 
     def snapshot(self, rule: Rule | str) -> MassFunction:
@@ -93,8 +80,8 @@ def _pruned(result: MassFunction, epsilon: float) -> MassFunction:
     if not kept:
         raise ValidationError("pruning threshold removed every term")
     total = sum(kept.values())
-    return MassFunction(result.model, ((bits, v / total) for bits, v in kept.items()),
-                        props=_props_of(result), allow_conflict=True)
+    return MassFunction._of_masks(result.model, ((bits, v / total) for bits, v in kept.items()),
+                                  allow_conflict=True)
 
 
 def batch(model: Model, masses, rule: Rule | str) -> MassFunction:

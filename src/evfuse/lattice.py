@@ -217,8 +217,8 @@ class Proposition:
             raise ValidationError("empty proposition mentions no atoms")
         return self._atoms_union
 
-    # A stored term keeps its Proposition from fold to fold, so each
-    # decomposition is computed once per object and lives as long as it.
+    # Each decomposition is computed once per object and lives as long as
+    # it; the engine reads its terms from Model._prop, one object per mask.
 
     @cached_property
     def _conflict_parties(self) -> tuple["Proposition", ...]:
@@ -276,18 +276,17 @@ class Model:
     """A frame plus the minterm regions declared impossible.
 
     ``free`` forbids nothing, ``exclusive`` kills every region where two
-    or more atoms overlap, and ``custom`` kills the regions generated by
-    selected exclusive atom pairs.  Emptiness of a proposition is always
-    judged against a model; the propositions themselves stay unmasked.
+    or more atoms overlap, and ``with_exclusions`` kills the regions
+    generated by selected exclusive atom pairs.  Models compare by frame
+    and constraint mask alone, however they were built.  Emptiness of a
+    proposition is always judged against a model; the propositions
+    themselves stay unmasked.
     """
 
     frame: Frame
     constrained: int
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in ("free", "exclusive", "custom"):
-            raise ValidationError(f"unknown model kind {self.kind!r}")
         if not 0 <= self.constrained <= self.frame.full_bits:
             raise ValidationError("constraint mask out of range for this frame")
         if not Proposition(self.frame, self.constrained).is_up_closed():
@@ -297,14 +296,14 @@ class Model:
 
     @classmethod
     def free(cls, frame: Frame) -> "Model":
-        return cls(frame, 0, "free")
+        return cls(frame, 0)
 
     @classmethod
     def exclusive(cls, frame: Frame) -> "Model":
         bits = frame.full_bits
         for i in range(frame.n):
             bits &= ~(1 << (1 << i))
-        return cls(frame, bits, "exclusive")
+        return cls(frame, bits)
 
     @classmethod
     def with_exclusions(cls, frame: Frame, pairs) -> "Model":
@@ -317,7 +316,22 @@ class Model:
                     f"exclusive pair must name two distinct atoms, got ({a!r}, {b!r})"
                 )
             bits |= frame._atom_bits[i] & frame._atom_bits[j]
-        return cls(frame, bits, "custom")
+        return cls(frame, bits)
+
+    @cached_property
+    def _table(self) -> dict[int, Proposition]:
+        # one Proposition per minterm mask, filled by _prop and living as
+        # long as the model.  Not on the frame: a Proposition refers to its
+        # frame, so a table there would be a cycle only the cyclic GC frees.
+        return {}
+
+    def _prop(self, bits: int) -> Proposition:
+        """This model's one Proposition with minterm mask ``bits``, so a
+        term's cached decomposition lasts as long as the model."""
+        p = self._table.get(bits)
+        if p is None:
+            p = self._table[bits] = Proposition(self.frame, bits)
+        return p
 
     def is_empty(self, p: Proposition) -> bool:
         """True when nothing of p survives outside the constrained regions."""

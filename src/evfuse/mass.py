@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain
 from math import inf
 from typing import Iterable, Mapping
 
@@ -15,13 +14,12 @@ SUM_TOLERANCE = 1e-9
 Assignments = Mapping[Proposition, float] | Iterable[tuple[Proposition, float]]
 
 
-def _entering(model: Model, assignments: Assignments, props: dict[int, Proposition]):
-    # checks the propositions handed in, keeps the first object per mask in props
+def _entering(model: Model, assignments: Assignments):
+    # checks the propositions handed in and yields their (bits, value) pairs
     for prop, value in assignments.items() if isinstance(assignments, Mapping) else assignments:
         if not isinstance(prop, Proposition):
             raise ValidationError(f"focal element must be a Proposition, got {prop!r}")
         _require_same_frame(prop.frame, model.frame, "focal element belongs to a different frame")
-        props.setdefault(prop.bits, prop)
         yield prop.bits, value
 
 
@@ -46,34 +44,29 @@ def _validated(model: Model, pairs, allow_conflict: bool) -> dict[int, float]:
     return {bits: merged[bits] / total for bits in sorted(merged)}
 
 
-def _props_of(*operands) -> dict[int, Proposition]:
-    # {bits: Proposition} of the operands' terms, the first operand's winning
-    return dict(chain.from_iterable(zip(m._masses, m._props) for m in reversed(operands)))
-
-
 class MassFunction:
     """A belief assignment: positive masses on propositions, summing to 1.
 
-    Masses are kept by minterm mask in mask order, the focal propositions
-    in a tuple in that order.  Sources may not put mass on anything the
-    model declares empty; stored products and combination outputs may,
-    with ``allow_conflict=True``.  The engine passes ``(mask, mass)``
-    pairs and ``props``, its operands' propositions by mask; only a mask
-    that map lacks gets a new Proposition.
+    Only the model and the masses by minterm mask, in mask order, are
+    kept; every view shows them as the model's one Proposition per mask.
+    Sources may not put mass on anything the model declares empty; stored
+    products and combination outputs may, with ``allow_conflict=True``.
     """
 
-    __slots__ = ("model", "_masses", "_props")
+    __slots__ = ("model", "_masses")
 
-    def __init__(self, model: Model, assignments: Assignments, *, allow_conflict: bool = False,
-                 props: Mapping[int, Proposition] | None = None):
-        if props is None:
-            props = {}
-            assignments = _entering(model, assignments, props)
+    def __init__(self, model: Model, assignments: Assignments, *, allow_conflict: bool = False):
         self.model = model
-        self._masses = masses = _validated(model, assignments, allow_conflict)
-        # from a list, not a generator: a tuple of unknown length is resized
-        # as it fills, and CPython's tuple free lists keep what it leaves
-        self._props = tuple([props.get(b) or Proposition(model.frame, b) for b in masses])
+        self._masses = _validated(model, _entering(model, assignments), allow_conflict)
+
+    @classmethod
+    def _of_masks(cls, model: Model, pairs, allow_conflict: bool = False) -> "MassFunction":
+        # the engine's results, from (mask, mass) pairs: the same validator,
+        # without the proposition checks of __init__
+        self = cls.__new__(cls)
+        self.model = model
+        self._masses = _validated(model, pairs, allow_conflict)
+        return self
 
     @property
     def frame(self):
@@ -81,7 +74,8 @@ class MassFunction:
 
     @property
     def terms(self) -> dict[Proposition, float]:
-        return dict(zip(self._props, self._masses.values()))
+        prop = self.model._prop
+        return {prop(bits): v for bits, v in self._masses.items()}
 
     def items(self):
         return self.terms.items()
@@ -90,15 +84,12 @@ class MassFunction:
         return len(self._masses)
 
     def focal(self) -> tuple[Proposition, ...]:
-        return self._props
+        return tuple(self.terms)
 
     def mass(self, p: Proposition) -> float:
         # the same bits on another frame are another proposition
         same = p.frame is self.frame or p.frame == self.frame
         return self._masses.get(p.bits, 0.0) if same else 0.0
-
-    def as_dict(self) -> dict[Proposition, float]:
-        return self.terms
 
     def conflict_mass(self) -> float:
         """Total mass sitting on propositions empty under the model."""
@@ -162,7 +153,8 @@ class ColumnSums:
 
     @property
     def sums(self) -> dict[Proposition, float]:
-        return {Proposition(self.model.frame, bits): v for bits, v in self._masses.items()}
+        prop = self.model._prop
+        return {prop(bits): v for bits, v in self._masses.items()}
 
     def value(self, bits: int) -> float:
         """The column total of the proposition with minterm mask ``bits``."""

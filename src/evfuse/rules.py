@@ -16,7 +16,7 @@ from enum import Enum
 
 from .errors import TotalConflictError, ValidationError
 from .lattice import Proposition
-from .mass import ColumnSums, MassFunction, _props_of, column_sums
+from .mass import ColumnSums, MassFunction, column_sums
 
 
 class Rule(str, Enum):
@@ -41,16 +41,13 @@ def conjunctive(a: MassFunction, b: MassFunction) -> MassFunction:
     """
     if a.model != b.model:
         raise ValidationError("operands use different models")
-    # The product runs on minterm masks.  A product whose mask an operand
-    # holds keeps that operand's Proposition, the stored one first, so a stored
-    # term keeps its object (and its cached decomposition) across folds.
     masks_b = list(b._masses.items())
     out: dict[int, float] = {}
     for x, mx in a._masses.items():
         for y, my in masks_b:
             z = x & y
             out[z] = out.get(z, 0.0) + mx * my
-    return MassFunction(a.model, out.items(), props=_props_of(a, b), allow_conflict=True)
+    return MassFunction._of_masks(a.model, out.items(), allow_conflict=True)
 
 
 def _union_target(model, p: Proposition) -> int:
@@ -65,14 +62,14 @@ def _union_target(model, p: Proposition) -> int:
 def _redistribute(result: MassFunction, route, allow_conflict=False) -> MassFunction:
     """Keep the non-conflicting terms and send each conflicting term's mass
     to the ``[(target mask, share)]`` that ``route(term)`` names."""
-    visible = ~result.model.constrained
+    model = result.model
+    visible = ~model.constrained
     out = {bits: v for bits, v in result._masses.items() if bits & visible}
-    for (bits, v), p in zip(result._masses.items(), result._props):
+    for bits, v in result._masses.items():
         if not bits & visible:
-            for target, share in route(p):
+            for target, share in route(model._prop(bits)):
                 out[target] = out.get(target, 0.0) + v * share
-    return MassFunction(result.model, out.items(), props=_props_of(result),
-                        allow_conflict=allow_conflict)
+    return MassFunction._of_masks(model, out.items(), allow_conflict)
 
 
 def transfer_dempster(result: MassFunction) -> MassFunction:
@@ -86,7 +83,7 @@ def transfer_dempster(result: MassFunction) -> MassFunction:
         k = result.conflict_mass()
         raise TotalConflictError(f"conflict k={k!r}: Dempster combination is undefined")
     kept = [(bits, v / total) for bits, v in kept]
-    return MassFunction(result.model, kept, props=_props_of(result))
+    return MassFunction._of_masks(result.model, kept)
 
 
 def transfer_smets(result: MassFunction) -> MassFunction:
@@ -172,8 +169,7 @@ def _no_transfer(result: MassFunction, columns) -> MassFunction:
     # conjunctive rule on the free lattice.  Rebuilt, not returned as is:
     # the CLI output carries this second renormalisation, and a snapshot
     # must not share the stored terms.
-    return MassFunction(result.model, result._masses.items(), props=_props_of(result),
-                        allow_conflict=True)
+    return MassFunction._of_masks(result.model, result._masses.items(), allow_conflict=True)
 
 
 # Each entry calls its transfer through the module global, looked up at

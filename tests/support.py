@@ -108,7 +108,7 @@ def random_prop(rng: random.Random, model: Model) -> Proposition:
     union of intersections.
     """
     frame = model.frame
-    if model.kind == "exclusive":
+    if model == Model.exclusive(frame):
         return union_of_atoms(model, rng.randrange(1, 1 << frame.n))
     p = None
     for _ in range(rng.randint(1, 3)):
@@ -272,7 +272,7 @@ def golden_sources(line: str, model: Model, count: int) -> list[MassFunction]:
     rng = random.Random(f"library-golden/{line}")
     frame = model.frame
     family = [frame.parse(e) for e in _GOLDEN_UNIONS]
-    if model.kind != "exclusive":
+    if model != Model.exclusive(frame):
         family += [p for p in map(frame.parse, _GOLDEN_MEETS) if not model.is_empty(p)]
     truthy = [p for p in family if p.bits & frame.atom("A").bits == frame.atom("A").bits]
     sources = []

@@ -10,7 +10,7 @@ from itertools import permutations
 
 import pytest
 
-from evfuse import MassFunction, Rule, sdli2, vbf
+from evfuse import MassFunction, Model, Rule, sdli2, vbf
 from evfuse.cli import (
     CHECK_TOLERANCES,
     Scenario,
@@ -117,7 +117,7 @@ def test_fuse_json_round_trips_as_source(capsys, tmp_path):
     main(["fuse", THREE, "--output", "json"])
     payload = json.loads(capsys.readouterr().out)
     scenario = load_scenario(THREE)
-    frame = scenario.frame
+    frame = scenario.model.frame
     rebuilt = MassFunction(
         scenario.model,
         [(frame.parse(expr), v) for expr, v in payload["masses"].items()],
@@ -285,7 +285,7 @@ def test_verify_seeded_random_scenario(capsys, tmp_path):
     model = random_model(rng, n=3)
     doc = {
         "frame": list(model.frame.atoms),
-        "model": model.kind,
+        "model": "exclusive" if model == Model.exclusive(model.frame) else "free",
         "rule": "sdli",
         "sources": [
             {"name": f"s{i}", "masses": as_text_dict(random_mass(rng, model))}
@@ -301,7 +301,7 @@ def test_verify_seeded_random_scenario(capsys, tmp_path):
 def random_scenario(rng, count):
     model = random_model(rng, n=4)
     sources = [(f"s{i + 1}", m) for i, m in enumerate(random_sources(rng, model, count))]
-    return Scenario(model.frame, model, sources, Rule.SDLI, 0.0)
+    return Scenario(model, sources, Rule.SDLI, 0.0)
 
 
 def padded_lists(scenario):

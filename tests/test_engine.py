@@ -6,13 +6,16 @@ from itertools import permutations
 import pytest
 
 from evfuse import (
+    Frame,
     FusionState,
     MassFunction,
+    Model,
     Rule,
     TotalConflictError,
     ValidationError,
     batch,
     combine2,
+    conjunctive,
     deviation,
     oracle_conjunctive,
     vbf,
@@ -55,16 +58,24 @@ def test_initial_prune_bounds(exclusive):
 
 
 def test_first_fuse_adopts_source(exclusive, m1):
-    state = FusionState.initial(exclusive).fuse(m1, "m1")
+    state = FusionState.initial(exclusive).fuse(m1)
     assert deviation(state.accumulator, m1) <= 1e-15
-    assert state.columns.sums == m1.as_dict()
-    assert state.labels == ("m1",)
+    assert state.columns.sums == m1.terms
 
 
 def test_fuse_model_guard(exclusive, free, frame):
     other = MassFunction(free, {frame.parse("A"): 1.0})
     with pytest.raises(ValidationError):
         FusionState.initial(exclusive).fuse(other)
+
+
+def test_fuse_accepts_an_equal_model_built_another_way():
+    frame = Frame(("A", "B"))
+    one, other = Model.exclusive(frame), Model.with_exclusions(frame, [("A", "B")])
+    source = MassFunction(other, {frame.parse("A"): 0.7, frame.parse("A|B"): 0.3})
+    state = FusionState.initial(one).fuse(source)
+    assert state.snapshot(Rule.DEMPSTER) == source
+    assert conjunctive(vbf(one), source) == source
 
 
 # streaming fixture -----------------------------------------------------------------
@@ -77,7 +88,6 @@ def test_streaming_accumulators(exclusive, m1, m2, m3, m4):
     state = state.fuse(m4)
     assert_masses(state.accumulator, CONJ_1234)
     assert state.source_count == 4
-    assert state.labels == ("source_1", "source_2", "source_3", "source_4")
 
 
 def test_streaming_snapshots(exclusive, m1, m2, m3, m4):
@@ -92,11 +102,11 @@ def test_streaming_snapshots(exclusive, m1, m2, m3, m4):
 
 def test_snapshot_is_pure(exclusive, m1, m2):
     state = FusionState.initial(exclusive).fuse(m1).fuse(m2)
-    before = state.accumulator.as_dict()
+    before = state.accumulator.terms
     first = state.snapshot(Rule.SDLI)
     second = state.snapshot(Rule.SDLI)
     assert first == second  # bit-identical values
-    assert state.accumulator.as_dict() == before
+    assert state.accumulator.terms == before
 
 
 def test_snapshot_classic_keeps_conflicts(exclusive, m1, m2):
@@ -123,24 +133,8 @@ def test_fold_equals_fuse_loop(exclusive, m1, m2, m3, m4):
     assert FusionState.initial(exclusive).fold([m1, m2, m3, m4]) == state
 
 
-def test_fold_labels(exclusive, m1, m2, m3):
-    named = FusionState.initial(exclusive).fold([m1, m2, m3], ["x", "y", "z"])
-    assert named.labels == ("x", "y", "z")
-    unnamed = FusionState.initial(exclusive).fold(iter([m1, m2, m3]))
-    assert unnamed.labels == ("source_1", "source_2", "source_3")
-    assert named.fold([m1]).labels == ("x", "y", "z", "source_4")
-
-
-def test_fold_rejects_a_wrong_number_of_labels(exclusive, m1, m2):
-    state = FusionState.initial(exclusive)
-    with pytest.raises(ValidationError, match="expected 2 labels, one per source, got 3"):
-        state.fold([m1, m2], ["x", "y", "z"])
-    with pytest.raises(ValidationError, match="expected 2 labels, one per source, got 1"):
-        state.fold(iter([m1, m2]), iter(["x"]))
-
-
 def test_fold_nothing(exclusive, m1):
-    state = FusionState.initial(exclusive).fuse(m1, "m1")
+    state = FusionState.initial(exclusive).fuse(m1)
     assert state.fold([]) == state
 
 

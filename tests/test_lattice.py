@@ -159,7 +159,16 @@ def test_model_pairs(frame):
     model = make_model(frame, [("A", "B")])
     # regions containing both A and B: masks 3, 7
     assert model.constrained == minterm_bits(3, 7)
-    assert model.kind == "custom"
+
+
+def test_models_compare_by_frame_and_constraints():
+    # however a model was built, the same frame and constraints are the same model
+    two, three = Frame(("A", "B")), Frame(("A", "B", "C"))
+    assert Model.exclusive(two) == Model.with_exclusions(two, [("A", "B")])
+    assert hash(Model.exclusive(two)) == hash(Model.with_exclusions(two, [("B", "A")]))
+    assert Model.free(two) == Model.with_exclusions(two, []) == make_model(two, [])
+    assert Model.exclusive(three) == make_model(three, [("A", "B"), ("B", "C"), ("A", "C")])
+    assert Model.exclusive(three) != Model.with_exclusions(three, [("A", "B")])
 
 
 def test_model_pair_errors(frame):
@@ -172,7 +181,7 @@ def test_model_pair_errors(frame):
 def test_model_rejects_constrained_singletons(frame):
     mask = frame.full_bits  # would make even the atoms empty
     with pytest.raises(ValidationError):
-        Model(frame, mask, "custom")
+        Model(frame, mask)
 
 
 # lattice operations ----------------------------------------------------------

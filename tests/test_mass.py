@@ -1,6 +1,8 @@
 """Mass assignments, column sums, belief and plausibility."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -92,7 +94,7 @@ def test_frame_mismatch(exclusive):
 
 
 def test_revalidation_idempotent(m1):
-    again = MassFunction(m1.model, m1.as_dict())
+    again = MassFunction(m1.model, m1.terms)
     assert again == m1
 
 
@@ -134,7 +136,7 @@ def test_column_sums_vbf(exclusive):
 
 def test_column_sums_single(m1):
     cols = column_sums([m1])
-    assert cols.sums == m1.as_dict()
+    assert cols.sums == m1.terms
 
 
 def test_column_sums_model_mismatch(m1, free, frame):
@@ -298,9 +300,8 @@ def _assert_views_agree(m: MassFunction):
     bits = [p.bits for p in props]
     assert bits == sorted(set(bits))
     assert all(isinstance(p, Proposition) and p.frame == m.frame for p in props)
-    for view in (m.terms, m.as_dict()):
-        assert list(view.items()) == items
-        assert all(p is q for p, q in zip(view, props))
+    assert list(m.terms.items()) == items
+    assert all(p is q for p, q in zip(m.terms, props))
     assert all(p is q for p, q in zip(m.focal(), props)) and len(m.focal()) == len(m) == len(items)
     # the same bits on a separately built twin frame are the same
     # proposition; on a frame with other atom names they are not
@@ -330,7 +331,7 @@ def _assert_views_agree(m: MassFunction):
 @pytest.mark.parametrize("line,kind,count,epsilon", GOLDEN_LINES, ids=[g[0] for g in GOLDEN_LINES])
 def test_views_agree_on_sources_and_snapshots(line, kind, count, epsilon):
     model = golden_model(kind)
-    twin_model = Model(Frame(model.frame.atoms), model.constrained, model.kind)
+    twin_model = Model(Frame(model.frame.atoms), model.constrained)
     sources, twins = golden_sources(line, model, 12), golden_sources(line, twin_model, 12)
     state = FusionState.initial(model, epsilon).fold(sources)
     twin_state = FusionState.initial(twin_model, epsilon).fold(twins)
@@ -352,3 +353,80 @@ def test_views_agree_on_sources_and_snapshots(line, kind, count, epsilon):
     assert all(cols.value(p.bits) == v for p, v in cols.sums.items())
     assert cols == twin_state.columns and cols != ColumnSums.empty(model)
     assert cols.value(0) == 0.0 and len(cols.sums) == len({p.bits for m in sources for p in m.focal()})
+
+
+# one Proposition per mask, held by the model --------------------------------------------
+
+@pytest.mark.parametrize("line,kind,count,epsilon", GOLDEN_LINES, ids=[g[0] for g in GOLDEN_LINES])
+def test_views_hand_out_one_proposition_per_mask(line, kind, count, epsilon):
+    model = golden_model(kind)
+    seen = {}
+
+    def see(props):
+        for p in props:
+            assert seen.setdefault(p.bits, p) is p, p
+
+    state = FusionState.initial(model, epsilon)
+    for source in golden_sources(line, model, 30):
+        see(source.focal())
+        state = state.fuse(source)
+        see(state.accumulator.terms)
+        see(state.columns.sums)
+        for rule in Rule:
+            try:
+                see(p for p, _ in state.snapshot(rule).items())
+            except TotalConflictError:
+                pass
+    assert all(p is model._prop(bits) for bits, p in seen.items())
+    # the sdli route decomposed the model's objects, so their cached
+    # parties outlive the states that held them
+    visible = ~model.constrained
+    conflicting = [p for p in state.accumulator.terms if p.bits and not p.bits & visible]
+    assert bool(conflicting) == bool(model.constrained)
+    assert all("_conflict_parties" in p.__dict__ for p in conflicting)
+
+
+def test_an_equal_twin_model_hands_out_its_own_propositions():
+    model = golden_model("ring")
+    twin = Model(Frame(model.frame.atoms), model.constrained)
+    assert twin == model and twin.frame is not model.frame
+    states = [FusionState.initial(m).fold(golden_sources("ring", m, 12)) for m in (model, twin)]
+    assert states[0] == states[1]
+    for rule in (Rule.SDLI, Rule.DUBOIS_PRADE):
+        assert states[0].snapshot(rule) == states[1].snapshot(rule)
+    for m, state in zip((model, twin), states):
+        for p in state.accumulator.terms:
+            assert p.frame is m.frame and p is m._prop(p.bits)
+            if p.bits:
+                assert all(g.frame is m.frame for g in p.conflict_parties())
+                assert p.atoms_union().frame is m.frame
+    ours, theirs = ({id(p) for p in s.accumulator.terms} for s in states)
+    assert not ours & theirs
+
+
+def _dropped_line(kind):
+    # weak references to the model and frame of a folded, snapshotted line
+    model = golden_model(kind)
+    state = FusionState.initial(model).fold(golden_sources(kind, model, 20))
+    for rule in Rule:
+        try:
+            assert [p.text() for p in state.snapshot(rule).focal()]
+        except TotalConflictError:
+            pass
+    for p in [*state.accumulator.terms, *state.columns.sums]:
+        if p.bits:
+            p.conflict_parties(), p.atoms_union()
+    return weakref.ref(model), weakref.ref(model.frame)
+
+
+@pytest.mark.parametrize("kind", ["free", "exclusive", "ring"])
+def test_a_dropped_line_needs_no_cycle_collector(kind):
+    # nothing a line builds refers back to its model or frame, so reference
+    # counting alone frees them
+    gc.collect()
+    gc.disable()
+    try:
+        refs = _dropped_line(kind)
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()

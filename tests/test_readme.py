@@ -1,0 +1,60 @@
+"""The README's examples run as written and print what they say."""
+
+import contextlib
+import io
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from evfuse.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, re.M | re.S)
+QUICK_START = [body for lang, body in BLOCKS if lang == "python"]
+COMMANDS = [line for lang, body in BLOCKS if lang == "sh"
+            for line in body.splitlines() if line.startswith("evfuse ")]
+
+_MASSES = re.compile(r"\{([^{}]*)\}")
+
+
+def _masses(text: str) -> dict[str, str]:
+    # "{A: 0.38, A|C: 0.02}" -> {"A": "0.38", "A|C": "0.02"}
+    pairs = (item.rsplit(":", 1) for item in _MASSES.search(text).group(1).split(","))
+    return {key.strip(): value.strip() for key, value in pairs}
+
+
+def test_readme_has_its_examples():
+    assert len(QUICK_START) == 1
+    assert COMMANDS
+
+
+def test_quick_start_prints_the_commented_masses():
+    code = QUICK_START[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    printed = out.getvalue().splitlines()
+    comments = [line.split("#", 1)[1] for line in code.splitlines()
+                if line.startswith("print(") and "#" in line]
+    assert len(printed) == len(comments) >= 2
+    expected = None
+    for line, comment in zip(printed, comments):
+        if "{" in comment:
+            expected = _masses(comment)
+        else:
+            assert comment.strip().startswith("same values")
+        got = _masses(line)
+        assert got.keys() == expected.keys(), line
+        for key, shown in expected.items():
+            digits = len(shown.partition(".")[2])
+            assert f"{float(got[key]):.{digits}f}" == shown, (line, key)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_shell_examples_exit_zero(command, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert main(shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().out

@@ -199,7 +199,8 @@ def test_conjunctive_reuses_operand_propositions(build):
         ab = conjunctive(a, b)
         abc = conjunctive(ab, c)
         for x, y in [(a, b), (ab, c), (abc, d)]:
-            # a mask both operands hold keeps the first operand's object
+            # a mask an operand holds is the same object in the product:
+            # the model's one Proposition per mask
             props = {q.bits: q for q, _ in y.items()}
             props.update((q.bits, q) for q, _ in x.items())
             for p in conjunctive(x, y).terms:
@@ -351,7 +352,7 @@ def test_union_transfer_equals_pair_oracle_exhaustive():
                 b = MassFunction(model, {y: 1.0})
                 got = transfer_union(conjunctive(a, b))
                 want = _dubois_prade_pairwise(a, b)
-                assert got.as_dict().keys() == want.keys()
+                assert got.terms.keys() == want.keys()
                 for p, v in want.items():
                     assert got.mass(p) == pytest.approx(v, abs=1e-12)
 
@@ -362,7 +363,7 @@ def test_union_transfer_equals_pair_oracle_random():
     model = Model.exclusive(frame)
     for _ in range(200):
         a, b = random_mass(rng, model), random_mass(rng, model)
-        got = transfer_union(conjunctive(a, b)).as_dict()
+        got = transfer_union(conjunctive(a, b)).terms
         want = _dubois_prade_pairwise(a, b)
         keys = set(got) | set(want)
         for p in keys:
