@@ -7,7 +7,7 @@ through a :class:`FusionState` and take rule snapshots on demand.
 """
 
 from .errors import ExpressionError, TotalConflictError, ValidationError
-from .lattice import Frame, Model, Proposition, make_model, parse_prop
+from .lattice import Frame, Model, Proposition, make_model
 from .mass import ColumnSums, MassFunction, column_sums, deviation, vbf
 from .rules import (
     Rule,
@@ -44,7 +44,6 @@ __all__ = [
     "deviation",
     "make_model",
     "oracle_conjunctive",
-    "parse_prop",
     "sdli2",
     "transfer_dempster",
     "transfer_sdli",

@@ -28,8 +28,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RULE_ERROR = 3
 
-CHECKS = ("permutation", "markov", "vbf", "eq7")
-CHECK_TOLERANCES = {"permutation": 1e-9, "markov": 1e-12, "vbf": 1e-12, "eq7": 1e-12}
 ORDERINGS_CAP = 720
 
 
@@ -170,41 +168,34 @@ def _emit_json(payload) -> None:
 
 def cmd_fuse(scenario: Scenario, rule: Rule, output: str) -> int:
     state = _initial(scenario).fold(m for _, m in scenario.sources)
-    snapshot = state.snapshot(rule)
-    conflict = state.accumulator.conflict_mass()
-    rows = _rows(snapshot)
-    if output == "json":
-        _emit_json({"rule": rule.value, "conflict": conflict, "masses": dict(rows)})
-    else:
-        _emit([f"rule: {rule.value}", f"conflict: {conflict:.6f}", *_table(rows)])
-    return EXIT_OK
+    return _report(rule, output, [(None, state.accumulator.conflict_mass(),
+                                   _rows(state.snapshot(rule)))])
 
 
 def cmd_stream(scenario: Scenario, rule: Rule, output: str) -> int:
-    state = _initial(scenario)
-    steps = []
+    state, steps = _initial(scenario), []
     for name, mass in scenario.sources:
         state = state.fuse(mass)
-        steps.append(
-            (name, state.accumulator.conflict_mass(), _rows(state.snapshot(rule)))
-        )
+        steps.append((name, state.accumulator.conflict_mass(), _rows(state.snapshot(rule))))
+    return _report(rule, output, steps, with_steps=True)
+
+
+def _report(rule: Rule, output: str, steps, with_steps: bool = False) -> int:
+    """Write the last ``(source, conflict, rows)`` record of ``steps``;
+    stream writes every step's record before it."""
+    _, conflict, rows = steps[-1]
     if output == "json":
-        payload = {
-            "rule": rule.value,
-            "steps": [
-                {"source": name, "conflict": conflict, "masses": dict(rows)}
-                for name, conflict, rows in steps
-            ],
-            "conflict": steps[-1][1],
-            "masses": dict(steps[-1][2]),
-        }
-        _emit_json(payload)
+        payload = {"rule": rule.value}
+        if with_steps:
+            payload["steps"] = [{"source": name, "conflict": c, "masses": dict(r)}
+                                for name, c, r in steps]
+        _emit_json({**payload, "conflict": conflict, "masses": dict(rows)})
     else:
         lines = [f"rule: {rule.value}"]
-        for i, (name, conflict, rows) in enumerate(steps, start=1):
-            lines.append(f"step {i}: {name}")
-            lines.append(f"conflict: {conflict:.6f}")
-            lines.extend(_table(rows))
+        for i, (name, c, r) in enumerate(steps, start=1):
+            if with_steps:
+                lines.append(f"step {i}: {name}")
+            lines += [f"conflict: {c:.6f}", *_table(r)]
         _emit(lines)
     return EXIT_OK
 
@@ -252,7 +243,7 @@ def _check_permutation(scenario: Scenario, rule: Rule, trials: int, seed: int) -
     return _worst_refold(scenario, rule, ([masses[i] for i in order] for order in orders))
 
 
-def _check_markov(scenario: Scenario) -> float | None:
+def _check_markov(scenario: Scenario, *_) -> float | None:
     masses = [m for _, m in scenario.sources]
     if len(masses) < 2:
         return None  # no prefix of two or more sources to compare
@@ -267,39 +258,43 @@ def _check_markov(scenario: Scenario) -> float | None:
     return worst
 
 
-def _check_vbf(scenario: Scenario, rule: Rule) -> float:
+def _check_vbf(scenario: Scenario, rule: Rule, *_) -> float:
     masses = [m for _, m in scenario.sources]
     neutral = [vbf(scenario.model)]
     padded = (masses[:k] + neutral + masses[k:] for k in range(len(masses) + 1))
     return _worst_refold(scenario, rule, padded)
 
 
-def _check_eq7(scenario: Scenario) -> float | None:
+def _check_eq7(scenario: Scenario, *_) -> float | None:
     pairs = combinations([m for _, m in scenario.sources], 2)
     return max((deviation(sdli2(*pair), _initial(scenario).fold(pair).snapshot(Rule.SDLI))
                 for pair in pairs), default=None)
 
 
+# verify's checks in output order: name -> (tolerance, check).  Each is
+# called as check(scenario, rule, trials, seed) and returns its worst
+# deviation, or None when it has nothing to compare.
+CHECKS = {
+    "permutation": (1e-9, _check_permutation),
+    "markov": (1e-12, _check_markov),
+    "vbf": (1e-12, _check_vbf),
+    "eq7": (1e-12, _check_eq7),
+}
+
+
 def cmd_verify(scenario: Scenario, rule: Rule, checks: list[str], trials: int, seed: int) -> int:
     lines = []
     all_passed = True
-    for check in CHECKS:
-        if check not in checks:
+    for name, (tolerance, check) in CHECKS.items():
+        if name not in checks:
             continue
-        if check == "permutation":
-            worst = _check_permutation(scenario, rule, trials, seed)
-        elif check == "markov":
-            worst = _check_markov(scenario)
-        elif check == "vbf":
-            worst = _check_vbf(scenario, rule)
-        else:
-            worst = _check_eq7(scenario)
-        if worst is None:  # the check had nothing to compare
-            lines.append(f"SKIP {check}")
+        worst = check(scenario, rule, trials, seed)
+        if worst is None:
+            lines.append(f"SKIP {name}")
             continue
-        passed = worst <= CHECK_TOLERANCES[check]
+        passed = worst <= tolerance
         all_passed &= passed
-        lines.append(f"{'PASS' if passed else 'FAIL'} {check} deviation={worst:.3e}")
+        lines.append(f"{'PASS' if passed else 'FAIL'} {name} deviation={worst:.3e}")
     _emit(lines)
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 

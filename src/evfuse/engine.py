@@ -23,13 +23,13 @@ from .rules import Rule, apply_transfer, conjunctive
 @dataclass(frozen=True)
 class FusionState:
     """Stored fusion state: the conjunctive accumulator and the column sums,
-    both by minterm mask.  The next fold and any snapshot need nothing else.
+    both by minterm mask.  The next fold and any snapshot need nothing else;
+    the model is the accumulator's.
 
     States are immutable; :meth:`fuse` returns the successor state and
     :meth:`snapshot` never touches the stored values.
     """
 
-    model: Model
     accumulator: MassFunction
     columns: ColumnSums
     prune_epsilon: float = 0.0
@@ -39,7 +39,11 @@ class FusionState:
         """Fresh state: vacuous accumulator, no columns, no sources."""
         if not 0.0 <= prune_epsilon < 1.0:
             raise ValidationError("prune_epsilon must lie in [0, 1)")
-        return cls(model, vbf(model), ColumnSums.empty(model), prune_epsilon)
+        return cls(vbf(model), ColumnSums.empty(model), prune_epsilon)
+
+    @property
+    def model(self) -> Model:
+        return self.accumulator.model
 
     @property
     def source_count(self) -> int:
@@ -56,7 +60,7 @@ class FusionState:
         accumulator = conjunctive(self.accumulator, m)
         if self.prune_epsilon > 0.0:
             accumulator = _pruned(accumulator, self.prune_epsilon)
-        return FusionState(self.model, accumulator, self.columns.add(m), self.prune_epsilon)
+        return FusionState(accumulator, self.columns.add(m), self.prune_epsilon)
 
     def fold(self, masses) -> "FusionState":
         """Fuse each source in turn."""

@@ -28,8 +28,7 @@ from operator import or_
 from .errors import ExpressionError, ValidationError
 
 MAX_ATOMS = 16
-# Deeper parentheses would exhaust Python's recursion limit in the
-# recursive-descent parser; no canonical expression needs any.
+# An input limit on open parentheses; no canonical expression nests any.
 MAX_NESTING = 100
 
 _ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -128,7 +127,7 @@ class Frame:
         return Proposition(self, 0)
 
     def parse(self, text: str) -> "Proposition":
-        return parse_prop(self, text)
+        return _parse(self, text)
 
 
 def _require_same_frame(a: Frame, b: Frame,
@@ -185,16 +184,10 @@ class Proposition:
 
     def dnf_terms(self) -> tuple[tuple[str, ...], ...]:
         """Minimal antichain of atom sets whose union of intersections
-        rebuilds this proposition exactly."""
+        rebuilds this proposition exactly, read from :meth:`text`."""
         if self.is_void:
             raise ValidationError("empty proposition has no DNF terms")
-        names = self.frame.atoms
-        n = self.frame.n
-        terms = [
-            tuple(names[i] for i in range(n) if m >> i & 1)
-            for m in self.minimal_minterms()
-        ]
-        return tuple(sorted(terms))
+        return tuple(tuple(term.split("&")) for term in self.text().split("|"))
 
     def conflict_parties(self) -> tuple["Proposition", ...]:
         """The minimal union-of-atoms factors whose intersection equals
@@ -247,8 +240,9 @@ class Proposition:
     def text(self) -> str:
         """Canonical DNF rendering; parses back to the same proposition.
 
-        Term strings sort as :meth:`dnf_terms` sorts name tuples, since
-        ``&`` sorts below every character an atom name may hold.
+        Term strings sort as their name tuples would, since ``&`` sorts
+        below every character an atom name may hold; :meth:`dnf_terms`
+        splits this string.
         """
         if self.is_void:
             return "∅"
@@ -371,67 +365,44 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    # expr := term ('|' term)* ; term := factor ('&' factor)* ;
-    # factor := atom | '(' expr ')'
+def _parse(frame: Frame, text: str) -> Proposition:
+    """Parse a proposition expression; '&' binds tighter than '|'.
 
-    def __init__(self, frame: Frame, text: str):
-        self.frame = frame
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
-
-    def _peek(self):
-        return self.tokens[self.pos]
-
-    def _next(self):
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def parse(self) -> Proposition:
-        p = self._expr()
-        kind, value, at = self._peek()
-        if kind != "end":
+    One pass over the tokens on minterm masks.  ``union`` ORs the finished
+    terms of the innermost open group and ``term`` ANDs the factors of its
+    current term; ``(`` pushes the pair and ``)`` folds the group into the
+    term of the pair it pops.  ``operand`` is true where an atom or ``(``
+    must come next.
+    """
+    full = frame.full_bits
+    stack = []
+    union, term, operand = 0, full, True
+    for kind, value, at in _tokenize(text):
+        if operand:
+            if kind == "atom":
+                try:
+                    term &= frame._atom_bits[frame.atoms.index(value)]
+                except ValueError:
+                    raise ExpressionError(f"unknown atom {value!r}", at) from None
+                operand = False
+            elif kind == "(":
+                if len(stack) == MAX_NESTING:
+                    raise ExpressionError(f"parentheses nested deeper than {MAX_NESTING}", at)
+                stack.append((union, term))
+                union, term = 0, full
+            else:
+                what = "end of input" if kind == "end" else repr(value)
+                raise ExpressionError(f"expected atom or '(', found {what}", at)
+        elif kind == "&":
+            operand = True
+        elif kind == "|":
+            union, term, operand = union | term, full, True
+        elif kind == ")" and stack:
+            group = union | term
+            union, term = stack.pop()
+            term &= group
+        elif stack:
+            raise ExpressionError("expected ')'", at)
+        elif kind != "end":
             raise ExpressionError(f"expected '&', '|' or end of input, found {value!r}", at)
-        return p
-
-    def _expr(self) -> Proposition:
-        p = self._term()
-        while self._peek()[0] == "|":
-            self._next()
-            p = p | self._term()
-        return p
-
-    def _term(self) -> Proposition:
-        p = self._factor()
-        while self._peek()[0] == "&":
-            self._next()
-            p = p & self._factor()
-        return p
-
-    def _factor(self) -> Proposition:
-        kind, value, at = self._next()
-        if kind == "atom":
-            try:
-                return self.frame.atom(value)
-            except ValidationError:
-                raise ExpressionError(f"unknown atom {value!r}", at) from None
-        if kind == "(":
-            if self.depth == MAX_NESTING:
-                raise ExpressionError(f"parentheses nested deeper than {MAX_NESTING}", at)
-            self.depth += 1
-            p = self._expr()
-            self.depth -= 1
-            kind, value, at = self._next()
-            if kind != ")":
-                raise ExpressionError("expected ')'", at)
-            return p
-        what = "end of input" if kind == "end" else repr(value)
-        raise ExpressionError(f"expected atom or '(', found {what}", at)
-
-
-def parse_prop(frame: Frame, text: str) -> Proposition:
-    """Parse a proposition expression; '&' binds tighter than '|'."""
-    return _Parser(frame, text).parse()
-
+    return Proposition(frame, union | term)

@@ -139,13 +139,19 @@ def vbf(model: Model) -> MassFunction:
 
 class ColumnSums:
     """Per-proposition totals of the raw source masses seen so far, kept
-    by minterm mask in mask order."""
+    by minterm mask in mask order.  The constructor takes its keys as
+    :class:`MassFunction` does and each total must be finite and >= 0."""
 
     __slots__ = ("model", "source_count", "_masses")
 
     def __init__(self, model: Model, sums: Mapping[Proposition, float], source_count: int):
         self.model, self.source_count = model, source_count
-        self._masses = {p.bits: sums[p] for p in sorted(sums, key=lambda p: p.bits)}
+        masses = dict(_entering(model, sums))
+        for bits, v in masses.items():
+            if not 0.0 <= v < inf:  # also false for NaN
+                text = Proposition(model.frame, bits).text()
+                raise ValidationError(f"column sum {v!r} on {text} is negative or non-finite")
+        self._masses = {bits: masses[bits] for bits in sorted(masses)}
 
     @classmethod
     def empty(cls, model: Model) -> "ColumnSums":
@@ -168,8 +174,8 @@ class ColumnSums:
             merged[bits] = merged.get(bits, 0.0) + v
         if len(merged) > len(self._masses):  # kept in mask order; only a new key breaks it
             merged = {bits: merged[bits] for bits in sorted(merged)}
-        out = ColumnSums(self.model, {}, self.source_count + 1)
-        out._masses = merged
+        out = ColumnSums.__new__(ColumnSums)  # sums of validated sources: no checks to rerun
+        out.model, out.source_count, out._masses = self.model, self.source_count + 1, merged
         return out
 
     def __eq__(self, other) -> bool:

@@ -12,7 +12,7 @@ import pytest
 
 from evfuse import MassFunction, Model, Rule, sdli2, vbf
 from evfuse.cli import (
-    CHECK_TOLERANCES,
+    CHECKS,
     Scenario,
     ScenarioError,
     _orderings,
@@ -334,7 +334,7 @@ def test_worst_refold_matches_reference(rule):
     for scenario, lists in cases:
         assert _worst_refold(scenario, rule, lists) == ref_worst_refold(scenario, rule, lists)
     lists = ordered_lists(pruned, permutations(range(3)))
-    assert _worst_refold(pruned, rule, lists) > CHECK_TOLERANCES["permutation"]
+    assert _worst_refold(pruned, rule, lists) > CHECKS["permutation"][0]
 
 
 # scenario validation ---------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Frames, models, and the proposition lattice."""
 
+import keyword
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -491,6 +493,73 @@ def test_text_matches_reference_wide():
                 p = term if p is None else p | term
             for _ in range(2):  # the second call reads every term from the memo
                 assert p.text() == ref_text(frame, p.bits), (frame.atoms, p.bits)
+
+
+# Atom names Python's own parser reads as plain identifiers, so that eval
+# of an expression over the frame's atoms is a reference for Frame.parse:
+# Python also binds '&' tighter than '|'.
+IDENTIFIERS = st.one_of(
+    st.sampled_from(PREFIX_NAMES),
+    st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,4}", fullmatch=True).filter(
+        lambda name: not keyword.iskeyword(name)),
+)
+
+
+@st.composite
+def frames_and_expressions(draw):
+    atoms = draw(st.lists(IDENTIFIERS, min_size=2, max_size=6, unique=True))
+    pad = st.sampled_from(["", "", " ", "\t", " \t "])
+
+    def expression(depth):
+        kind = draw(st.integers(0, 3)) if depth < 5 else 0
+        if kind == 0:
+            text = draw(st.sampled_from(atoms))
+        elif kind == 1:  # a redundant pair of parentheses
+            text = "(" + expression(depth + 1) + ")"
+        else:
+            op = "&" if kind == 2 else "|"
+            text = expression(depth + 1) + draw(pad) + op + draw(pad) + expression(depth + 1)
+        return draw(pad) + text + draw(pad)
+
+    return Frame(tuple(atoms)), expression(0)
+
+
+@given(frames_and_expressions())
+def test_parse_matches_python_eval(case):
+    frame, text = case
+    names = {atom: frame.atom(atom) for atom in frame.atoms}
+    assert frame.parse(text) == eval(text, {"__builtins__": {}}, names)
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("A&", "expected atom or '(', found end of input", 2),
+    ("(A|B", "expected ')'", 4),
+    ("A B", "expected '&', '|' or end of input, found 'B'", 2),
+    ("A)", "expected '&', '|' or end of input, found ')'", 1),
+    (")", "expected atom or '(', found ')'", 0),
+    ("A+B", "unexpected character '+'", 1),
+    ("A|Z", "unknown atom 'Z'", 2),
+    ("(" * 101 + "A" + ")" * 101, "parentheses nested deeper than 100", 100),
+], ids=["dangling-and", "unclosed", "juxtaposed", "stray-close", "lone-close",
+        "bad-character", "unknown-atom", "too-deep"])
+def test_parse_error_table(frame, text, message, position):
+    with pytest.raises(ExpressionError) as err:
+        frame.parse(text)
+    assert err.value.position == position
+    assert str(err.value) == f"{message} at position {position}"
+
+
+def test_parse_uses_no_recursion_per_parenthesis(frame):
+    depth, caller = 0, sys._getframe()
+    while caller is not None:
+        depth, caller = depth + 1, caller.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        p = frame.parse("(" * 100 + "A" + ")" * 100)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert p == frame.atom("A")
 
 
 # algebraic laws ---------------------------------------------------------------

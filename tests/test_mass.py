@@ -188,6 +188,39 @@ def test_column_sums_match_reference(seed):
     assert grew and repeated
     assert list(column_sums(sources).sums.items()) == list(sums.sums.items())
 
+
+@pytest.fixture
+def exclusive_ab():
+    return Model.exclusive(Frame(("A", "B")))
+
+
+def test_column_sums_reject_another_frame(exclusive_ab):
+    # taken by mask, X and Y would be read as A and B by transfer_sdli
+    other = Frame(("X", "Y"))
+    with pytest.raises(ValidationError, match="different frame"):
+        ColumnSums(exclusive_ab, {other.atom("X"): 0.4, other.atom("Y"): 0.6}, 1)
+
+
+def test_column_sums_reject_a_wider_frame(exclusive_ab):
+    # A&B&C's mask is out of range for (A, B); it used to fail only in repr
+    wide = Frame(("A", "B", "C")).parse("A&B&C")
+    with pytest.raises(ValidationError, match="different frame"):
+        ColumnSums(exclusive_ab, {wide: 1.0}, 1)
+
+
+def test_column_sums_reject_a_string_key(exclusive_ab):
+    with pytest.raises(ValidationError, match="must be a Proposition"):
+        ColumnSums(exclusive_ab, {"A": 1.0}, 1)
+
+
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_column_sums_reject_a_negative_or_non_finite_total(exclusive_ab, value):
+    # -1.0 on A with 2.0 on B used to surface only at snapshot time, as
+    # "negative mass -0.25 on A" from an sdli snapshot
+    a, b = exclusive_ab.frame.atom("A"), exclusive_ab.frame.atom("B")
+    with pytest.raises(ValidationError, match="on A is negative or non-finite"):
+        ColumnSums(exclusive_ab, {a: value, b: 2.0}, 2)
+
 # belief and plausibility ---------------------------------------------------------
 
 def test_belief_self_inclusion(exclusive, frame):
