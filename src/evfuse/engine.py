@@ -34,11 +34,15 @@ class FusionState:
     columns: ColumnSums
     prune_epsilon: float = 0.0
 
+    def __post_init__(self):
+        if not 0.0 <= self.prune_epsilon < 1.0:  # also false for NaN
+            raise ValidationError("prune_epsilon must lie in [0, 1)")
+        if self.columns.model != self.accumulator.model:
+            raise ValidationError("column sums use a different model")
+
     @classmethod
     def initial(cls, model: Model, prune_epsilon: float = 0.0) -> "FusionState":
         """Fresh state: vacuous accumulator, no columns, no sources."""
-        if not 0.0 <= prune_epsilon < 1.0:
-            raise ValidationError("prune_epsilon must lie in [0, 1)")
         return cls(vbf(model), ColumnSums.empty(model), prune_epsilon)
 
     @property

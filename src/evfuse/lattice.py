@@ -88,11 +88,53 @@ class Frame:
             up |= (bits & outside) << shift
         return up
 
+    # Memos filled on first use and living as long as the frame.  They
+    # hold ints and strings only, so they form no reference cycle.
+
     @cached_property
     def _term_texts(self) -> dict[int, str]:
-        # atom mask -> "A&B", filled as DNF terms are rendered; at most
-        # 2**n - 1 entries, living as long as the frame
+        # atom mask -> "A&B", filled as DNF terms are rendered
         return {}
+
+    @cached_property
+    def _party_memo(self) -> dict[int, tuple[int, ...]]:
+        # minterm mask -> the masks of its conflict parties, filled by _parties
+        return {}
+
+    @cached_property
+    def _union_memo(self) -> dict[int, int]:
+        # minterm mask -> the mask of its atoms' union, filled by _atoms_union
+        return {}
+
+    def _union(self, atoms: int) -> int:
+        # the minterm mask of the union of the atoms set in an atom mask
+        return reduce(or_, (a for i, a in enumerate(self._atom_bits) if atoms >> i & 1), 0)
+
+    def _parties(self, bits: int) -> tuple[int, ...]:
+        """The masks of the conflict parties of the non-void mask ``bits``.
+
+        These are the minimal atom sets T meeting every DNF term.  T
+        misses some term exactly when the region of the atoms outside T
+        is present, so the parties are the minimal elements of the
+        absent regions with the mask bit-reversed (region ``R`` becomes
+        atom set ``~R``).  Each is the union of its atoms, ordered by
+        size then atom position.
+        """
+        parties = self._party_memo.get(bits)
+        if parties is None:
+            absent = (self.full_bits & ~bits) | 1  # the empty region is never present
+            hitting = int(format(absent, f"0{1 << self.n}b")[::-1], 2)
+            found = sorted(self._minimal(hitting), key=lambda atoms: (
+                bin(atoms).count("1"), [i for i in range(self.n) if atoms >> i & 1]))
+            parties = self._party_memo[bits] = tuple(map(self._union, found))
+        return parties
+
+    def _atoms_union(self, bits: int) -> int:
+        """The mask of the union of every atom in the DNF of ``bits``."""
+        union = self._union_memo.get(bits)
+        if union is None:
+            union = self._union_memo[bits] = self._union(reduce(or_, self._minimal(bits), 0))
+        return union
 
     def _minimal(self, bits: int) -> tuple[int, ...]:
         # the regions of bits with no region of bits one atom below them
@@ -142,7 +184,9 @@ class Proposition:
 
     ``bits`` must be an up-closed minterm family.  The constructors on
     :class:`Frame` and the lattice operations below guarantee this; code
-    building masks by hand can check with :meth:`is_up_closed`.
+    building masks by hand can check with :meth:`is_up_closed`.  A
+    proposition is a plain value and caches nothing; its decompositions
+    are memoised on the frame, by mask.
     """
 
     frame: Frame
@@ -191,51 +235,17 @@ class Proposition:
 
     def conflict_parties(self) -> tuple["Proposition", ...]:
         """The minimal union-of-atoms factors whose intersection equals
-        this proposition.
-
-        These are the minimal atom sets T meeting every DNF term.  T
-        misses some term exactly when the region of the atoms outside T
-        is present, so the parties are the minimal elements of the
-        absent regions with the mask bit-reversed (region ``R`` becomes
-        atom set ``~R``).  Each is returned as the union of its atoms,
-        ordered by size then atom position.
-        """
+        this proposition, ordered by size then atom position; see
+        :meth:`Frame._parties`."""
         if self.is_void:
             raise ValidationError("empty proposition has no conflict parties")
-        return self._conflict_parties
+        return tuple(Proposition(self.frame, g) for g in self.frame._parties(self.bits))
 
     def atoms_union(self) -> "Proposition":
         """Union of every atom mentioned in the DNF of this proposition."""
         if self.is_void:
             raise ValidationError("empty proposition mentions no atoms")
-        return self._atoms_union
-
-    # Each decomposition is computed once per object and lives as long as
-    # it; the engine reads its terms from Model._prop, one object per mask.
-
-    @cached_property
-    def _conflict_parties(self) -> tuple["Proposition", ...]:
-        frame = self.frame
-        absent = (frame.full_bits & ~self.bits) | 1  # the empty region is never present
-        hitting = int(format(absent, f"0{1 << frame.n}b")[::-1], 2)
-        found = sorted(
-            frame._minimal(hitting),
-            key=lambda mask: (bin(mask).count("1"), [i for i in range(frame.n) if mask >> i & 1]),
-        )
-        return tuple(self._union_of_atoms(mask) for mask in found)
-
-    @cached_property
-    def _atoms_union(self) -> "Proposition":
-        return self._union_of_atoms(reduce(or_, self.minimal_minterms(), 0))
-
-    def _union_of_atoms(self, mask: int) -> "Proposition":
-        # the union of the atoms whose bits are set in an atom mask
-        atom_bits = self.frame._atom_bits
-        bits = 0
-        for i in range(self.frame.n):
-            if mask >> i & 1:
-                bits |= atom_bits[i]
-        return Proposition(self.frame, bits)
+        return Proposition(self.frame, self.frame._atoms_union(self.bits))
 
     def text(self) -> str:
         """Canonical DNF rendering; parses back to the same proposition.
@@ -311,21 +321,6 @@ class Model:
                 )
             bits |= frame._atom_bits[i] & frame._atom_bits[j]
         return cls(frame, bits)
-
-    @cached_property
-    def _table(self) -> dict[int, Proposition]:
-        # one Proposition per minterm mask, filled by _prop and living as
-        # long as the model.  Not on the frame: a Proposition refers to its
-        # frame, so a table there would be a cycle only the cyclic GC frees.
-        return {}
-
-    def _prop(self, bits: int) -> Proposition:
-        """This model's one Proposition with minterm mask ``bits``, so a
-        term's cached decomposition lasts as long as the model."""
-        p = self._table.get(bits)
-        if p is None:
-            p = self._table[bits] = Proposition(self.frame, bits)
-        return p
 
     def is_empty(self, p: Proposition) -> bool:
         """True when nothing of p survives outside the constrained regions."""

@@ -48,7 +48,7 @@ class MassFunction:
     """A belief assignment: positive masses on propositions, summing to 1.
 
     Only the model and the masses by minterm mask, in mask order, are
-    kept; every view shows them as the model's one Proposition per mask.
+    kept; every view builds a fresh Proposition per mask.
     Sources may not put mass on anything the model declares empty; stored
     products and combination outputs may, with ``allow_conflict=True``.
     """
@@ -74,8 +74,8 @@ class MassFunction:
 
     @property
     def terms(self) -> dict[Proposition, float]:
-        prop = self.model._prop
-        return {prop(bits): v for bits, v in self._masses.items()}
+        frame = self.model.frame
+        return {Proposition(frame, bits): v for bits, v in self._masses.items()}
 
     def items(self):
         return self.terms.items()
@@ -140,11 +140,14 @@ def vbf(model: Model) -> MassFunction:
 class ColumnSums:
     """Per-proposition totals of the raw source masses seen so far, kept
     by minterm mask in mask order.  The constructor takes its keys as
-    :class:`MassFunction` does and each total must be finite and >= 0."""
+    :class:`MassFunction` does; totals must be finite and >= 0, and
+    ``source_count`` an int >= 0."""
 
     __slots__ = ("model", "source_count", "_masses")
 
     def __init__(self, model: Model, sums: Mapping[Proposition, float], source_count: int):
+        if type(source_count) is not int or source_count < 0:
+            raise ValidationError(f"source_count must be an int >= 0, got {source_count!r}")
         self.model, self.source_count = model, source_count
         masses = dict(_entering(model, sums))
         for bits, v in masses.items():
@@ -159,8 +162,8 @@ class ColumnSums:
 
     @property
     def sums(self) -> dict[Proposition, float]:
-        prop = self.model._prop
-        return {prop(bits): v for bits, v in self._masses.items()}
+        frame = self.model.frame
+        return {Proposition(frame, bits): v for bits, v in self._masses.items()}
 
     def value(self, bits: int) -> float:
         """The column total of the proposition with minterm mask ``bits``."""

@@ -6,8 +6,9 @@ transfer operator that decides where mass on model-empty propositions
 goes.  The conjunctive stage never collapses conflicting terms, so
 distinct partial conflicts such as A&B and A&B|B&C stay separate until
 a transfer runs.  The transfers differ only in that routing, so each is
-a route from a conflicting term to ``[(target mask, share)]`` that one loop,
-``_redistribute``, applies; Dempster's instead drops the conflict.
+a route from a conflicting term's mask to ``[(target mask, share)]``
+that one loop, ``_redistribute``, applies; Dempster's instead drops the
+conflict.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import TotalConflictError, ValidationError
-from .lattice import Proposition
 from .mass import ColumnSums, MassFunction, column_sums
 
 
@@ -50,24 +50,21 @@ def conjunctive(a: MassFunction, b: MassFunction) -> MassFunction:
     return MassFunction._of_masks(a.model, out.items(), allow_conflict=True)
 
 
-def _union_target(model, p: Proposition) -> int:
-    # the union of p's atoms; total ignorance if p is void or that union is empty
-    if not p.is_void:
-        target = p.atoms_union().bits
-        if target & ~model.constrained:
-            return target
-    return model.frame.full_bits
+def _union_target(model, bits: int) -> int:
+    # the union of the atoms of bits; total ignorance if bits is void or that union is empty
+    target = model.frame._atoms_union(bits) if bits else 0
+    return target if target & ~model.constrained else model.frame.full_bits
 
 
 def _redistribute(result: MassFunction, route, allow_conflict=False) -> MassFunction:
     """Keep the non-conflicting terms and send each conflicting term's mass
-    to the ``[(target mask, share)]`` that ``route(term)`` names."""
+    to the ``[(target mask, share)]`` that ``route(term mask)`` names."""
     model = result.model
     visible = ~model.constrained
     out = {bits: v for bits, v in result._masses.items() if bits & visible}
     for bits, v in result._masses.items():
         if not bits & visible:
-            for target, share in route(model._prop(bits)):
+            for target, share in route(bits):
                 out[target] = out.get(target, 0.0) + v * share
     return MassFunction._of_masks(model, out.items(), allow_conflict)
 
@@ -88,12 +85,12 @@ def transfer_dempster(result: MassFunction) -> MassFunction:
 
 def transfer_smets(result: MassFunction) -> MassFunction:
     """Pool all conflicting mass on the empty proposition (open world)."""
-    return _redistribute(result, lambda p: [(0, 1.0)], allow_conflict=True)
+    return _redistribute(result, lambda bits: [(0, 1.0)], allow_conflict=True)
 
 
 def transfer_yager(result: MassFunction) -> MassFunction:
     """Move all conflicting mass to total ignorance."""
-    return _redistribute(result, lambda p: [(result.model.frame.full_bits, 1.0)])
+    return _redistribute(result, lambda bits: [(result.model.frame.full_bits, 1.0)])
 
 
 def transfer_union(result: MassFunction) -> MassFunction:
@@ -102,7 +99,7 @@ def transfer_union(result: MassFunction) -> MassFunction:
     Serves both the Dubois-Prade and the hybrid DSm rules.  Falls back
     to total ignorance when even that union is empty under the model.
     """
-    return _redistribute(result, lambda p: [(_union_target(result.model, p), 1.0)])
+    return _redistribute(result, lambda bits: [(_union_target(result.model, bits), 1.0)])
 
 
 def transfer_sdli(result: MassFunction, columns: ColumnSums | None) -> MassFunction:
@@ -118,14 +115,14 @@ def transfer_sdli(result: MassFunction, columns: ColumnSums | None) -> MassFunct
     if columns.model != result.model:
         raise ValidationError("column sums use a different model")
 
-    def route(p):
-        if not p.is_void:
-            parties = [g.bits for g in p.conflict_parties()]
+    def route(bits):
+        if bits:
+            parties = result.model.frame._parties(bits)
             weights = [columns.value(g) for g in parties]
             total = sum(weights)
             if total > 0.0:
                 return [(g, w / total) for g, w in zip(parties, weights) if w]
-        return [(_union_target(result.model, p), 1.0)]
+        return [(_union_target(result.model, bits), 1.0)]
 
     return _redistribute(result, route)
 
@@ -144,7 +141,7 @@ def sdli2(m1: MassFunction, m2: MassFunction) -> MassFunction:
     model = m1.model
     focal = sorted(set(m1.focal()) | set(m2.focal()), key=lambda p: p.bits)
     col = {p: m1.mass(p) + m2.mass(p) for p in focal}
-    out: dict[Proposition, float] = {}
+    out = {}
     for x, mx in m1.items():
         for y, my in m2.items():
             z = x & y

@@ -43,16 +43,19 @@ def cases():
                        [command, str(path), *args])
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _sha256(stream: io.TextIOWrapper) -> str:
+    stream.flush()
+    return hashlib.sha256(stream.buffer.getvalue()).hexdigest()
 
 
 def run_case(argv) -> dict:
-    """Run the CLI in-process; its exit code and output digests."""
-    out, err = io.StringIO(), io.StringIO()
+    """Run the CLI in-process; its exit code and the digests of the bytes
+    it wrote.  The streams encode as a console's do, so text the console
+    cannot take fails here too."""
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return {"exit": code, "stdout": _sha256(out.getvalue()), "stderr": _sha256(err.getvalue())}
+    return {"exit": code, "stdout": _sha256(out), "stderr": _sha256(err)}
 
 
 def write() -> None:

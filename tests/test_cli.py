@@ -542,3 +542,29 @@ def test_module_entry_point_usage_error():
     assert run.returncode == 2
     assert run.stdout == b""
     assert run.stderr.startswith(b"usage: evfuse")
+
+
+def _named_scenario(path, masses):
+    # one source named by a lone surrogate: legal JSON, not encodable text
+    doc = {"frame": ["A", "B"], "model": "exclusive", "rule": "dempster",
+           "sources": [{"name": "\ud800", "masses": masses}]}
+    path.write_text(json.dumps(doc), encoding="ascii")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, code, stream, want", [
+    (["stream", "good"], 0, "stdout", b"step 1: \\ud800\n"),
+    (["stream", "good", "--output", "json"], 0, "stdout", b'"source": "\\ud800"'),
+    (["fuse", "bad"], 2, "stderr", b"error: sources[0] (\\ud800): masses sum to"),
+    (["fuse", os.fsdecode(b"missing\xff.json")], 2, "stderr", b"error: missing\\udcff.json: "),
+], ids=["stream", "stream-json", "fuse-error", "missing-path"])
+def test_module_escapes_text_that_is_not_utf8(tmp_path, argv, code, stream, want):
+    # each used to raise UnicodeEncodeError mid-output and exit 1
+    paths = {"good": _named_scenario(tmp_path / "good.json", {"A": 0.6, "A|B": 0.4}),
+             "bad": _named_scenario(tmp_path / "bad.json", {"A": 0.6, "A|B": 0.9})}
+    run = run_module(*(paths.get(arg, arg) for arg in argv))
+    assert run.returncode == code
+    assert want in getattr(run, stream)
+    assert b"Traceback" not in run.stderr
+    if "json" in argv:  # the escape keeps the output valid JSON
+        assert json.loads(run.stdout)["steps"][0]["source"] == "\ud800"

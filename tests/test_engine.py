@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from evfuse import (
+    ColumnSums,
     Frame,
     FusionState,
     MassFunction,
@@ -55,6 +56,21 @@ def test_initial_prune_bounds(exclusive):
         FusionState.initial(exclusive, prune_epsilon=1.0)
     with pytest.raises(ValidationError):
         FusionState.initial(exclusive, prune_epsilon=-0.1)
+
+
+@pytest.mark.parametrize("prune_epsilon", [1.5, float("nan")])
+def test_constructor_prune_bounds(exclusive, prune_epsilon):
+    # 1.5 used to fail only at the next fuse ("pruning threshold removed
+    # every term"); NaN compared false and silently turned pruning off
+    with pytest.raises(ValidationError, match=r"prune_epsilon must lie in \[0, 1\)"):
+        FusionState(vbf(exclusive), ColumnSums.empty(exclusive), prune_epsilon)
+
+
+def test_constructor_rejects_columns_of_another_model(exclusive, free, m1):
+    # the yager snapshot of such a state used to succeed
+    accumulator = FusionState.initial(exclusive).fuse(m1).accumulator
+    with pytest.raises(ValidationError, match="column sums use a different model"):
+        FusionState(accumulator, ColumnSums.empty(free))
 
 
 def test_first_fuse_adopts_source(exclusive, m1):
@@ -144,26 +160,6 @@ def test_fold_keeps_prune_epsilon(exclusive, frame):
     assert folded.prune_epsilon == 0.05
     assert folded == FusionState.initial(exclusive, prune_epsilon=0.05).fuse(a).fuse(a)
     assert all(v >= 0.05 for _, v in folded.accumulator.items())
-
-
-@pytest.mark.parametrize("prune_epsilon", [0.0, 0.02])
-def test_fuse_keeps_the_terms_it_shares(prune_epsilon):
-    # a stored term that survives a fold is the same object afterwards,
-    # so its cached decomposition survives with it
-    rng = random.Random(f"identity/{prune_epsilon}")
-    shared = 0
-    for _ in range(5):
-        model = random_model(rng, n=4)
-        state = FusionState.initial(model, prune_epsilon)
-        for m in random_sources(rng, model, 5):
-            successor = state.fuse(m)
-            before = {p.bits: p for p in state.accumulator.terms}
-            for p in successor.accumulator.terms:
-                if p.bits in before:
-                    assert p is before[p.bits], p
-                    shared += 1
-            state = successor
-    assert shared
 
 
 # batch -------------------------------------------------------------------------------

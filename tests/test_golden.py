@@ -2,12 +2,19 @@
 
 ``tests/golden/cli.json`` holds the exit code and the sha256 of stdout
 and of stderr of 280 CLI runs; ``tests/golden/make.py`` lists the runs
-and rewrites the file when an output change is intended.
+and rewrites the file when an output change is intended.  Mutations of
+the same scenarios must still map to a documented exit code.
 """
 
+import copy
+import functools
 import importlib.util
 import json
+import math
+import operator
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 _MAKE = Path(__file__).resolve().parent / "golden" / "make.py"
 _spec = importlib.util.spec_from_file_location("golden_make", _MAKE)
@@ -22,3 +29,52 @@ def test_cli_output_matches_golden():
     for case_id, argv in cases:
         got = make.run_case(argv)
         assert got == golden[case_id], f"first mismatch: evfuse {case_id}: {got} != {golden[case_id]}"
+
+
+# every mutated scenario exits with a documented code --------------------------
+
+_DOCS = [json.loads(path.read_text(encoding="utf-8")) for path in make.SCENARIOS]
+_WRONG_TYPES = [None, True, 1, 0.5, "A", [], ["A"], {}, {"A": 1}]
+_NUMBERS = [math.nan, math.inf, -math.inf, 10**399, -(10**399)]  # 10**399 has 400 digits
+_TEXT_EDITS = {
+    "surrogate": lambda text: text + "\ud800",
+    "parentheses": lambda text: "(" * 150 + text + ")" * 150,
+}
+
+
+def _places(node, path=()):
+    # the path to every value below node
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _places(child, path + (key,))
+
+
+def _mutated(data):
+    """A copy of a golden scenario with one value or key mutated."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(_DOCS)))
+    *path, key = data.draw(st.sampled_from(list(_places(doc))))
+    parent = functools.reduce(operator.getitem, path, doc)
+    old = parent[key]
+    kind = data.draw(st.sampled_from(["type", "number", "unknown key", *_TEXT_EDITS]))
+    if kind == "type":
+        parent[key] = data.draw(st.sampled_from([v for v in _WRONG_TYPES if type(v) is not type(old)]))
+    elif kind == "number":
+        parent[key] = data.draw(st.sampled_from(_NUMBERS))
+    elif kind == "unknown key":
+        (old if isinstance(old, dict) else doc)["unknown"] = 1
+    elif isinstance(parent, dict) and data.draw(st.booleans()):
+        parent[_TEXT_EDITS[kind](key)] = parent.pop(key)
+    else:
+        parent[key] = _TEXT_EDITS[kind](old if isinstance(old, str) else "")
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_mutated_scenario_exits_with_a_documented_code(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(_mutated(data)), encoding="ascii")
+    command, *output = data.draw(st.sampled_from(make.COMMANDS))
+    assert make.run_case([command, str(path), *output])["exit"] in (0, 1, 2, 3)

@@ -352,7 +352,7 @@ def test_kernel_matches_reference_exhaustive(n, masks, elements):
         support = 0
         for m in ref_minimal_minterms(frame, p.bits):
             support |= m
-        for _ in range(2):  # the second call is served from the proposition's cache
+        for _ in range(2):  # the second call is served from the frame's memo
             assert list(p.conflict_parties()) == want, p
             assert p.atoms_union() == union_of_atoms(free, support), p
 

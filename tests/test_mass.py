@@ -25,6 +25,7 @@ from evfuse import (
 from support import (
     COLUMNS_12,
     COLUMNS_123,
+    GOLDEN_ATOMS,
     GOLDEN_LINES,
     UNION_12,
     as_text_dict,
@@ -221,6 +222,13 @@ def test_column_sums_reject_a_negative_or_non_finite_total(exclusive_ab, value):
     with pytest.raises(ValidationError, match="on A is negative or non-finite"):
         ColumnSums(exclusive_ab, {a: value, b: 2.0}, 2)
 
+@pytest.mark.parametrize("count", [-3, 1.0, True, "2"])
+def test_column_sums_reject_a_bad_source_count(exclusive_ab, count):
+    # -3 used to be stored and reported as the state's source_count
+    with pytest.raises(ValidationError, match="source_count must be an int >= 0"):
+        ColumnSums(exclusive_ab, {}, count)
+
+
 # belief and plausibility ---------------------------------------------------------
 
 def test_belief_self_inclusion(exclusive, frame):
@@ -334,8 +342,7 @@ def _assert_views_agree(m: MassFunction):
     assert bits == sorted(set(bits))
     assert all(isinstance(p, Proposition) and p.frame == m.frame for p in props)
     assert list(m.terms.items()) == items
-    assert all(p is q for p, q in zip(m.terms, props))
-    assert all(p is q for p, q in zip(m.focal(), props)) and len(m.focal()) == len(m) == len(items)
+    assert list(m.focal()) == props and len(m.focal()) == len(m) == len(items)
     # the same bits on a separately built twin frame are the same
     # proposition; on a frame with other atom names they are not
     twin = Frame(m.frame.atoms)
@@ -388,37 +395,6 @@ def test_views_agree_on_sources_and_snapshots(line, kind, count, epsilon):
     assert cols.value(0) == 0.0 and len(cols.sums) == len({p.bits for m in sources for p in m.focal()})
 
 
-# one Proposition per mask, held by the model --------------------------------------------
-
-@pytest.mark.parametrize("line,kind,count,epsilon", GOLDEN_LINES, ids=[g[0] for g in GOLDEN_LINES])
-def test_views_hand_out_one_proposition_per_mask(line, kind, count, epsilon):
-    model = golden_model(kind)
-    seen = {}
-
-    def see(props):
-        for p in props:
-            assert seen.setdefault(p.bits, p) is p, p
-
-    state = FusionState.initial(model, epsilon)
-    for source in golden_sources(line, model, 30):
-        see(source.focal())
-        state = state.fuse(source)
-        see(state.accumulator.terms)
-        see(state.columns.sums)
-        for rule in Rule:
-            try:
-                see(p for p, _ in state.snapshot(rule).items())
-            except TotalConflictError:
-                pass
-    assert all(p is model._prop(bits) for bits, p in seen.items())
-    # the sdli route decomposed the model's objects, so their cached
-    # parties outlive the states that held them
-    visible = ~model.constrained
-    conflicting = [p for p in state.accumulator.terms if p.bits and not p.bits & visible]
-    assert bool(conflicting) == bool(model.constrained)
-    assert all("_conflict_parties" in p.__dict__ for p in conflicting)
-
-
 def test_an_equal_twin_model_hands_out_its_own_propositions():
     model = golden_model("ring")
     twin = Model(Frame(model.frame.atoms), model.constrained)
@@ -429,12 +405,31 @@ def test_an_equal_twin_model_hands_out_its_own_propositions():
         assert states[0].snapshot(rule) == states[1].snapshot(rule)
     for m, state in zip((model, twin), states):
         for p in state.accumulator.terms:
-            assert p.frame is m.frame and p is m._prop(p.bits)
+            assert p.frame is m.frame
             if p.bits:
                 assert all(g.frame is m.frame for g in p.conflict_parties())
                 assert p.atoms_union().frame is m.frame
-    ours, theirs = ({id(p) for p in s.accumulator.terms} for s in states)
-    assert not ours & theirs
+
+
+def _hex_snapshots(state):
+    return {rule: [(p.bits, v.hex()) for p, v in state.snapshot(rule).items()]
+            for rule in (Rule.SDLI, Rule.DUBOIS_PRADE)}
+
+
+@pytest.mark.parametrize("first,second", [("exclusive", "ring"), ("ring", "exclusive")])
+def test_one_frames_memos_serve_every_model_on_it(first, second):
+    # the frame memoises decompositions by mask alone, so a line folded
+    # under one model reads entries another model on that frame wrote
+    shared = Frame(GOLDEN_ATOMS)
+    earlier = Model(shared, golden_model(first).constrained)
+    _hex_snapshots(FusionState.initial(earlier).fold(golden_sources(first, earlier, 40)))
+    filled = set(shared._party_memo) | set(shared._union_memo)
+    later = Model(shared, golden_model(second).constrained)
+    states = [FusionState.initial(m).fold(golden_sources(second, m, 40))
+              for m in (later, golden_model(second))]
+    assert _hex_snapshots(states[0]) == _hex_snapshots(states[1])
+    visible = ~later.constrained
+    assert {bits for bits in states[0].accumulator._masses if not bits & visible} & filled
 
 
 def _dropped_line(kind):

@@ -12,7 +12,6 @@ from evfuse import (
     FusionState,
     MassFunction,
     Model,
-    Proposition,
     Rule,
     TotalConflictError,
     ValidationError,
@@ -180,34 +179,6 @@ def test_conjunctive_matches_reference(build, n):
             assert_same_terms(conjunctive(x, y), want)
             merged += len(want) < len(x.items()) * len(y.items())
     assert merged  # some products landed on one key
-
-
-def renewed(m):
-    # the same source on new Proposition objects
-    return MassFunction(m.model, [(Proposition(p.frame, p.bits), v) for p, v in m.items()])
-
-
-@pytest.mark.parametrize("build", [Model.free, Model.exclusive, ring_model],
-                         ids=["free", "exclusive", "ring"])
-def test_conjunctive_reuses_operand_propositions(build):
-    rng = random.Random("conjunctive/reuse")
-    model = build(Frame(("A", "B", "C", "D")))
-    reused = 0
-    for _ in range(4):
-        pool = random_pool(rng, model, 6)
-        a, b, c, d = (renewed(random_source(rng, model, pool)) for _ in range(4))
-        ab = conjunctive(a, b)
-        abc = conjunctive(ab, c)
-        for x, y in [(a, b), (ab, c), (abc, d)]:
-            # a mask an operand holds is the same object in the product:
-            # the model's one Proposition per mask
-            props = {q.bits: q for q, _ in y.items()}
-            props.update((q.bits, q) for q, _ in x.items())
-            for p in conjunctive(x, y).terms:
-                if p.bits in props:
-                    assert p is props[p.bits], p
-                    reused += 1
-    assert reused
 
 
 def test_conjunctive_merges_products_on_one_key(exclusive, frame):
