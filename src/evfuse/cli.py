@@ -37,10 +37,11 @@ class ScenarioError(ValidationError):
 
 @dataclass
 class Scenario:
-    model: Model
-    sources: list[tuple[str, MassFunction]]
+    """A loaded scenario: its start state, its sources' names and masses in order, its rule."""
+    start: FusionState
+    names: list[str]
+    masses: list[MassFunction]
     rule: Rule
-    prune_epsilon: float
 
 
 def _fail(field: str, problem: str):
@@ -93,7 +94,7 @@ def scenario_from_dict(doc) -> Scenario:
     raw_sources = doc.get("sources")
     if not isinstance(raw_sources, list) or not raw_sources:
         _fail("sources", "must be a non-empty list")
-    sources: list[tuple[str, MassFunction]] = []
+    names, sources = [], []
     for i, entry in enumerate(raw_sources):
         if not isinstance(entry, dict):
             _fail(f"sources[{i}]", "must be an object with 'name' and 'masses'")
@@ -120,7 +121,8 @@ def scenario_from_dict(doc) -> Scenario:
             mass = MassFunction(model, assignments)
         except ValidationError as exc:
             _fail(f"sources[{i}] ({name})", str(exc))
-        sources.append((name, mass))
+        names.append(name)
+        sources.append(mass)
 
     prune = doc.get("prune_epsilon", 0.0)
     if not isinstance(prune, (int, float)) or isinstance(prune, bool) or not 0.0 <= prune < 1.0:
@@ -128,7 +130,7 @@ def scenario_from_dict(doc) -> Scenario:
 
     _reject_unknown(doc, {"frame", "model", "rule", "sources", "prune_epsilon"}, "", "scenario")
 
-    return Scenario(model, sources, rule, float(prune))
+    return Scenario(FusionState.initial(model, float(prune)), names, sources, rule)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -142,10 +144,6 @@ def load_scenario(path: str) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from None
     return scenario_from_dict(doc)
-
-
-def _initial(scenario: Scenario) -> FusionState:
-    return FusionState.initial(scenario.model, scenario.prune_epsilon)
 
 
 def _rows(mass_like) -> list[tuple[str, float]]:
@@ -167,14 +165,14 @@ def _emit_json(payload) -> None:
 
 
 def cmd_fuse(scenario: Scenario, rule: Rule, output: str) -> int:
-    state = _initial(scenario).fold(m for _, m in scenario.sources)
+    state = scenario.start.fold(scenario.masses)
     return _report(rule, output, [(None, state.accumulator.conflict_mass(),
                                    _rows(state.snapshot(rule)))])
 
 
 def cmd_stream(scenario: Scenario, rule: Rule, output: str) -> int:
-    state, steps = _initial(scenario), []
-    for name, mass in scenario.sources:
+    state, steps = scenario.start, []
+    for name, mass in zip(scenario.names, scenario.masses):
         state = state.fuse(mass)
         steps.append((name, state.accumulator.conflict_mass(), _rows(state.snapshot(rule))))
     return _report(rule, output, steps, with_steps=True)
@@ -201,15 +199,17 @@ def _report(rule: Rule, output: str, steps, with_steps: bool = False) -> int:
 
 
 def _orderings(count: int, trials: int, seed: int):
+    """Every ordering of ``count`` sources if there are at most ORDERINGS_CAP,
+    else the identity and ``trials`` seeded shuffles; drawn one at a time."""
     if math.factorial(count) <= ORDERINGS_CAP:
-        return list(permutations(range(count)))
+        yield from permutations(range(count))
+        return
     rng = random.Random(seed)
-    orders = [tuple(range(count))]
+    yield tuple(range(count))
     for _ in range(trials):
         order = list(range(count))
         rng.shuffle(order)
-        orders.append(tuple(order))
-    return orders
+        yield tuple(order)
 
 
 def _worst_refold(scenario: Scenario, rule: Rule, source_lists) -> float:
@@ -220,8 +220,8 @@ def _worst_refold(scenario: Scenario, rule: Rule, source_lists) -> float:
     is refolded only from the first source (by identity) where it leaves
     the previous list; ``states[k]`` holds the state after k sources.
     """
-    baseline = _initial(scenario).fold(m for _, m in scenario.sources).snapshot(rule)
-    states, previous, worst = [_initial(scenario)], [], 0.0
+    baseline = scenario.start.fold(scenario.masses).snapshot(rule)
+    states, previous, worst = [scenario.start], [], 0.0
     for masses in source_lists:
         masses = list(masses)
         k = 0
@@ -236,7 +236,7 @@ def _worst_refold(scenario: Scenario, rule: Rule, source_lists) -> float:
 
 
 def _check_permutation(scenario: Scenario, rule: Rule, trials: int, seed: int) -> float | None:
-    masses = [m for _, m in scenario.sources]
+    masses = scenario.masses
     if len(masses) < 2:
         return None  # one source has one ordering, the scenario's own
     orders = _orderings(len(masses), trials, seed)
@@ -244,11 +244,11 @@ def _check_permutation(scenario: Scenario, rule: Rule, trials: int, seed: int) -
 
 
 def _check_markov(scenario: Scenario, *_) -> float | None:
-    masses = [m for _, m in scenario.sources]
+    masses = scenario.masses
     if len(masses) < 2:
         return None  # no prefix of two or more sources to compare
     worst = 0.0
-    state = _initial(scenario)
+    state = scenario.start
     for k, mass in enumerate(masses, start=1):
         state = state.fuse(mass)
         if k >= 2:
@@ -259,15 +259,14 @@ def _check_markov(scenario: Scenario, *_) -> float | None:
 
 
 def _check_vbf(scenario: Scenario, rule: Rule, *_) -> float:
-    masses = [m for _, m in scenario.sources]
-    neutral = [vbf(scenario.model)]
+    masses, neutral = scenario.masses, [vbf(scenario.start.model)]
     padded = (masses[:k] + neutral + masses[k:] for k in range(len(masses) + 1))
     return _worst_refold(scenario, rule, padded)
 
 
 def _check_eq7(scenario: Scenario, *_) -> float | None:
-    pairs = combinations([m for _, m in scenario.sources], 2)
-    return max((deviation(sdli2(*pair), _initial(scenario).fold(pair).snapshot(Rule.SDLI))
+    pairs = combinations(scenario.masses, 2)
+    return max((deviation(sdli2(*pair), scenario.start.fold(pair).snapshot(Rule.SDLI))
                 for pair in pairs), default=None)
 
 

@@ -23,17 +23,28 @@ def _entering(model: Model, assignments: Assignments):
         yield prop.bits, value
 
 
-def _validated(model: Model, pairs, allow_conflict: bool) -> dict[int, float]:
-    """The one validation: ``(bits, value)`` pairs to normalised masses by mask, in mask order."""
+def _summed(model: Model, pairs) -> dict[int, float]:
+    """The one value check: ``(bits, value)`` pairs to totals by mask.  Each value
+    must convert to a finite float >= 0; zeros are dropped, repeated masks summed."""
     merged: dict[int, float] = {}
     for bits, value in pairs:
-        value = float(value)
+        try:
+            value = float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            text = Proposition(model.frame, bits).text()
+            raise ValidationError(f"mass on {text} is not a number: {exc}") from None
         if not 0.0 <= value < inf:  # also false for NaN
             problem = "negative" if value < 0.0 else "non-finite"
             text = Proposition(model.frame, bits).text()
             raise ValidationError(f"{problem} mass {value!r} on {text}")
         if value > 0.0:
             merged[bits] = merged.get(bits, 0.0) + value
+    return merged
+
+
+def _validated(model: Model, pairs, allow_conflict: bool) -> dict[int, float]:
+    """The one validation: ``(bits, value)`` pairs to normalised masses by mask, in mask order."""
+    merged = _summed(model, pairs)
     total = sum(merged.values())
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise ValidationError(f"masses sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
@@ -138,10 +149,10 @@ def vbf(model: Model) -> MassFunction:
 
 
 class ColumnSums:
-    """Per-proposition totals of the raw source masses seen so far, kept
-    by minterm mask in mask order.  The constructor takes its keys as
-    :class:`MassFunction` does; totals must be finite and >= 0, and
-    ``source_count`` an int >= 0."""
+    """Per-proposition totals of the raw source masses seen so far, by
+    minterm mask; ``sums`` lists them in mask order.  The constructor takes
+    its keys and totals as :class:`MassFunction` takes its masses, without
+    the sum to 1, and ``source_count`` an int >= 0."""
 
     __slots__ = ("model", "source_count", "_masses")
 
@@ -149,12 +160,7 @@ class ColumnSums:
         if type(source_count) is not int or source_count < 0:
             raise ValidationError(f"source_count must be an int >= 0, got {source_count!r}")
         self.model, self.source_count = model, source_count
-        masses = dict(_entering(model, sums))
-        for bits, v in masses.items():
-            if not 0.0 <= v < inf:  # also false for NaN
-                text = Proposition(model.frame, bits).text()
-                raise ValidationError(f"column sum {v!r} on {text} is negative or non-finite")
-        self._masses = {bits: masses[bits] for bits in sorted(masses)}
+        self._masses = _summed(model, _entering(model, sums))
 
     @classmethod
     def empty(cls, model: Model) -> "ColumnSums":
@@ -162,8 +168,8 @@ class ColumnSums:
 
     @property
     def sums(self) -> dict[Proposition, float]:
-        frame = self.model.frame
-        return {Proposition(frame, bits): v for bits, v in self._masses.items()}
+        frame, masses = self.model.frame, self._masses
+        return {Proposition(frame, bits): masses[bits] for bits in sorted(masses)}
 
     def value(self, bits: int) -> float:
         """The column total of the proposition with minterm mask ``bits``."""
@@ -175,8 +181,6 @@ class ColumnSums:
         merged = dict(self._masses)
         for bits, v in m._masses.items():
             merged[bits] = merged.get(bits, 0.0) + v
-        if len(merged) > len(self._masses):  # kept in mask order; only a new key breaks it
-            merged = {bits: merged[bits] for bits in sorted(merged)}
         out = ColumnSums.__new__(ColumnSums)  # sums of validated sources: no checks to rerun
         out.model, out.source_count, out._masses = self.model, self.source_count + 1, merged
         return out

@@ -10,10 +10,11 @@ against values the package itself produced.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-from evfuse import Frame, FusionState, MassFunction, Model, Proposition, deviation
+from evfuse import Frame, FusionState, MassFunction, Model, Proposition, Rule, deviation
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -213,11 +214,11 @@ def ref_conjunctive(a, b) -> dict[Proposition, float]:
 
 
 # reference column sums and refold ------------------------------------------
-# ColumnSums.add keeps its sums in mask order and re-sorts only when a
-# source brings a new key; cli._worst_refold shares the states of common
-# prefixes between consecutive source lists.  These are the versions
-# that copy and re-sort on every source and refold every list from the
-# initial state; both rewrites must equal them exactly.
+# ColumnSums.add adds into a copy in no particular order and sorts only
+# when read; cli._worst_refold shares the states of common prefixes
+# between consecutive source lists.  These are the versions that copy
+# and re-sort on every source and refold every list from the initial
+# state; both rewrites must equal them exactly.
 
 def ref_column_sums(masses) -> dict[Proposition, float]:
     sums: dict[Proposition, float] = {}
@@ -231,11 +232,82 @@ def ref_column_sums(masses) -> dict[Proposition, float]:
 
 def ref_worst_refold(scenario, rule, source_lists) -> float:
     def initial():
-        return FusionState.initial(scenario.model, scenario.prune_epsilon)
+        return FusionState.initial(scenario.start.model, scenario.start.prune_epsilon)
 
-    baseline = initial().fold(m for _, m in scenario.sources).snapshot(rule)
+    baseline = initial().fold(scenario.masses).snapshot(rule)
     return max(deviation(initial().fold(masses).snapshot(rule), baseline)
                for masses in source_lists)
+
+
+# exact reference fold and transfers -----------------------------------------
+# The stored state and every transfer in Fraction arithmetic on
+# {minterm mask: mass} dicts.  Conflict parties come from
+# ref_conflict_parties and atom unions from ref_minimal_minterms, so no
+# Frame memo and no evfuse.rules code is involved.  An exact product of
+# sources summing to 1 sums to 1, so nothing is renormalised.
+
+def _ref_union(frame: Frame, atoms: int) -> int:
+    # the minterm mask of the union of the atoms in an atom mask
+    return sum(1 << m for m in range(1, 1 << frame.n) if m & atoms)
+
+
+def ref_exact_state(masses) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    """The exact conjunctive product and column sums of a list of sources."""
+    product: dict[int, Fraction] = {}
+    columns: dict[int, Fraction] = {}
+    for k, m in enumerate(masses):
+        source = {p.bits: Fraction(v) for p, v in m.items()}
+        for bits, v in source.items():
+            columns[bits] = columns.get(bits, 0) + v
+        if k == 0:
+            product = source
+            continue
+        out: dict[int, Fraction] = {}
+        for x, mx in product.items():
+            for y, my in source.items():
+                out[x & y] = out.get(x & y, 0) + mx * my
+        product = out
+    return product, columns
+
+
+def ref_exact_snapshot(rule, model: Model, product, columns) -> dict[int, Fraction] | None:
+    """The exact snapshot of a stored product under a rule, by mask; None
+    where Dempster's rule is undefined because every term is in conflict."""
+    rule, frame, visible = Rule(rule), model.frame, ~model.constrained
+    full = frame.total_ignorance().bits
+    if rule in (Rule.CONJUNCTIVE, Rule.DSM_CLASSIC):
+        return dict(product)
+    kept = {bits: v for bits, v in product.items() if bits & visible}
+    if rule is Rule.DEMPSTER:
+        total = sum(kept.values())
+        return {bits: v / total for bits, v in kept.items()} if total else None
+
+    def union_target(bits):
+        atoms = 0
+        for m in ref_minimal_minterms(frame, bits):
+            atoms |= m
+        target = _ref_union(frame, atoms)
+        return target if target & visible else full
+
+    def route(bits):
+        if rule is Rule.SMETS:
+            return [(0, 1)]
+        if rule is Rule.YAGER or not bits:
+            return [(full, 1)]
+        if rule is Rule.SDLI:
+            parties = [_ref_union(frame, atoms) for atoms in ref_conflict_parties(frame, bits)]
+            weights = [columns.get(g, 0) for g in parties]
+            total = sum(weights)
+            if total:
+                return [(g, w / total) for g, w in zip(parties, weights) if w]
+        return [(union_target(bits), 1)]
+
+    out = dict(kept)
+    for bits, v in product.items():
+        if not bits & visible:
+            for target, share in route(bits):
+                out[target] = out.get(target, 0) + v * share
+    return out
 
 
 # seeded fusion lines for the library-level golden record -----------------

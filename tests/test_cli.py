@@ -6,11 +6,12 @@ import os
 import random
 import subprocess
 import sys
-from itertools import permutations
+import tracemalloc
+from itertools import islice, permutations
 
 import pytest
 
-from evfuse import MassFunction, Model, Rule, sdli2, vbf
+from evfuse import FusionState, MassFunction, Model, Rule, sdli2, vbf
 from evfuse.cli import (
     CHECKS,
     Scenario,
@@ -117,9 +118,9 @@ def test_fuse_json_round_trips_as_source(capsys, tmp_path):
     main(["fuse", THREE, "--output", "json"])
     payload = json.loads(capsys.readouterr().out)
     scenario = load_scenario(THREE)
-    frame = scenario.model.frame
+    frame = scenario.start.model.frame
     rebuilt = MassFunction(
-        scenario.model,
+        scenario.start.model,
         [(frame.parse(expr), v) for expr, v in payload["masses"].items()],
     )
     assert rebuilt.is_input_valid()
@@ -166,7 +167,7 @@ def test_fuse_sixteen_atom_sdli_matches_closed_formula(capsys, tmp_path):
     path = write_scenario(tmp_path, doc)
     assert main(["fuse", path, "--output", "json"]) == 0
     masses = json.loads(capsys.readouterr().out)["masses"]
-    (_, m1), (_, m2) = load_scenario(path).sources
+    m1, m2 = load_scenario(path).masses
     want = {p.text(): v for p, v in sdli2(m1, m2).items()}
     assert masses.keys() == want.keys()
     for expr, value in want.items():
@@ -300,18 +301,19 @@ def test_verify_seeded_random_scenario(capsys, tmp_path):
 
 def random_scenario(rng, count):
     model = random_model(rng, n=4)
-    sources = [(f"s{i + 1}", m) for i, m in enumerate(random_sources(rng, model, count))]
-    return Scenario(model, sources, Rule.SDLI, 0.0)
+    names = [f"s{i + 1}" for i in range(count)]
+    start = FusionState.initial(model, 0.0)
+    return Scenario(start, names, random_sources(rng, model, count), Rule.SDLI)
 
 
 def padded_lists(scenario):
-    masses = [m for _, m in scenario.sources]
-    neutral = [vbf(scenario.model)]
+    masses = scenario.masses
+    neutral = [vbf(scenario.start.model)]
     return [masses[:k] + neutral + masses[k:] for k in range(len(masses) + 1)]
 
 
 def ordered_lists(scenario, orders):
-    masses = [m for _, m in scenario.sources]
+    masses = scenario.masses
     return [[masses[i] for i in order] for order in orders]
 
 
@@ -320,7 +322,7 @@ def test_worst_refold_matches_reference(rule):
     rng = random.Random(f"refold/{rule}")
     six, eight = random_scenario(rng, 6), random_scenario(rng, 8)
     pruned = scenario_from_dict(pruned_doc())
-    masses = [m for _, m in six.sources]
+    masses = six.masses
     cases = [
         (six, ordered_lists(six, permutations(range(6)))),  # all 720 orderings
         (eight, ordered_lists(eight, _orderings(8, 100, 0))),  # sampled orderings
@@ -335,6 +337,24 @@ def test_worst_refold_matches_reference(rule):
         assert _worst_refold(scenario, rule, lists) == ref_worst_refold(scenario, rule, lists)
     lists = ordered_lists(pruned, permutations(range(3)))
     assert _worst_refold(pruned, rule, lists) > CHECKS["permutation"][0]
+
+
+def test_sampled_orderings_are_drawn_lazily():
+    # a list of every ordering took about 112 bytes per trial before the
+    # first refold: 11 MB here, about 11 GB for 100 000 000 trials
+    rng, want = random.Random(0), [tuple(range(8))]
+    for _ in range(9):
+        order = list(range(8))
+        rng.shuffle(order)
+        want.append(tuple(order))
+    tracemalloc.start()
+    try:
+        first = list(islice(_orderings(8, 100_000, 0), 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == want
+    assert peak < 1_000_000
 
 
 # scenario validation ---------------------------------------------------------------
@@ -461,7 +481,7 @@ def test_scenario_pair_model(tmp_path, capsys):
 
 def test_load_scenario_returns_sources_in_order():
     scenario = load_scenario(FOUR)
-    assert [name for name, _ in scenario.sources] == ["m1", "m2", "m3", "m4"]
+    assert scenario.names == ["m1", "m2", "m3", "m4"]
     assert scenario.rule.value == "dsm_hybrid"
     with pytest.raises(ScenarioError):
         load_scenario(str(SCENARIO_DIR))  # a directory, not a file

@@ -1,9 +1,11 @@
 """The stored-state engine: streaming, snapshots, order invariance."""
 
 import random
-from itertools import permutations
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evfuse import (
     ColumnSums,
@@ -36,6 +38,8 @@ from support import (
     random_mass,
     random_model,
     random_sources,
+    ref_exact_snapshot,
+    ref_exact_state,
 )
 
 ALL_RULES = list(Rule)
@@ -302,6 +306,68 @@ def test_negative_control_chaining_differs(exclusive, m1, m2, m3):
         assert deviation(chained, engine) > 1e-3
     chained_yager = combine2(Rule.YAGER, combine2(Rule.YAGER, m1, m2), m3)
     assert_masses(chained_yager, YAGER_CHAINED_123)
+
+
+# the float engine against the exact reference ------------------------------------------
+# Every float step adds or multiplies positive numbers or divides by a
+# positive total, so rounding errors only add up, about 2**-53 relative
+# per step.  With at most 12 folds of at most 4 focal sets, a few
+# hundred products summed into one term per fold, and one transfer,
+# that stays below 1e-12; the bound below was fixed before the first run.
+EXACT_RELATIVE_BOUND = 1e-11
+
+
+@st.composite
+def exact_lines(draw):
+    """A model on 3-5 atoms (free, exclusive or some exclusive pairs) and
+    1-12 sources of 1-4 focal sets each, with masses k/64."""
+    n = draw(st.integers(3, 5))
+    frame = Frame(("A", "B", "C", "D", "E")[:n])
+    kind = draw(st.sampled_from(("free", "exclusive", "pairs")))
+    if kind == "pairs":
+        pairs = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                              min_size=1, max_size=n, unique=True))
+        model = Model.with_exclusions(frame, pairs)
+    else:
+        model = Model.free(frame) if kind == "free" else Model.exclusive(frame)
+
+    def focal():
+        # a union of 1-3 intersections of atoms, widened by an atom when
+        # the model leaves nothing of it
+        p = frame.empty()
+        for _ in range(draw(st.integers(1, 3))):
+            term = frame.total_ignorance()
+            for i in range(n):
+                if draw(st.booleans()):
+                    term = term & frame.atom(i)
+            p = p | term
+        return p | frame.atom(draw(st.integers(0, n - 1))) if model.is_empty(p) else p
+
+    sources = []
+    for _ in range(draw(st.integers(1, 12))):
+        count = draw(st.integers(1, 4))
+        cuts = sorted(draw(st.sets(st.integers(1, 63), min_size=count - 1, max_size=count - 1)))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, 64])]
+        sources.append(MassFunction(model, [(focal(), k / 64) for k in parts]))
+    return model, sources
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_lines())
+def test_every_rule_matches_the_exact_reference(line):
+    model, sources = line
+    state = FusionState.initial(model).fold(sources)
+    product, columns = ref_exact_state(sources)
+    for rule in Rule:
+        want = ref_exact_snapshot(rule, model, product, columns)
+        if want is None:
+            with pytest.raises(TotalConflictError):
+                state.snapshot(rule)
+            continue
+        got = {p.bits: v for p, v in state.snapshot(rule).items()}
+        assert got.keys() == want.keys(), rule
+        for bits, exact in want.items():
+            assert abs(Fraction(got[bits]) - exact) <= EXACT_RELATIVE_BOUND * exact, (rule, bits)
 
 
 # pruning (approximation flag) --------------------------------------------------------

@@ -219,8 +219,35 @@ def test_column_sums_reject_a_negative_or_non_finite_total(exclusive_ab, value):
     # -1.0 on A with 2.0 on B used to surface only at snapshot time, as
     # "negative mass -0.25 on A" from an sdli snapshot
     a, b = exclusive_ab.frame.atom("A"), exclusive_ab.frame.atom("B")
-    with pytest.raises(ValidationError, match="on A is negative or non-finite"):
+    with pytest.raises(ValidationError, match=r"^(negative|non-finite) mass \S+ on A$"):
         ColumnSums(exclusive_ab, {a: value, b: 2.0}, 2)
+
+
+@pytest.mark.parametrize("value", [None, [1], 10**400, "half"],
+                         ids=["None", "list", "10**400", "half"])
+def test_a_value_that_is_not_a_number_is_a_validation_error(exclusive_ab, value):
+    # float() raised TypeError on None and [1], OverflowError on 10**400
+    # and ValueError on "half"; ColumnSums raised TypeError on each
+    a, b = exclusive_ab.frame.atom("A"), exclusive_ab.frame.atom("B")
+    with pytest.raises(ValidationError, match="^mass on A is not a number: "):
+        MassFunction(exclusive_ab, {a: value, b: 0.5})
+    with pytest.raises(ValidationError, match="^mass on A is not a number: "):
+        ColumnSums(exclusive_ab, {a: value, b: 0.5}, 1)
+
+
+@pytest.mark.parametrize("pairs, want", [
+    ([("A", 0.3), ("A", 0.4)], {"A": 0.7}),  # a repeated key kept only its last total
+    ([("A", True)], {"A": 1.0}),  # True was stored as is
+    ([("A", "0.5")], {"A": 0.5}),  # a numeral string raised TypeError
+    ([("A", 0.0), ("B", 1.5)], {"B": 1.5}),  # a zero total was kept
+])
+def test_column_sums_take_values_as_mass_functions_do(exclusive_ab, pairs, want):
+    frame = exclusive_ab.frame
+    cols = ColumnSums(exclusive_ab, [(frame.parse(e), v) for e, v in pairs], 2)
+    got = {p.text(): v for p, v in cols.sums.items()}
+    assert got == want and all(type(v) is float for v in got.values())
+    assert all(cols.value(frame.parse(e).bits) == v for e, v in want.items())
+
 
 @pytest.mark.parametrize("count", [-3, 1.0, True, "2"])
 def test_column_sums_reject_a_bad_source_count(exclusive_ab, count):
