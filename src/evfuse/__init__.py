@@ -21,7 +21,7 @@ from .rules import (
     transfer_union,
     transfer_yager,
 )
-from .engine import FusionState, batch, oracle_conjunctive
+from .engine import FusionState, oracle_conjunctive
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "TotalConflictError",
     "ValidationError",
     "apply_transfer",
-    "batch",
     "column_sums",
     "combine2",
     "conjunctive",

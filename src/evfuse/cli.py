@@ -264,8 +264,17 @@ def _check_vbf(scenario: Scenario, rule: Rule, *_) -> float:
     return _worst_refold(scenario, rule, padded)
 
 
+def _closed_form_applies(model: Model, m1: MassFunction, m2: MassFunction) -> bool:
+    # every conflicting product comes from two unions of atoms, which are
+    # then its conflict parties; a union of atoms has one-atom minimal regions
+    visible, minimal = ~model.constrained, model.frame._minimal
+    return all(r & (r - 1) == 0 for x in m1._masses for y in m2._masses
+               if not x & y & visible for r in minimal(x) + minimal(y))
+
+
 def _check_eq7(scenario: Scenario, *_) -> float | None:
-    pairs = combinations(scenario.masses, 2)
+    model = scenario.start.model
+    pairs = (p for p in combinations(scenario.masses, 2) if _closed_form_applies(model, *p))
     return max((deviation(sdli2(*pair), scenario.start.fold(pair).snapshot(Rule.SDLI))
                 for pair in pairs), default=None)
 

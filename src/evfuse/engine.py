@@ -35,7 +35,11 @@ class FusionState:
     prune_epsilon: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.prune_epsilon < 1.0:  # also false for NaN
+        try:
+            valid = 0.0 <= self.prune_epsilon < 1.0  # also false for NaN
+        except TypeError:  # not a number: a string, None, a list
+            valid = False
+        if not valid:
             raise ValidationError("prune_epsilon must lie in [0, 1)")
         if self.columns.model != self.accumulator.model:
             raise ValidationError("column sums use a different model")
@@ -92,14 +96,6 @@ def _pruned(result: MassFunction, epsilon: float) -> MassFunction:
                                   allow_conflict=True)
 
 
-def batch(model: Model, masses, rule: Rule | str) -> MassFunction:
-    """Fuse a list of sources, then take a single decision snapshot."""
-    masses = list(masses)
-    if not masses:
-        raise ValidationError("need at least one source")
-    return FusionState.initial(model).fold(masses).snapshot(rule)
-
-
 def oracle_conjunctive(masses) -> MassFunction:
     """Direct n-way product with no incremental folding.
 
@@ -113,10 +109,10 @@ def oracle_conjunctive(masses) -> MassFunction:
     if any(m.model != model for m in masses):
         raise ValidationError("sources use different models")
     terms = {}
-    for combo in _cartesian(*(list(m.items()) for m in masses)):
-        prop, weight = combo[0]
-        for p, v in combo[1:]:
-            prop = prop & p
+    for combo in _cartesian(*(m._masses.items() for m in masses)):
+        bits, weight = combo[0]
+        for b, v in combo[1:]:
+            bits &= b
             weight *= v
-        terms[prop] = terms.get(prop, 0.0) + weight
-    return MassFunction(model, terms, allow_conflict=True)
+        terms[bits] = terms.get(bits, 0.0) + weight
+    return MassFunction._of_masks(model, terms.items(), allow_conflict=True)

@@ -196,12 +196,6 @@ class Proposition:
         if not 0 <= self.bits <= self.frame.full_bits:
             raise ValidationError("minterm mask out of range for this frame")
 
-    def __hash__(self) -> int:
-        # Propositions key every mass dict; hashing the frame's atom tuple
-        # on each lookup would cost more than the lookup.  Equal bits on
-        # different frames collide here and are told apart by __eq__.
-        return hash(self.bits)
-
     def __and__(self, other: "Proposition") -> "Proposition":
         _require_same_frame(self.frame, other.frame)
         return Proposition(self.frame, self.bits & other.bits)

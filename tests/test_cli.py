@@ -7,15 +7,18 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from itertools import islice, permutations
+from fractions import Fraction
+from itertools import combinations, islice, permutations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from evfuse import FusionState, MassFunction, Model, Rule, sdli2, vbf
+from evfuse import Frame, FusionState, MassFunction, Model, Rule, sdli2, vbf
 from evfuse.cli import (
     CHECKS,
     Scenario,
     ScenarioError,
+    _closed_form_applies,
     _orderings,
     _worst_refold,
     build_parser,
@@ -32,6 +35,9 @@ from support import (
     UNION_1234,
     random_model,
     random_sources,
+    ref_exact_snapshot,
+    ref_exact_state,
+    ref_minimal_minterms,
     ref_worst_refold,
 )
 
@@ -295,6 +301,92 @@ def test_verify_seeded_random_scenario(capsys, tmp_path):
     }
     path = write_scenario(tmp_path, doc)
     assert main(["verify", path]) == 0
+
+
+# the scope of eq7 ------------------------------------------------------------------
+# The closed formula splits a conflicting product between its two focal
+# sets; the stored state splits it over the product's conflict parties.
+# The two agree where both focal sets are unions of atoms, since those are
+# then the parties, and eq7 compares only source pairs where every
+# conflicting product is of that kind.
+
+def test_eq7_compares_only_pairs_the_closed_formula_covers(capsys, tmp_path):
+    # A-B and B-C exclusive: A&C meets B in conflict, and sdli2 gives
+    # A&C .374, B .506 where the stored route gives A&C .18, B .70
+    sources = [{"name": "meet", "masses": {"A&C": 0.6, "A|B|C": 0.4}},
+               {"name": "b", "masses": {"B": 0.7, "A|B|C": 0.3}},
+               {"name": "a", "masses": {"A": 0.5, "A|B|C": 0.5}}]
+    doc = {"frame": ["A", "B", "C"], "model": {"exclusive_pairs": [["A", "B"], ["B", "C"]]},
+           "rule": "sdli", "sources": sources[:2]}
+    assert main(["verify", write_scenario(tmp_path, doc), "--checks", "eq7"]) == 0
+    assert capsys.readouterr().out == "SKIP eq7\n"
+    doc["sources"] = sources
+    assert main(["verify", write_scenario(tmp_path, doc), "--checks", "eq7"]) == 0
+    assert capsys.readouterr().out.startswith("PASS eq7 ")
+
+
+def ref_closed_form_applies(model, a, b) -> bool:
+    # every conflicting product comes from two unions of atoms
+    frame, visible = model.frame, ~model.constrained
+
+    def union_of_atoms(p):
+        return all(bin(atoms).count("1") == 1 for atoms in ref_minimal_minterms(frame, p.bits))
+
+    return all(union_of_atoms(x) and union_of_atoms(y)
+               for x in a.focal() for y in b.focal() if not x.bits & y.bits & visible)
+
+
+@st.composite
+def source_pairs(draw):
+    """A model on 3-5 atoms (exclusive, or some exclusive pairs: a free model
+    has no conflict) and two sources of 1-4 focal sets, with masses k/100.
+    A focal set is a union of 1-3 atoms or, one time in four, of 1-3
+    intersections of two atoms."""
+    n = draw(st.integers(3, 5))
+    frame = Frame(("A", "B", "C", "D", "E")[:n])
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                              min_size=1, max_size=n, unique=True))
+        model = Model.with_exclusions(frame, pairs)
+    else:
+        model = Model.exclusive(frame)
+    atom = st.integers(0, n - 1)
+
+    def focal():
+        meets, p = draw(st.integers(0, 3)) == 0, frame.empty()
+        for _ in range(draw(st.integers(1, 3))):
+            term = frame.atom(draw(atom))
+            p = p | (term & frame.atom(draw(atom)) if meets else term)
+        return p | frame.atom(draw(atom)) if model.is_empty(p) else p
+
+    def source():
+        count = draw(st.integers(1, 4))
+        cuts = sorted(draw(st.sets(st.integers(1, 99), min_size=count - 1, max_size=count - 1)))
+        parts = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, 100])]
+        return MassFunction(model, [(focal(), k / 100) for k in parts])
+
+    return model, source(), source()
+
+
+# sdli2 multiplies two masses, adds at most 16 products into a term, sums
+# at most 8 shares, divides twice per share and renormalises once, all on
+# positive numbers, so its relative error stays near 50 * 2**-53; the bound
+# below was fixed before the first run.
+SDLI2_RELATIVE_BOUND = 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(source_pairs())
+def test_sdli2_matches_the_exact_reference_where_eq7_compares(pair):
+    model, a, b = pair
+    covered = _closed_form_applies(model, a, b)
+    assert covered == ref_closed_form_applies(model, a, b)
+    assume(covered)
+    want = ref_exact_snapshot(Rule.SDLI, model, *ref_exact_state([a, b]))
+    got = {p.bits: v for p, v in sdli2(a, b).items()}
+    assert got.keys() == want.keys()
+    for bits, exact in want.items():
+        assert abs(Fraction(got[bits]) - exact) <= SDLI2_RELATIVE_BOUND * exact, bits
 
 
 # shared refold prefixes against refolding every list from scratch ---------------

@@ -16,7 +16,6 @@ from evfuse import (
     Rule,
     TotalConflictError,
     ValidationError,
-    batch,
     combine2,
     conjunctive,
     deviation,
@@ -68,6 +67,13 @@ def test_constructor_prune_bounds(exclusive, prune_epsilon):
     # every term"); NaN compared false and silently turned pruning off
     with pytest.raises(ValidationError, match=r"prune_epsilon must lie in \[0, 1\)"):
         FusionState(vbf(exclusive), ColumnSums.empty(exclusive), prune_epsilon)
+
+
+@pytest.mark.parametrize("prune_epsilon", ["0.5", None, [0.5]])
+def test_a_prune_epsilon_that_is_not_a_number_is_a_validation_error(exclusive, prune_epsilon):
+    # these raised TypeError from the comparison
+    with pytest.raises(ValidationError, match=r"prune_epsilon must lie in \[0, 1\)"):
+        FusionState.initial(exclusive, prune_epsilon)
 
 
 def test_constructor_rejects_columns_of_another_model(exclusive, free, m1):
@@ -166,25 +172,21 @@ def test_fold_keeps_prune_epsilon(exclusive, frame):
     assert all(v >= 0.05 for _, v in folded.accumulator.items())
 
 
-# batch -------------------------------------------------------------------------------
+# fold then one snapshot --------------------------------------------------------------
 
 def test_batch_matches_fixture(exclusive, m1, m2, m3):
-    assert_masses(batch(exclusive, [m1, m2, m3], Rule.DSM_HYBRID), UNION_123)
+    fused = FusionState.initial(exclusive).fold([m1, m2, m3])
+    assert_masses(fused.snapshot(Rule.DSM_HYBRID), UNION_123)
 
 
 def test_batch_other_grouping(exclusive, m1, m2, m3):
-    direct = batch(exclusive, [m2, m3, m1], Rule.DSM_HYBRID)
+    direct = FusionState.initial(exclusive).fold([m2, m3, m1]).snapshot(Rule.DSM_HYBRID)
     assert_masses(direct, UNION_123)
 
 
 def test_batch_single_source_identity(exclusive, m1):
     for rule in ALL_RULES:
-        assert deviation(batch(exclusive, [m1], rule), m1) <= 1e-15
-
-
-def test_batch_empty_rejected(exclusive):
-    with pytest.raises(ValidationError):
-        batch(exclusive, [], Rule.YAGER)
+        assert deviation(FusionState.initial(exclusive).fold([m1]).snapshot(rule), m1) <= 1e-15
 
 
 # oracle ------------------------------------------------------------------------------
@@ -292,7 +294,7 @@ def test_dempster_snapshot_matches_chained():
                 chained = _dempster_pair(chained, m)
         except TotalConflictError:
             continue  # draw another case; conflict handling tested elsewhere
-        engine = batch(model, sources, Rule.DEMPSTER)
+        engine = FusionState.initial(model).fold(sources).snapshot(Rule.DEMPSTER)
         assert deviation(engine, chained) <= 1e-9
         done += 1
 
@@ -302,7 +304,7 @@ def test_negative_control_chaining_differs(exclusive, m1, m2, m3):
     # engine; this is the whole point of keeping the pre-transfer result
     for rule in (Rule.YAGER, Rule.DUBOIS_PRADE):
         chained = combine2(rule, combine2(rule, m1, m2), m3)
-        engine = batch(exclusive, [m1, m2, m3], rule)
+        engine = FusionState.initial(exclusive).fold([m1, m2, m3]).snapshot(rule)
         assert deviation(chained, engine) > 1e-3
     chained_yager = combine2(Rule.YAGER, combine2(Rule.YAGER, m1, m2), m3)
     assert_masses(chained_yager, YAGER_CHAINED_123)

@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evfuse import engine, rules
 from evfuse import (
     ColumnSums,
     Frame,
@@ -19,6 +20,7 @@ from evfuse import (
     combine2,
     conjunctive,
     deviation,
+    oracle_conjunctive,
     sdli2,
     transfer_dempster,
     transfer_sdli,
@@ -44,6 +46,8 @@ from support import (
     YAGER_12,
     as_text_dict,
     assert_masses,
+    golden_model,
+    golden_sources,
     mass_from_rows,
     random_mass,
     random_model,
@@ -412,6 +416,32 @@ def test_sdli2_matches_transfer_route(seed):
     direct = sdli2(a, b)
     routed = transfer_sdli(conjunctive(a, b), column_sums([a, b]))
     assert deviation(direct, routed) <= 1e-12
+
+
+def test_references_call_no_kernel_function(monkeypatch):
+    # sdli2 and the n-way oracle are what verify holds the kernel against,
+    # so they must give the same bits with every kernel routine broken
+    lines = [golden_sources(kind, golden_model(kind), 12) for kind in ("free", "exclusive", "ring")]
+
+    def digests():
+        out = []
+        for sources in lines:
+            for i in range(len(sources) - 2):
+                for m in (sdli2(sources[i], sources[i + 1]), oracle_conjunctive(sources[i:i + 3])):
+                    out.append([(p.bits, v.hex()) for p, v in m.items()])
+        return out
+
+    want = digests()
+
+    def broken(*args, **kwargs):
+        raise AssertionError("a reference called a kernel routine")
+
+    for owner, name in ((rules, "conjunctive"), (engine, "conjunctive"), (rules, "_redistribute"),
+                        (ColumnSums, "add"), (Frame, "_parties"), (Frame, "_atoms_union")):
+        monkeypatch.setattr(owner, name, broken)
+    with pytest.raises(AssertionError, match="kernel routine"):
+        combine2(Rule.SDLI, *lines[1][:2])
+    assert digests() == want
 
 
 # rule dispatch ------------------------------------------------------------------------
