@@ -146,9 +146,11 @@ def load_scenario(path: str) -> Scenario:
     return scenario_from_dict(doc)
 
 
-def _rows(mass_like) -> list[tuple[str, float]]:
-    rows = [(p.text(), v) for p, v in mass_like.items()]
-    rows.sort(key=lambda r: r[0])
+def _rows(m: MassFunction) -> list[tuple[str, float]]:
+    # distinct masks render to distinct texts, so the sort never compares masses
+    text = m.model.frame._text
+    rows = [(text(bits), v) for bits, v in m._masses.items()]
+    rows.sort()
     return rows
 
 
@@ -160,8 +162,32 @@ def _emit(lines: list[str]) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
+@cache
+def _encoder(pad: str):
+    # json's C encoder, whose item separator ends a line and indents the next by pad
+    return json.JSONEncoder(ensure_ascii=False, separators=(",\n" + pad, ": ")).encode
+
+
+def _json(value, pad: str = "") -> str:
+    """``json.dumps(value, ensure_ascii=False, indent=2)`` nested at ``pad``,
+    for scalars, lists and dicts with string keys.  ``indent`` selects
+    json's pure-Python encoder; here a dict of scalars, such as a
+    snapshot's masses, is one call into its C encoder."""
+    inner = pad + "  "
+    encode, sep = _encoder(inner), ",\n" + inner
+    if isinstance(value, dict) and value:
+        if not any(isinstance(v, (dict, list)) for v in value.values()):
+            return f"{{\n{inner}{encode(value)[1:-1]}\n{pad}}}"
+        body = sep.join(f"{encode(k)}: {_json(v, inner)}" for k, v in value.items())
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(value, list) and value:
+        body = sep.join(_json(v, inner) for v in value)
+        return f"[\n{inner}{body}\n{pad}]"
+    return encode(value)
+
+
 def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
+    sys.stdout.write(_json(payload) + "\n")
 
 
 def cmd_fuse(scenario: Scenario, rule: Rule, output: str) -> int:
@@ -267,7 +293,7 @@ def _check_vbf(scenario: Scenario, rule: Rule, *_) -> float:
 def _closed_form_applies(model: Model, m1: MassFunction, m2: MassFunction) -> bool:
     # every conflicting product comes from two unions of atoms, which are
     # then its conflict parties; a union of atoms has one-atom minimal regions
-    visible, minimal = ~model.constrained, model.frame._minimal
+    visible, minimal = ~model.constrained, model.frame._peel
     return all(r & (r - 1) == 0 for x in m1._masses for y in m2._masses
                if not x & y & visible for r in minimal(x) + minimal(y))
 

@@ -16,7 +16,7 @@ from itertools import product as _cartesian
 
 from .errors import ValidationError
 from .lattice import Model
-from .mass import ColumnSums, MassFunction, vbf
+from .mass import ColumnSums, MassFunction, ordered_sum, vbf
 from .rules import Rule, apply_transfer, conjunctive
 
 
@@ -91,7 +91,7 @@ def _pruned(result: MassFunction, epsilon: float) -> MassFunction:
     kept = {bits: v for bits, v in result._masses.items() if v >= epsilon}
     if not kept:
         raise ValidationError("pruning threshold removed every term")
-    total = sum(kept.values())
+    total = ordered_sum(kept.values())
     return MassFunction._of_masks(result.model, ((bits, v / total) for bits, v in kept.items()),
                                   allow_conflict=True)
 

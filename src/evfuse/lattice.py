@@ -10,8 +10,9 @@ operations and integer equality is a canonical identity test.
 Decomposition works on whole masks, never one minterm at a time.  With
 ``a_i`` the mask of atom i, ``up(b) = OR_i (b & ~a_i) << 2**i`` is the
 set of regions lying one atom above some region of ``b``: ``b`` is
-up-closed when ``up(b) & ~b == 0``, and its minimal regions are the bits
-of ``b & ~up(b)``.
+up-closed when ``up(b) & ~b == 0``.  The minimal regions of an up-closed
+mask are *peeled*: the lowest region present is minimal, so record it,
+clear every region above it (the AND of its atoms' masks) and repeat.
 
 Whether a proposition counts as empty is decided by a :class:`Model`,
 which masks out the minterm regions its exclusivity constraints forbid.
@@ -92,8 +93,8 @@ class Frame:
     # hold ints and strings only, so they form no reference cycle.
 
     @cached_property
-    def _term_texts(self) -> dict[int, str]:
-        # atom mask -> "A&B", filled as DNF terms are rendered
+    def _regions(self) -> dict[int, tuple[int, str]]:
+        # region -> (the complement of its up-set, its term text "A&B"), filled by _peel
         return {}
 
     @cached_property
@@ -110,6 +111,43 @@ class Frame:
         # the minterm mask of the union of the atoms set in an atom mask
         return reduce(or_, (a for i, a in enumerate(self._atom_bits) if atoms >> i & 1), 0)
 
+    def _region(self, region: int) -> tuple[int, str]:
+        """The peel's memo entry for ``region``: the complement of its
+        up-set, the AND of its atoms' masks, and its term text.  Region 0
+        has no atom; its up-set is every region, bit 0 included."""
+        up, names, rest = self.full_bits | 1, [], region
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            up &= self._atom_bits[i]
+            names.append(self.atoms[i])
+            rest ^= low
+        entry = self._regions[region] = (~up, "&".join(names))
+        return entry
+
+    def _peel(self, bits: int) -> list[int]:
+        """The minimal regions of the up-closed mask ``bits``, ascending.
+
+        The lowest region present has no subset present, so it is minimal;
+        clearing its up-set leaves the other minimal regions.  Each step
+        clears the region it found, so the peel ends on any mask in range.
+        """
+        memo, out = self._regions, []
+        while bits:
+            region = (bits & -bits).bit_length() - 1
+            out.append(region)
+            bits &= (memo.get(region) or self._region(region))[0]
+        return out
+
+    def _text(self, bits: int) -> str:
+        """The canonical DNF of the up-closed mask ``bits``; ``∅`` for 0.
+        Term strings sort as their name tuples would, since ``&`` sorts
+        below every character an atom name may hold."""
+        if not bits:
+            return "∅"
+        memo = self._regions
+        return "|".join(sorted([memo[region][1] for region in self._peel(bits)]))
+
     def _parties(self, bits: int) -> tuple[int, ...]:
         """The masks of the conflict parties of the non-void mask ``bits``.
 
@@ -124,7 +162,7 @@ class Frame:
         if parties is None:
             absent = (self.full_bits & ~bits) | 1  # the empty region is never present
             hitting = int(format(absent, f"0{1 << self.n}b")[::-1], 2)
-            found = sorted(self._minimal(hitting), key=lambda atoms: (
+            found = sorted(self._peel(hitting), key=lambda atoms: (
                 bin(atoms).count("1"), [i for i in range(self.n) if atoms >> i & 1]))
             parties = self._party_memo[bits] = tuple(map(self._union, found))
         return parties
@@ -133,18 +171,8 @@ class Frame:
         """The mask of the union of every atom in the DNF of ``bits``."""
         union = self._union_memo.get(bits)
         if union is None:
-            union = self._union_memo[bits] = self._union(reduce(or_, self._minimal(bits), 0))
+            union = self._union_memo[bits] = self._union(reduce(or_, self._peel(bits), 0))
         return union
-
-    def _minimal(self, bits: int) -> tuple[int, ...]:
-        # the regions of bits with no region of bits one atom below them
-        rem = bits & ~self._up(bits)
-        out = []
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            out.append(low.bit_length() - 1)
-        return tuple(out)
 
     def atom_index(self, ref: int | str) -> int:
         if isinstance(ref, str):
@@ -213,12 +241,20 @@ class Proposition:
         return self.frame._up(self.bits) & ~self.bits == 0
 
     def minimal_minterms(self) -> tuple[int, ...]:
-        """Atom masks of the minimal regions present, in ascending order.
+        """Atom masks of the regions present with no region present one
+        atom below them, in ascending order.
 
-        For an up-closed family these generate the whole proposition and
-        form the unique DNF antichain.
+        For an up-closed family these are its minimal regions, which
+        generate the whole proposition and form the unique DNF antichain;
+        the kernel peels them with :meth:`Frame._peel`.
         """
-        return self.frame._minimal(self.bits)
+        rem = self.bits & ~self.frame._up(self.bits)
+        out = []
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            out.append(low.bit_length() - 1)
+        return tuple(out)
 
     def dnf_terms(self) -> tuple[tuple[str, ...], ...]:
         """Minimal antichain of atom sets whose union of intersections
@@ -243,24 +279,8 @@ class Proposition:
 
     def text(self) -> str:
         """Canonical DNF rendering; parses back to the same proposition.
-
-        Term strings sort as their name tuples would, since ``&`` sorts
-        below every character an atom name may hold; :meth:`dnf_terms`
-        splits this string.
-        """
-        if self.is_void:
-            return "∅"
-        frame = self.frame
-        memo = frame._term_texts
-        terms = []
-        for mask in self.minimal_minterms():
-            term = memo.get(mask)
-            if term is None:
-                term = memo[mask] = "&".join(
-                    name for i, name in enumerate(frame.atoms) if mask >> i & 1)
-            terms.append(term)
-        terms.sort()
-        return "|".join(terms)
+        :meth:`dnf_terms` splits this string; see :meth:`Frame._text`."""
+        return self.frame._text(self.bits)
 
     def __str__(self) -> str:
         return self.text()

@@ -14,6 +14,18 @@ SUM_TOLERANCE = 1e-9
 Assignments = Mapping[Proposition, float] | Iterable[tuple[Proposition, float]]
 
 
+def ordered_sum(values):
+    """Add ``values`` left to right from int 0, so no values give int 0.
+
+    Builtin ``sum()`` of floats did this until Python 3.12 made it
+    compensated; every total in evfuse is taken here, so output is the
+    same on every interpreter."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def _entering(model: Model, assignments: Assignments):
     # checks the propositions handed in and yields their (bits, value) pairs
     for prop, value in assignments.items() if isinstance(assignments, Mapping) else assignments:
@@ -45,7 +57,7 @@ def _summed(model: Model, pairs) -> dict[int, float]:
 def _validated(model: Model, pairs, allow_conflict: bool) -> dict[int, float]:
     """The one validation: ``(bits, value)`` pairs to normalised masses by mask, in mask order."""
     merged = _summed(model, pairs)
-    total = sum(merged.values())
+    total = ordered_sum(merged.values())
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise ValidationError(f"masses sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
     empty = [] if allow_conflict else [b for b in merged if not b & ~model.constrained]
@@ -106,7 +118,7 @@ class MassFunction:
     def conflict_mass(self) -> float:
         """Total mass sitting on propositions empty under the model."""
         visible = ~self.model.constrained
-        return sum(v for bits, v in self._masses.items() if not bits & visible)
+        return ordered_sum(v for bits, v in self._masses.items() if not bits & visible)
 
     def is_input_valid(self) -> bool:
         """True when usable as a source: no mass on empty propositions."""
@@ -132,7 +144,7 @@ class MassFunction:
         """Mass on everything whose overlap with p survives the model."""
         _require_same_frame(p.frame, self.frame)
         visible = ~self.model.constrained
-        return sum(v for bits, v in self._masses.items() if bits & p.bits & visible)
+        return ordered_sum(v for bits, v in self._masses.items() if bits & p.bits & visible)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MassFunction):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import TotalConflictError, ValidationError
-from .mass import ColumnSums, MassFunction, column_sums
+from .mass import ColumnSums, MassFunction, column_sums, ordered_sum
 
 
 class Rule(str, Enum):
@@ -75,7 +75,7 @@ def transfer_dempster(result: MassFunction) -> MassFunction:
     kept = [(bits, v) for bits, v in result._masses.items() if bits & visible]
     # Divide by the kept mass itself, not by 1 - k: when k rounds to 1 on
     # long conflicting streams, 1 - k keeps no significant digit.
-    total = sum(v for _, v in kept)
+    total = ordered_sum(v for _, v in kept)
     if total <= 0.0:
         k = result.conflict_mass()
         raise TotalConflictError(f"conflict k={k!r}: Dempster combination is undefined")
@@ -119,7 +119,7 @@ def transfer_sdli(result: MassFunction, columns: ColumnSums | None) -> MassFunct
         if bits:
             parties = result.model.frame._parties(bits)
             weights = [columns.value(g) for g in parties]
-            total = sum(weights)
+            total = ordered_sum(weights)
             if total > 0.0:
                 return [(g, w / total) for g, w in zip(parties, weights) if w]
         return [(_union_target(result.model, bits), 1.0)]

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import add
 from pathlib import Path
 
 from evfuse import Frame, FusionState, MassFunction, Model, Proposition, Rule, deviation
@@ -57,6 +59,13 @@ COLUMNS_123 = {"A": 1.7, "B": 0.9, "A|C": 0.4}
 # Chained-transfer reference (transfer after every step) showing why the
 # stored-state engine is needed: differs from UNION/YAGER snapshots.
 YAGER_CHAINED_123 = {"A": 0.668, "B": 0.12, "A|C": 0.052, "A|B|C": 0.16}
+
+
+def ordered_sum(values):
+    """Float totals as evfuse takes them: left to right from int 0.  Builtin
+    ``sum()`` compensates from Python 3.12 on, so generators and references
+    that must match the package exactly total here."""
+    return reduce(add, values, 0)
 
 
 def abc_model() -> Model:
@@ -127,7 +136,7 @@ def random_mass(rng: random.Random, model: Model, max_focal: int = 3) -> MassFun
     count = rng.randint(1, max_focal)
     props = [random_prop(rng, model) for _ in range(count)]
     weights = [rng.uniform(0.05, 1.0) for _ in props]
-    total = sum(weights)
+    total = ordered_sum(weights)
     return MassFunction(model, [(p, w / total) for p, w in zip(props, weights)])
 
 
@@ -142,27 +151,27 @@ def random_sources(rng: random.Random, model: Model, count: int,
 # code with the whole-mask kernel in evfuse.lattice, which is checked
 # against them.
 
-def _ref_minterms(bits: int):
-    m = 0
-    while bits >> m:
-        if bits >> m & 1:
-            yield m
-        m += 1
+def _ref_minterms(bits: int) -> list[int]:
+    # the regions set in bits, ascending, read off its binary digits
+    return [m for m, digit in enumerate(reversed(bin(bits)[2:])) if digit == "1"]
 
 
 def ref_is_up_closed(frame: Frame, bits: int) -> bool:
-    for m in _ref_minterms(bits):
+    present = set(_ref_minterms(bits))
+    for m in present:
         for i in range(frame.n):
-            if not m >> i & 1 and not bits >> (m | 1 << i) & 1:
+            if not m >> i & 1 and m | 1 << i not in present:
                 return False
     return True
 
 
 def ref_minimal_minterms(frame: Frame, bits: int) -> tuple[int, ...]:
+    regions = _ref_minterms(bits)
+    present = set(regions)
     out = []
-    for m in _ref_minterms(bits):
+    for m in regions:
         # a smaller region one atom down would make m redundant
-        if not any(m >> i & 1 and bits >> (m ^ (1 << i)) & 1 for i in range(frame.n)):
+        if not any(m >> i & 1 and m ^ (1 << i) in present for i in range(frame.n)):
             out.append(m)
     return tuple(out)
 
@@ -209,7 +218,7 @@ def ref_conjunctive(a, b) -> dict[Proposition, float]:
             z = x & y
             out[z] = out.get(z, 0.0) + mx * my
     kept = {p: v for p, v in out.items() if v > 0.0}
-    total = sum(kept.values())
+    total = ordered_sum(kept.values())
     return {p: kept[p] / total for p in sorted(kept, key=lambda p: p.bits)}
 
 
@@ -352,6 +361,6 @@ def golden_sources(line: str, model: Model, count: int) -> list[MassFunction]:
         props = [rng.choice(truthy), frame.total_ignorance()]
         props += rng.sample(family, rng.randint(0, 3))
         weights = [rng.uniform(0.05, 1.0) for _ in props]
-        total = sum(weights)
+        total = ordered_sum(weights)
         sources.append(MassFunction(model, [(p, w / total) for p, w in zip(props, weights)]))
     return sources

@@ -19,6 +19,7 @@ from evfuse.cli import (
     Scenario,
     ScenarioError,
     _closed_form_applies,
+    _json,
     _orderings,
     _worst_refold,
     build_parser,
@@ -130,6 +131,48 @@ def test_fuse_json_round_trips_as_source(capsys, tmp_path):
         [(frame.parse(expr), v) for expr, v in payload["masses"].items()],
     )
     assert rebuilt.is_input_valid()
+
+
+# JSON output is json.dumps(payload, ensure_ascii=False, indent=2), written
+# by cli._json through json's C encoder.  Source names and keys reach it
+# from any JSON string, lone surrogates included.
+_AWKWARD = ['"quoted"', "back\\slash", "\x00\x1f\n\t\x7f", "\U0001F600", "\ud800",
+            "a\udfffb", "∅", "A&B|C", "", "\u2028"]
+_text = st.one_of(
+    st.sampled_from(_AWKWARD),
+    st.text(st.one_of(st.characters(), st.characters(categories=["Cs"])), max_size=6),
+)
+_conflict = st.one_of(st.just(0), st.floats())
+_masses = st.dictionaries(_text, st.one_of(st.floats(0.0, 1.0), st.just(0)), max_size=5)
+
+
+@st.composite
+def _payloads(draw):
+    payload = {"rule": draw(st.sampled_from([r.value for r in Rule]))}
+    if draw(st.booleans()):  # a stream document
+        payload["steps"] = draw(st.lists(st.fixed_dictionaries(
+            {"source": _text, "conflict": _conflict, "masses": _masses}), max_size=4))
+    return {**payload, "conflict": draw(_conflict), "masses": draw(_masses)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_payloads())
+def test_json_writer_matches_json_dumps(payload):
+    assert _json(payload) == json.dumps(payload, ensure_ascii=False, indent=2)
+
+
+@pytest.mark.parametrize("command", ["fuse", "stream"])
+def test_json_output_is_indented_json_dumps(capsys, tmp_path, command):
+    doc = {"frame": ["A", "B", "C"], "model": "exclusive", "rule": "smets", "sources": [
+        {"name": name, "masses": {"A": 0.5, "B|C": 0.5}} for name in _AWKWARD[:4]]}
+    assert main([command, write_scenario(tmp_path, doc), "--output", "json"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert out == json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    assert "∅" in payload["masses"]
+    if command == "stream":  # the first step has nothing to conflict with
+        assert [s["source"] for s in payload["steps"]] == _AWKWARD[:4]
+        assert '"conflict": 0,' in out and type(payload["steps"][0]["conflict"]) is int
 
 
 def test_fuse_smets_output_flags_empty_set(capsys):

@@ -3,10 +3,12 @@
 import keyword
 import random
 import sys
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from evfuse import (
     ExpressionError,
@@ -355,6 +357,59 @@ def test_kernel_matches_reference_exhaustive(n, masks, elements):
         for _ in range(2):  # the second call is served from the frame's memo
             assert list(p.conflict_parties()) == want, p
             assert p.atoms_union() == union_of_atoms(free, support), p
+
+
+# the peeling kernel ---------------------------------------------------------------
+# Frame._peel reads the minimal regions of an up-closed mask by clearing the
+# up-set of its lowest region until nothing is left; text, conflict parties
+# and atom unions all read it.  The exhaustive tests above stop at 4 atoms.
+
+@st.composite
+def dnf_masks(draw):
+    """A frame of 2-16 atoms and the up-closed mask of a random DNF string."""
+    n = draw(st.integers(2, MAX_ATOMS))
+    frame = Frame(draw(st.permutations(PREFIX_NAMES))[:n])
+    terms = draw(st.lists(st.lists(st.sampled_from(frame.atoms), min_size=1, max_size=4,
+                                   unique=True), min_size=1, max_size=5))
+    return frame, frame.parse("|".join("&".join(term) for term in terms)).bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(dnf_masks())
+def test_peel_matches_reference_on_wide_frames(case):
+    frame, bits = case
+    minimal = ref_minimal_minterms(frame, bits)
+    assert tuple(frame._peel(bits)) == minimal
+    p = Proposition(frame, bits)
+    assert p.text() == ref_text(frame, bits)
+    if frame.n >= 5:
+        free = Model.free(frame)
+        want = [union_of_atoms(free, m) for m in ref_conflict_parties(frame, bits)]
+        assert list(p.conflict_parties()) == want
+        assert p.atoms_union() == union_of_atoms(free, reduce(or_, minimal))
+
+
+@pytest.mark.parametrize("n", [3, MAX_ATOMS])
+def test_peel_ends_on_masks_holding_region_zero(n):
+    # Region 0 lies inside no atom, so no atom mask holds it.  The up-set
+    # the peel clears when it finds region 0 must hold bit 0 itself, or a
+    # mask holding region 0 never empties.
+    frame = Frame(PREFIX_NAMES[:n])
+    everything = frame.full_bits | 1
+    assert frame._region(0)[0] == ~everything
+    for bits in (1, everything, 1 | frame.atom(0).bits):
+        assert frame._peel(bits) == [0]
+
+
+def test_peel_ends_on_every_mask_of_a_small_frame():
+    # up-closed or not, region 0 or not: each step clears the region it found
+    frame = Frame(("A", "B", "C"))
+    assert not frame._region(0)[0] & 1  # else the masks holding region 0 never empty
+    for bits in range(1 << (1 << frame.n)):
+        regions = frame._peel(bits)
+        assert regions == sorted(set(regions)) and all(bits >> r & 1 for r in regions)
+        if ref_is_up_closed(frame, bits):
+            assert tuple(regions) == ref_minimal_minterms(frame, bits), bits
 
 
 def test_void_decomposition_raises_on_every_call(frame):

@@ -58,10 +58,14 @@ def test_library_matches_golden():
     golden = json.loads(RECORD.read_text(encoding="utf-8"))
     got = record()
     assert list(got) == list(golden), "line list differs from library.json"
+    differ = []
     for line, want in golden.items():
         assert len(got[line]) == len(want), f"{line}: {len(got[line])} steps, recorded {len(want)}"
-        for step, (have, digest) in enumerate(zip(got[line], want), start=1):
-            assert have == digest, f"first mismatch: {line} at step {step}"
+        steps = [step for step, (have, digest) in enumerate(zip(got[line], want), start=1)
+                 if have != digest]
+        if steps:
+            differ.append(f"{line} from step {steps[0]}")
+    assert not differ, f"{len(differ)} of {len(golden)} records differ, first: {differ[:5]}"
 
 
 if __name__ == "__main__":

@@ -49,6 +49,7 @@ from support import (
     golden_model,
     golden_sources,
     mass_from_rows,
+    ordered_sum,
     random_mass,
     random_model,
     random_prop,
@@ -162,7 +163,7 @@ def random_pool(rng, model, size):
 def random_source(rng, model, pool):
     props = rng.sample(pool, rng.randint(1, len(pool) - 1))
     weights = [rng.uniform(0.05, 1.0) for _ in props]
-    total = sum(weights)
+    total = ordered_sum(weights)
     return MassFunction(model, [(p, w / total) for p, w in zip(props, weights)])
 
 
