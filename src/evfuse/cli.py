@@ -15,7 +15,7 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 from .engine import FusionState, oracle_conjunctive
 from .errors import TotalConflictError, ValidationError
@@ -66,24 +66,22 @@ def scenario_from_dict(doc) -> Scenario:
     except ValidationError as exc:
         _fail("frame", str(exc))
 
-    model_spec = doc.get("model", "free")
-    if isinstance(model_spec, dict):
-        _reject_unknown(model_spec, {"exclusive_pairs"}, "model.", "model")
-        pairs = model_spec.get("exclusive_pairs")
-        if not isinstance(pairs, list):
-            _fail("model.exclusive_pairs", "must be a list of atom pairs")
-        for i, pair in enumerate(pairs):
+    spec, field = doc.get("model", "free"), "model"
+    if isinstance(spec, dict):
+        _reject_unknown(spec, {"exclusive_pairs"}, "model.", "model")
+        spec, field = spec.get("exclusive_pairs"), "model.exclusive_pairs"
+        if not isinstance(spec, list):
+            _fail(field, "must be a list of atom pairs")
+        for i, pair in enumerate(spec):
             if not (isinstance(pair, list) and len(pair) == 2
                     and all(isinstance(a, str) for a in pair)):
-                _fail(f"model.exclusive_pairs[{i}]", "must be a pair of atom names")
-        try:
-            model = Model.with_exclusions(frame, [tuple(p) for p in pairs])
-        except ValidationError as exc:
-            _fail("model.exclusive_pairs", str(exc))
-    elif model_spec in ("free", "exclusive"):
-        model = make_model(frame, model_spec)
-    else:
-        _fail("model", f"must be 'free', 'exclusive', or an exclusive_pairs object, got {model_spec!r}")
+                _fail(f"{field}[{i}]", "must be a pair of atom names")
+    elif spec not in ("free", "exclusive"):
+        _fail("model", f"must be 'free', 'exclusive', or an exclusive_pairs object, got {spec!r}")
+    try:
+        model = make_model(frame, spec)
+    except ValidationError as exc:
+        _fail(field, str(exc))
 
     rule_name = doc.get("rule")
     try:
@@ -244,10 +242,12 @@ def _worst_refold(scenario: Scenario, rule: Rule, source_lists) -> float:
 
     The state after a prefix depends on that prefix alone, so each list
     is refolded only from the first source (by identity) where it leaves
-    the previous list; ``states[k]`` holds the state after k sources.
+    the previous list, at first the scenario's own; ``states[k]`` holds
+    the state after k sources.
     """
-    baseline = scenario.start.fold(scenario.masses).snapshot(rule)
-    states, previous, worst = [scenario.start], [], 0.0
+    previous = scenario.masses
+    states = list(accumulate(previous, FusionState.fuse, initial=scenario.start))
+    baseline, worst = states[-1].snapshot(rule), 0.0
     for masses in source_lists:
         masses = list(masses)
         k = 0

@@ -22,6 +22,7 @@ Propositions themselves are always kept in unconstrained form.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
@@ -33,6 +34,8 @@ MAX_ATOMS = 16
 MAX_NESTING = 100
 
 _ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# an operator, an atom name or any other non-space character; finditer skips spaces
+_TOKEN = re.compile(rf"([&|()])|({_ATOM_NAME.pattern})|(\S)")
 
 
 @dataclass(frozen=True)
@@ -76,17 +79,11 @@ class Frame:
             out.append(bits)
         return tuple(out)
 
-    @cached_property
-    def _up_shifts(self) -> tuple[tuple[int, int], ...]:
-        # (~a_i, 2**i) per atom: the regions outside atom i, and the
-        # shift that adds atom i to each of them
-        return tuple((~atom, 1 << i) for i, atom in enumerate(self._atom_bits))
-
     def _up(self, bits: int) -> int:
         # the regions lying one atom above some region of bits
         up = 0
-        for outside, shift in self._up_shifts:
-            up |= (bits & outside) << shift
+        for i, atom in enumerate(self._atom_bits):
+            up |= (bits & ~atom) << (1 << i)
         return up
 
     # Memos filled on first use and living as long as the frame.  They
@@ -180,6 +177,8 @@ class Frame:
                 return self.atoms.index(ref)
             except ValueError:
                 raise ValidationError(f"unknown atom {ref!r}") from None
+        if isinstance(ref, bool) or not isinstance(ref, int):
+            raise ValidationError(f"atom reference must be a name or an int position, got {ref!r}")
         if not 0 <= ref < self.n:
             raise ValidationError(f"atom index {ref} out of range")
         return ref
@@ -327,7 +326,10 @@ class Model:
     def with_exclusions(cls, frame: Frame, pairs) -> "Model":
         """Constrain every region lying inside both atoms of each pair."""
         bits = 0
-        for a, b in pairs:
+        for pair in pairs:
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValidationError(f"exclusive pair must be two atom references, got {pair!r}")
+            a, b = pair
             i, j = frame.atom_index(a), frame.atom_index(b)
             if i == j:
                 raise ValidationError(
@@ -348,28 +350,19 @@ def make_model(frame: Frame, spec) -> Model:
         return Model.free(frame)
     if spec == "exclusive":
         return Model.exclusive(frame)
-    if isinstance(spec, str):
+    if isinstance(spec, str) or not isinstance(spec, Iterable):
         raise ValidationError(f"unknown model spec {spec!r}")
     return Model.with_exclusions(frame, spec)
 
 
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "&|()":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        match = _ATOM_NAME.match(text, i)
-        if match is None:
-            raise ExpressionError(f"unexpected character {c!r}", i)
-        tokens.append(("atom", match.group(), i))
-        i = match.end()
+    for match in _TOKEN.finditer(text):
+        op, atom, other = match.groups()
+        at = match.start()
+        if other:
+            raise ExpressionError(f"unexpected character {other!r}", at)
+        tokens.append((op, op, at) if op else ("atom", atom, at))
     tokens.append(("end", "", len(text)))
     return tokens
 

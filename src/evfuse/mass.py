@@ -128,17 +128,13 @@ class MassFunction:
         """Mass provably inside p, with constrained regions masked out.
 
         Focal elements that are themselves empty under the model carry
-        no support for anything and are skipped.
+        no support for anything and are skipped; with no focal element
+        left, the belief is int 0, as in :meth:`plausibility`.
         """
         _require_same_frame(p.frame, self.frame)
         visible = ~self.model.constrained
-        target = p.bits & visible
-        total = 0.0
-        for bits, v in self._masses.items():
-            masked = bits & visible
-            if masked and masked & ~target == 0:
-                total += v
-        return total
+        return ordered_sum(v for bits, v in self._masses.items()
+                           if (masked := bits & visible) and not masked & ~p.bits)
 
     def plausibility(self, p: Proposition) -> float:
         """Mass on everything whose overlap with p survives the model."""

@@ -474,6 +474,28 @@ def test_worst_refold_matches_reference(rule):
     assert _worst_refold(pruned, rule, lists) > CHECKS["permutation"][0]
 
 
+@pytest.mark.parametrize("lists, fuses", [
+    # 4 for the scenario's own order, whose prefixes the first ordering
+    # (the identity) shares whole, then 60 for the other 23 orderings
+    (lambda s: ordered_lists(s, permutations(range(4))), 64),
+    # 4 for the scenario's own order, then 5 + 5 + 4 + 3 + 2
+    (padded_lists, 23),
+], ids=["orderings", "vbf-padded"])
+def test_worst_refold_shares_prefixes(monkeypatch, lists, fuses):
+    scenario = load_scenario(FOUR)
+    source_lists = lists(scenario)
+    want = ref_worst_refold(scenario, "sdli", source_lists)
+    calls, fuse = [], FusionState.fuse
+
+    def counting_fuse(self, m):
+        calls.append(m)
+        return fuse(self, m)
+
+    monkeypatch.setattr(FusionState, "fuse", counting_fuse)
+    assert _worst_refold(scenario, "sdli", source_lists) == want
+    assert len(calls) == fuses
+
+
 def test_sampled_orderings_are_drawn_lazily():
     # a list of every ordering took about 112 bytes per trial before the
     # first refold: 11 MB here, about 11 GB for 100 000 000 trials

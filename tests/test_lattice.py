@@ -138,6 +138,16 @@ def test_atom_unknown(frame):
         frame.atom(3)
 
 
+@pytest.mark.parametrize("ref", [True, False, 0.5, 1.0, None, [0], (0,), b"A"])
+def test_atom_reference_must_be_name_or_int(frame, ref):
+    # isinstance counts a bool as an int, so True would name atom B
+    with pytest.raises(ValidationError, match="atom reference") as info:
+        frame.atom(ref)
+    assert repr(ref) in str(info.value)
+    with pytest.raises(ValidationError, match="atom reference"):
+        Model.with_exclusions(frame, [(ref, "C")])
+
+
 def test_total_ignorance(frame, exclusive, free):
     top = frame.total_ignorance()
     assert top.bits == frame.full_bits
@@ -180,6 +190,22 @@ def test_model_pair_errors(frame):
         make_model(frame, [("A", "D")])
     with pytest.raises(ValidationError):
         make_model(frame, [("A", "A")])
+
+
+@pytest.mark.parametrize("pairs", [["AB"], [("A",)], [("A", "B", "C")], [None], [{"A", "B"}],
+                                   [("A", "B"), "BC"]])
+def test_model_rejects_malformed_pair(frame, pairs):
+    # a str is a sequence: "AB" would unpack as the pair (A, B)
+    with pytest.raises(ValidationError, match="exclusive pair must be two atom references"):
+        Model.with_exclusions(frame, pairs)
+    with pytest.raises(ValidationError, match="exclusive pair"):
+        make_model(frame, pairs)
+
+
+@pytest.mark.parametrize("spec", [None, 5, 0.5, True, "open"])
+def test_make_model_rejects_malformed_spec(frame, spec):
+    with pytest.raises(ValidationError, match="unknown model spec"):
+        make_model(frame, spec)
 
 
 def test_model_rejects_constrained_singletons(frame):

@@ -298,6 +298,9 @@ def test_belief_skips_model_empty_focals(exclusive, frame):
     # the conflicting focal supports nothing, and keeps Bel <= Pl
     assert m.belief(frame.parse("A")) == pytest.approx(0.5, abs=1e-12)
     assert m.plausibility(frame.parse("A")) == pytest.approx(0.5, abs=1e-12)
+    # no focal element supports B: an empty total, int 0 as in plausibility
+    belief = m.belief(frame.parse("B"))
+    assert belief == 0 and type(belief) is int
 
 
 def test_belief_frame_mismatch(m1):

@@ -20,7 +20,7 @@ print(*sorted({name.partition(".")[0] for name in set(sys.modules) - before}))
 
 def test_runtime_imports_only_the_standard_library():
     run = subprocess.run([sys.executable, "-I", "-c", PROBE, str(SRC)],
-                         capture_output=True, text=True, check=True)
+                         capture_output=True, encoding="utf-8", check=True)
     loaded = set(run.stdout.split())
     assert "evfuse" in loaded
     assert {name for name in loaded - {"evfuse"}
