@@ -14,7 +14,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate, combinations, permutations
 
 from .engine import FusionState, oracle_conjunctive
@@ -43,6 +43,11 @@ class Scenario:
     masses: list[MassFunction]
     rule: Rule
 
+    @cached_property
+    def states(self) -> list[FusionState]:
+        """The prefix chain, folded on first use: ``states[k]`` is the state after k sources."""
+        return list(accumulate(self.masses, FusionState.fuse, initial=self.start))
+
 
 def _fail(field: str, problem: str):
     raise ScenarioError(f"{field}: {problem}")
@@ -58,11 +63,8 @@ def scenario_from_dict(doc) -> Scenario:
     if not isinstance(doc, dict):
         _fail("scenario", "top level must be a JSON object")
 
-    atoms = doc.get("frame")
-    if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
-        _fail("frame", "must be a list of atom names")
     try:
-        frame = Frame(tuple(atoms))
+        frame = Frame(doc.get("frame"))
     except ValidationError as exc:
         _fail("frame", str(exc))
 
@@ -122,13 +124,9 @@ def scenario_from_dict(doc) -> Scenario:
         names.append(name)
         sources.append(mass)
 
-    prune = doc.get("prune_epsilon", 0.0)
-    if not isinstance(prune, (int, float)) or isinstance(prune, bool) or not 0.0 <= prune < 1.0:
-        _fail("prune_epsilon", f"must be a number in [0, 1), got {prune!r}")
-
+    start = FusionState.initial(model, doc.get("prune_epsilon", 0.0))
     _reject_unknown(doc, {"frame", "model", "rule", "sources", "prune_epsilon"}, "", "scenario")
-
-    return Scenario(FusionState.initial(model, float(prune)), names, sources, rule)
+    return Scenario(start, names, sources, rule)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -150,10 +148,6 @@ def _rows(m: MassFunction) -> list[tuple[str, float]]:
     rows = [(text(bits), v) for bits, v in m._masses.items()]
     rows.sort()
     return rows
-
-
-def _table(rows: list[tuple[str, float]]) -> list[str]:
-    return [f"{expr}={value:.6f}" for expr, value in rows]
 
 
 def _emit(lines: list[str]) -> None:
@@ -184,10 +178,6 @@ def _json(value, pad: str = "") -> str:
     return encode(value)
 
 
-def _emit_json(payload) -> None:
-    sys.stdout.write(_json(payload) + "\n")
-
-
 def cmd_fuse(scenario: Scenario, rule: Rule, output: str) -> int:
     state = scenario.start.fold(scenario.masses)
     return _report(rule, output, [(None, state.accumulator.conflict_mass(),
@@ -211,13 +201,13 @@ def _report(rule: Rule, output: str, steps, with_steps: bool = False) -> int:
         if with_steps:
             payload["steps"] = [{"source": name, "conflict": c, "masses": dict(r)}
                                 for name, c, r in steps]
-        _emit_json({**payload, "conflict": conflict, "masses": dict(rows)})
+        sys.stdout.write(_json({**payload, "conflict": conflict, "masses": dict(rows)}) + "\n")
     else:
         lines = [f"rule: {rule.value}"]
         for i, (name, c, r) in enumerate(steps, start=1):
             if with_steps:
                 lines.append(f"step {i}: {name}")
-            lines += [f"conflict: {c:.6f}", *_table(r)]
+            lines += [f"conflict: {c:.6f}", *(f"{expr}={value:.6f}" for expr, value in r)]
         _emit(lines)
     return EXIT_OK
 
@@ -242,11 +232,10 @@ def _worst_refold(scenario: Scenario, rule: Rule, source_lists) -> float:
 
     The state after a prefix depends on that prefix alone, so each list
     is refolded only from the first source (by identity) where it leaves
-    the previous list, at first the scenario's own; ``states[k]`` holds
-    the state after k sources.
+    the previous list, at first the scenario's own, starting from a copy
+    of its prefix chain; ``states[k]`` holds the state after k sources.
     """
-    previous = scenario.masses
-    states = list(accumulate(previous, FusionState.fuse, initial=scenario.start))
+    previous, states = scenario.masses, list(scenario.states)
     baseline, worst = states[-1].snapshot(rule), 0.0
     for masses in source_lists:
         masses = list(masses)
@@ -270,18 +259,10 @@ def _check_permutation(scenario: Scenario, rule: Rule, trials: int, seed: int) -
 
 
 def _check_markov(scenario: Scenario, *_) -> float | None:
+    # None when there is no prefix of two or more sources to compare
     masses = scenario.masses
-    if len(masses) < 2:
-        return None  # no prefix of two or more sources to compare
-    worst = 0.0
-    state = scenario.start
-    for k, mass in enumerate(masses, start=1):
-        state = state.fuse(mass)
-        if k >= 2:
-            worst = max(
-                worst, deviation(state.accumulator, oracle_conjunctive(masses[:k]))
-            )
-    return worst
+    return max((deviation(scenario.states[k].accumulator, oracle_conjunctive(masses[:k]))
+                for k in range(2, len(masses) + 1)), default=None)
 
 
 def _check_vbf(scenario: Scenario, rule: Rule, *_) -> float:

@@ -35,12 +35,9 @@ class FusionState:
     prune_epsilon: float = 0.0
 
     def __post_init__(self):
-        try:
-            valid = 0.0 <= self.prune_epsilon < 1.0  # also false for NaN
-        except TypeError:  # not a number: a string, None, a list
-            valid = False
-        if not valid:
-            raise ValidationError("prune_epsilon must lie in [0, 1)")
+        eps = self.prune_epsilon  # an int or float, not a bool; NaN fails the range
+        if not isinstance(eps, (int, float)) or isinstance(eps, bool) or not 0.0 <= eps < 1.0:
+            raise ValidationError(f"prune_epsilon must lie in [0, 1), got {eps!r}")
         if self.columns.model != self.accumulator.model:
             raise ValidationError("column sums use a different model")
 
@@ -67,7 +64,7 @@ class FusionState:
             raise ValidationError("source puts mass on model-empty propositions")
         accumulator = conjunctive(self.accumulator, m)
         if self.prune_epsilon > 0.0:
-            accumulator = _pruned(accumulator, self.prune_epsilon)
+            accumulator = _pruned(accumulator, self.prune_epsilon, self.source_count + 1)
         return FusionState(accumulator, self.columns.add(m), self.prune_epsilon)
 
     def fold(self, masses) -> "FusionState":
@@ -85,12 +82,12 @@ class FusionState:
         return apply_transfer(rule, self.accumulator, self.columns)
 
 
-def _pruned(result: MassFunction, epsilon: float) -> MassFunction:
+def _pruned(result: MassFunction, epsilon: float, source: int) -> MassFunction:
     # Approximation flag: dropping tiny terms and renormalizing breaks
     # exact order invariance; off by default.
     kept = {bits: v for bits, v in result._masses.items() if v >= epsilon}
     if not kept:
-        raise ValidationError("pruning threshold removed every term")
+        raise ValidationError(f"prune_epsilon={epsilon} removed every term at source {source}")
     total = ordered_sum(kept.values())
     return MassFunction._of_masks(result.model, ((bits, v / total) for bits, v in kept.items()),
                                   allow_conflict=True)

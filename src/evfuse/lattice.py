@@ -45,6 +45,8 @@ class Frame:
     atoms: tuple[str, ...]
 
     def __post_init__(self):
+        if not isinstance(self.atoms, (tuple, list)):
+            raise ValidationError(f"atoms must be a tuple or list of names, got {self.atoms!r}")
         object.__setattr__(self, "atoms", tuple(self.atoms))
         if not 2 <= len(self.atoms) <= MAX_ATOMS:
             raise ValidationError(

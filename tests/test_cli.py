@@ -23,6 +23,8 @@ from evfuse.cli import (
     _orderings,
     _worst_refold,
     build_parser,
+    cmd_fuse,
+    cmd_stream,
     load_scenario,
     main,
     scenario_from_dict,
@@ -474,6 +476,18 @@ def test_worst_refold_matches_reference(rule):
     assert _worst_refold(pruned, rule, lists) > CHECKS["permutation"][0]
 
 
+def count_fuses(monkeypatch) -> list:
+    """From here on, record the source of every ``FusionState.fuse`` call."""
+    calls, fuse = [], FusionState.fuse
+
+    def counting_fuse(self, m):
+        calls.append(m)
+        return fuse(self, m)
+
+    monkeypatch.setattr(FusionState, "fuse", counting_fuse)
+    return calls
+
+
 @pytest.mark.parametrize("lists, fuses", [
     # 4 for the scenario's own order, whose prefixes the first ordering
     # (the identity) shares whole, then 60 for the other 23 orderings
@@ -485,15 +499,27 @@ def test_worst_refold_shares_prefixes(monkeypatch, lists, fuses):
     scenario = load_scenario(FOUR)
     source_lists = lists(scenario)
     want = ref_worst_refold(scenario, "sdli", source_lists)
-    calls, fuse = [], FusionState.fuse
-
-    def counting_fuse(self, m):
-        calls.append(m)
-        return fuse(self, m)
-
-    monkeypatch.setattr(FusionState, "fuse", counting_fuse)
+    calls = count_fuses(monkeypatch)
     assert _worst_refold(scenario, "sdli", source_lists) == want
     assert len(calls) == fuses
+
+
+def test_verify_folds_the_scenario_order_once(monkeypatch, capsys):
+    # permutation 4 + 60, markov 0, vbf 19, eq7 6 pairs x 2; the markov
+    # check and both refolds share the scenario's prefix chain (103 before)
+    calls = count_fuses(monkeypatch)
+    assert main(["verify", FOUR]) == 0
+    assert len(calls) == 95
+
+
+def test_fuse_and_stream_leave_the_prefix_chain_unfolded(capsys):
+    # they hold one state at a time, so a long stream keeps no accumulator list
+    scenario = load_scenario(FOUR)
+    assert cmd_fuse(scenario, scenario.rule, "table") == 0
+    assert cmd_stream(scenario, scenario.rule, "json") == 0
+    assert "states" not in vars(scenario)
+    assert len(scenario.states) == 5 and scenario.states[0] is scenario.start
+    assert "states" in vars(scenario)
 
 
 def test_sampled_orderings_are_drawn_lazily():
@@ -601,6 +627,17 @@ def test_non_utf8_file(capsys, tmp_path):
                 ("positions", [0, 1]),
                 ("bool", [True, "A"]),
             ]
+        ),
+        # the loader leaves these to Frame and FusionState
+        pytest.param(lambda d: d.update(frame="AB"), "frame: atoms", id="frame-str"),
+        pytest.param(lambda d: d.update(frame={"A": 1, "B": 2}), "frame: atoms", id="frame-dict"),
+        pytest.param(lambda d: d.update(prune_epsilon=False), "prune_epsilon", id="prune-bool"),
+        # A alone survives source 1; A and A&B get 0.5 each at source 2
+        pytest.param(
+            lambda d: d.update(prune_epsilon=0.6, sources=[{"masses": {"A": 1.0}},
+                                                           {"masses": {"A": 0.5, "B": 0.5}}]),
+            "prune_epsilon=0.6 removed every term at source 2",
+            id="prune-emptied",
         ),
     ],
 )

@@ -1,6 +1,7 @@
 """The stored-state engine: streaming, snapshots, order invariance."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -69,10 +70,12 @@ def test_constructor_prune_bounds(exclusive, prune_epsilon):
         FusionState(vbf(exclusive), ColumnSums.empty(exclusive), prune_epsilon)
 
 
-@pytest.mark.parametrize("prune_epsilon", ["0.5", None, [0.5]])
+@pytest.mark.parametrize("prune_epsilon", ["0.5", None, [0.5], False, True])
 def test_a_prune_epsilon_that_is_not_a_number_is_a_validation_error(exclusive, prune_epsilon):
-    # these raised TypeError from the comparison
-    with pytest.raises(ValidationError, match=r"prune_epsilon must lie in \[0, 1\)"):
+    # the first three raised TypeError from the comparison; False compared
+    # as 0 and was accepted
+    message = f"prune_epsilon must lie in [0, 1), got {prune_epsilon!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
         FusionState.initial(exclusive, prune_epsilon)
 
 

@@ -83,7 +83,11 @@ def test_frame_size_bounds(atoms):
         Frame(atoms)
 
 
-@pytest.mark.parametrize("atoms", [("A", "A"), ("A", "2B"), ("A", ""), ("A", "B C")])
+@pytest.mark.parametrize("atoms", [
+    ("A", "A"), ("A", "2B"), ("A", ""), ("A", "B C"),
+    # not a tuple or list: a string and a dict built the frame A, B; None raised TypeError
+    "AB", {"A": 1, "B": 2}, None,
+])
 def test_frame_bad_names(atoms):
     with pytest.raises(ValidationError):
         Frame(atoms)
