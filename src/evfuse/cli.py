@@ -137,7 +137,7 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise ScenarioError(f"{path}: not valid UTF-8") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the interpreter's digit limit
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from None
     return scenario_from_dict(doc)
 

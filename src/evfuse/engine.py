@@ -38,7 +38,8 @@ class FusionState:
         eps = self.prune_epsilon  # an int or float, not a bool; NaN fails the range
         if not isinstance(eps, (int, float)) or isinstance(eps, bool) or not 0.0 <= eps < 1.0:
             raise ValidationError(f"prune_epsilon must lie in [0, 1), got {eps!r}")
-        if self.columns.model != self.accumulator.model:
+        ours, theirs = self.accumulator.model, self.columns.model
+        if theirs is not ours and theirs != ours:
             raise ValidationError("column sums use a different model")
 
     @classmethod
@@ -89,7 +90,7 @@ def _pruned(result: MassFunction, epsilon: float, source: int) -> MassFunction:
     if not kept:
         raise ValidationError(f"prune_epsilon={epsilon} removed every term at source {source}")
     total = ordered_sum(kept.values())
-    return MassFunction._of_masks(result.model, ((bits, v / total) for bits, v in kept.items()),
+    return MassFunction._of_masks(result.model, {bits: v / total for bits, v in kept.items()},
                                   allow_conflict=True)
 
 
@@ -112,4 +113,4 @@ def oracle_conjunctive(masses) -> MassFunction:
             bits &= b
             weight *= v
         terms[bits] = terms.get(bits, 0.0) + weight
-    return MassFunction._of_masks(model, terms.items(), allow_conflict=True)
+    return MassFunction._of_masks(model, terms, allow_conflict=True)

@@ -54,10 +54,15 @@ def _summed(model: Model, pairs) -> dict[int, float]:
     return merged
 
 
-def _validated(model: Model, pairs, allow_conflict: bool) -> dict[int, float]:
-    """The one validation: ``(bits, value)`` pairs to normalised masses by mask, in mask order."""
-    merged = _summed(model, pairs)
-    total = ordered_sum(merged.values())
+def _validated(model: Model, merged: dict[int, float], allow_conflict: bool) -> dict[int, float]:
+    """The one validation: ``{bits: value}`` to normalised masses by mask, in mask order.
+    A finite total and a positive least value pass as they are; anything else
+    (NaN, inf, a negative value, a zero) goes value by value through ``_summed``."""
+    values = merged.values()
+    total = ordered_sum(values)
+    if not (total < inf and min(values, default=1.0) > 0.0):
+        merged = _summed(model, merged.items())
+        total = ordered_sum(merged.values())
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise ValidationError(f"masses sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
     empty = [] if allow_conflict else [b for b in merged if not b & ~model.constrained]
@@ -80,15 +85,16 @@ class MassFunction:
 
     def __init__(self, model: Model, assignments: Assignments, *, allow_conflict: bool = False):
         self.model = model
-        self._masses = _validated(model, _entering(model, assignments), allow_conflict)
+        self._masses = _validated(model, _summed(model, _entering(model, assignments)),
+                                  allow_conflict)
 
     @classmethod
-    def _of_masks(cls, model: Model, pairs, allow_conflict: bool = False) -> "MassFunction":
-        # the engine's results, from (mask, mass) pairs: the same validator,
+    def _of_masks(cls, model: Model, masses: dict, allow_conflict: bool = False) -> "MassFunction":
+        # the engine's results, from {mask: mass}: the same validator,
         # without the proposition checks of __init__
         self = cls.__new__(cls)
         self.model = model
-        self._masses = _validated(model, pairs, allow_conflict)
+        self._masses = _validated(model, masses, allow_conflict)
         return self
 
     @property
@@ -185,7 +191,7 @@ class ColumnSums:
         return self._masses.get(bits, 0.0)
 
     def add(self, m: MassFunction) -> "ColumnSums":
-        if m.model != self.model:
+        if m.model is not self.model and m.model != self.model:
             raise ValidationError("mass function uses a different model")
         merged = dict(self._masses)
         for bits, v in m._masses.items():

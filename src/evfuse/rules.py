@@ -39,7 +39,7 @@ def conjunctive(a: MassFunction, b: MassFunction) -> MassFunction:
     Operands may be sources or previously stored products; the result
     keeps its model-empty terms for a transfer to route later.
     """
-    if a.model != b.model:
+    if a.model is not b.model and a.model != b.model:
         raise ValidationError("operands use different models")
     masks_b = list(b._masses.items())
     out: dict[int, float] = {}
@@ -47,7 +47,7 @@ def conjunctive(a: MassFunction, b: MassFunction) -> MassFunction:
         for y, my in masks_b:
             z = x & y
             out[z] = out.get(z, 0.0) + mx * my
-    return MassFunction._of_masks(a.model, out.items(), allow_conflict=True)
+    return MassFunction._of_masks(a.model, out, allow_conflict=True)
 
 
 def _union_target(model, bits: int) -> int:
@@ -66,21 +66,20 @@ def _redistribute(result: MassFunction, route, allow_conflict=False) -> MassFunc
         if not bits & visible:
             for target, share in route(bits):
                 out[target] = out.get(target, 0.0) + v * share
-    return MassFunction._of_masks(model, out.items(), allow_conflict)
+    return MassFunction._of_masks(model, out, allow_conflict)
 
 
 def transfer_dempster(result: MassFunction) -> MassFunction:
     """Drop conflicting terms and renormalise the survivors."""
     visible = ~result.model.constrained
-    kept = [(bits, v) for bits, v in result._masses.items() if bits & visible]
+    kept = {bits: v for bits, v in result._masses.items() if bits & visible}
     # Divide by the kept mass itself, not by 1 - k: when k rounds to 1 on
     # long conflicting streams, 1 - k keeps no significant digit.
-    total = ordered_sum(v for _, v in kept)
+    total = ordered_sum(kept.values())
     if total <= 0.0:
         k = result.conflict_mass()
         raise TotalConflictError(f"conflict k={k!r}: Dempster combination is undefined")
-    kept = [(bits, v / total) for bits, v in kept]
-    return MassFunction._of_masks(result.model, kept)
+    return MassFunction._of_masks(result.model, {bits: v / total for bits, v in kept.items()})
 
 
 def transfer_smets(result: MassFunction) -> MassFunction:
@@ -115,10 +114,12 @@ def transfer_sdli(result: MassFunction, columns: ColumnSums | None) -> MassFunct
     if columns.model != result.model:
         raise ValidationError("column sums use a different model")
 
+    col, parties_of = columns._masses, result.model.frame._parties
+
     def route(bits):
         if bits:
-            parties = result.model.frame._parties(bits)
-            weights = [columns.value(g) for g in parties]
+            parties = parties_of(bits)
+            weights = [col.get(g, 0.0) for g in parties]
             total = ordered_sum(weights)
             if total > 0.0:
                 return [(g, w / total) for g, w in zip(parties, weights) if w]
@@ -159,7 +160,7 @@ def sdli2(m1: MassFunction, m2: MassFunction) -> MassFunction:
                     share += num / (col[a] + col[x])
         if share:
             out[a] = out.get(a, 0.0) + col[a] * share
-    return MassFunction._of_masks(m1.model, out.items())
+    return MassFunction._of_masks(m1.model, out)
 
 
 def _no_transfer(result: MassFunction, columns) -> MassFunction:
@@ -167,7 +168,7 @@ def _no_transfer(result: MassFunction, columns) -> MassFunction:
     # conjunctive rule on the free lattice.  Rebuilt, not returned as is:
     # the CLI output carries this second renormalisation, and a snapshot
     # must not share the stored terms.
-    return MassFunction._of_masks(result.model, result._masses.items(), allow_conflict=True)
+    return MassFunction._of_masks(result.model, result._masses, allow_conflict=True)
 
 
 # Each entry calls its transfer through the module global, looked up at

@@ -59,6 +59,10 @@ B=0.020000
 """
 
 
+# the JSON text of an int with more digits than CPython's default int-to-str limit (4300)
+HUGE_INT = "1" + "0" * 5000
+
+
 def write_scenario(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -632,6 +636,13 @@ def test_non_utf8_file(capsys, tmp_path):
         pytest.param(lambda d: d.update(frame="AB"), "frame: atoms", id="frame-str"),
         pytest.param(lambda d: d.update(frame={"A": 1, "B": 2}), "frame: atoms", id="frame-dict"),
         pytest.param(lambda d: d.update(prune_epsilon=False), "prune_epsilon", id="prune-bool"),
+        # json.load refuses an int past the interpreter's digit limit with a
+        # plain ValueError; without that limit the value fails FusionState's check
+        pytest.param(
+            lambda d: d.update(prune_epsilon=HUGE_INT),
+            "not valid JSON" if getattr(sys, "get_int_max_str_digits", int)() else "prune_epsilon",
+            id="prune-huge-int",
+        ),
         # A alone survives source 1; A and A&B get 0.5 each at source 2
         pytest.param(
             lambda d: d.update(prune_epsilon=0.6, sources=[{"masses": {"A": 1.0}},
@@ -652,8 +663,11 @@ def test_scenario_errors_name_field(capsys, tmp_path, mutate, needle):
         ],
     }
     mutate(doc)
-    path = write_scenario(tmp_path, doc)
-    assert main(["fuse", path]) == 2
+    # json.dumps cannot write HUGE_INT as a number under the digit limit:
+    # it goes in as a string and is unquoted here
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc).replace(f'"{HUGE_INT}"', HUGE_INT), encoding="utf-8")
+    assert main(["fuse", str(path)]) == 2
     assert needle in capsys.readouterr().err
 
 

@@ -23,6 +23,7 @@ from evfuse import (
     oracle_conjunctive,
     vbf,
 )
+from evfuse import mass as mass_module
 
 from support import (
     CONJ_12,
@@ -35,6 +36,8 @@ from support import (
     YAGER_CHAINED_123,
     assert_masses,
     as_text_dict,
+    golden_model,
+    golden_sources,
     random_mass,
     random_model,
     random_sources,
@@ -373,6 +376,21 @@ def test_every_rule_matches_the_exact_reference(line):
         assert got.keys() == want.keys(), rule
         for bits, exact in want.items():
             assert abs(Fraction(got[bits]) - exact) <= EXACT_RELATIVE_BOUND * exact, (rule, bits)
+
+
+def test_fold_and_snapshot_never_take_the_per_value_check(monkeypatch):
+    # Engine results pass the validator's whole-dict check; the per-value loop
+    # of _summed is only its error path, and a clean line never takes it.
+    model = golden_model("ring")
+    sources = golden_sources("ring", model, 50)
+    start = FusionState.initial(model)
+    calls = []
+    summed = mass_module._summed
+    monkeypatch.setattr(mass_module, "_summed", lambda *args: calls.append(1) or summed(*args))
+    state = start.fold(sources)
+    snapshots = [state.snapshot(rule) for rule in Rule]
+    assert len(snapshots) == 8 and state.source_count == 50
+    assert calls == []
 
 
 # pruning (approximation flag) --------------------------------------------------------

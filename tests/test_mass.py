@@ -107,6 +107,31 @@ def test_frame_mismatch(exclusive):
         MassFunction(exclusive, {other.atom("A"): 1.0})
 
 
+# the engine's results go through the same validator as sources; a value its
+# whole-dict check refuses takes the per-value path and the same error
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -0.25],
+                         ids=["nan", "inf", "-inf", "negative"])
+def test_engine_results_fail_as_sources_do(exclusive, frame, value):
+    a, b = frame.parse("A"), frame.parse("B")
+    with pytest.raises(ValidationError) as source:
+        MassFunction(exclusive, {a: 0.5, b: value})
+    with pytest.raises(ValidationError) as result:
+        MassFunction._of_masks(exclusive, {a.bits: 0.5, b.bits: value})
+    assert str(result.value) == str(source.value)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_engine_results_drop_zeros(exclusive, frame, zero):
+    a, b = frame.parse("A"), frame.parse("B")
+    m = MassFunction._of_masks(exclusive, {b.bits: zero, a.bits: 1.0})
+    assert m._masses == {a.bits: 1.0} and m.focal() == (a,)
+
+
+def test_an_empty_engine_result_sums_to_zero(exclusive):
+    with pytest.raises(ValidationError, match=r"^masses sum to 0, expected 1"):
+        MassFunction._of_masks(exclusive, {})
+
+
 def test_revalidation_idempotent(m1):
     again = MassFunction(m1.model, m1.terms)
     assert again == m1
