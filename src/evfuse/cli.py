@@ -12,10 +12,11 @@ import argparse
 import json
 import math
 import random
+import struct
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, combinations
 
 from .engine import FusionState, oracle_conjunctive
 from .errors import TotalConflictError, ValidationError
@@ -213,11 +214,7 @@ def _report(rule: Rule, output: str, steps, with_steps: bool = False) -> int:
 
 
 def _orderings(count: int, trials: int, seed: int):
-    """Every ordering of ``count`` sources if there are at most ORDERINGS_CAP,
-    else the identity and ``trials`` seeded shuffles; drawn one at a time."""
-    if math.factorial(count) <= ORDERINGS_CAP:
-        yield from permutations(range(count))
-        return
+    """The identity, then ``trials`` seeded shuffles of ``count`` sources, one at a time."""
     rng = random.Random(seed)
     yield tuple(range(count))
     for _ in range(trials):
@@ -250,12 +247,43 @@ def _worst_refold(scenario: Scenario, rule: Rule, source_lists) -> float:
     return worst
 
 
+def _state_key(used: int, state: FusionState, shapes: dict) -> tuple:
+    # bit-equal states give equal keys: masks interned per shape, doubles packed
+    acc, col = state.accumulator._masses, state.columns._masses
+    shape = (tuple(acc), tuple(sorted(col)))
+    doubles = [*acc.values(), *map(col.__getitem__, shape[1])]
+    return used, shapes.setdefault(shape, shape), struct.pack(f"{len(doubles)}d", *doubles)
+
+
+def _worst_completion(state, used, masses, rule, baseline, memo, shapes) -> float:
+    """Largest deviation from ``baseline`` of a snapshot of ``state`` folded on
+    with the sources not in the bitmask ``used``, in every order.  A ``(used,
+    state)`` pair met again bit for bit has the same future, so it is looked up
+    in ``memo``; children go in ``permutations`` order and a pair is stored once
+    its subtree finishes, so the first error raised is a refold's."""
+    if used == (1 << len(masses)) - 1:
+        return deviation(state.snapshot(rule), baseline)
+    worst = 0.0
+    for i, m in enumerate(masses):
+        if not used >> i & 1:
+            child, child_used = state.fuse(m), used | 1 << i
+            key = _state_key(child_used, child, shapes)
+            if (value := memo.get(key)) is None:
+                value = memo[key] = _worst_completion(child, child_used, masses, rule,
+                                                      baseline, memo, shapes)
+            worst = max(worst, value)
+    return worst
+
+
 def _check_permutation(scenario: Scenario, rule: Rule, trials: int, seed: int) -> float | None:
     masses = scenario.masses
     if len(masses) < 2:
         return None  # one source has one ordering, the scenario's own
-    orders = _orderings(len(masses), trials, seed)
-    return _worst_refold(scenario, rule, ([masses[i] for i in order] for order in orders))
+    if math.factorial(len(masses)) > ORDERINGS_CAP:
+        orders = _orderings(len(masses), trials, seed)
+        return _worst_refold(scenario, rule, ([masses[i] for i in order] for order in orders))
+    baseline = scenario.states[-1].snapshot(rule)
+    return _worst_completion(scenario.start, 0, masses, rule, baseline, {}, {})
 
 
 def _check_markov(scenario: Scenario, *_) -> float | None:

@@ -84,12 +84,14 @@ def transfer_dempster(result: MassFunction) -> MassFunction:
 
 def transfer_smets(result: MassFunction) -> MassFunction:
     """Pool all conflicting mass on the empty proposition (open world)."""
-    return _redistribute(result, lambda bits: [(0, 1.0)], allow_conflict=True)
+    pairs = [(0, 1.0)]
+    return _redistribute(result, lambda bits: pairs, allow_conflict=True)
 
 
 def transfer_yager(result: MassFunction) -> MassFunction:
     """Move all conflicting mass to total ignorance."""
-    return _redistribute(result, lambda bits: [(result.model.frame.full_bits, 1.0)])
+    pairs = [(result.model.frame.full_bits, 1.0)]
+    return _redistribute(result, lambda bits: pairs)
 
 
 def transfer_union(result: MassFunction) -> MassFunction:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output bytes, exit codes, checks."""
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -18,6 +19,7 @@ from evfuse.cli import (
     CHECKS,
     Scenario,
     ScenarioError,
+    _check_permutation,
     _closed_form_applies,
     _json,
     _orderings,
@@ -29,6 +31,7 @@ from evfuse.cli import (
     main,
     scenario_from_dict,
 )
+from evfuse.errors import TotalConflictError, ValidationError
 
 from support import (
     SCENARIO_DIR,
@@ -47,6 +50,9 @@ from support import (
 THREE = str(SCENARIO_DIR / "three_sources.json")
 FOUR = str(SCENARIO_DIR / "four_sources.json")
 VBF_FIRST = str(SCENARIO_DIR / "vbf_first.json")
+GOLDEN_SCENARIOS = SCENARIO_DIR.parent / "tests" / "golden" / "scenarios"
+RING5 = str(GOLDEN_SCENARIOS / "ring5.json")
+PRUNED3 = str(GOLDEN_SCENARIOS / "pruned3.json")
 
 FUSE_THREE_TABLE = """\
 rule: dsm_hybrid
@@ -509,11 +515,28 @@ def test_worst_refold_shares_prefixes(monkeypatch, lists, fuses):
 
 
 def test_verify_folds_the_scenario_order_once(monkeypatch, capsys):
-    # permutation 4 + 60, markov 0, vbf 19, eq7 6 pairs x 2; the markov
-    # check and both refolds share the scenario's prefix chain (103 before)
+    # the scenario's own order 4, then permutation 49, markov 0, vbf 19, eq7
+    # 6 pairs x 2; the permutation walk fuses 4 + 12 + 2 x 9 + 1 x 15, once
+    # per distinct state of one to three sources; the markov check, the vbf
+    # refold and the baseline share the scenario's prefix chain (95 before,
+    # when the permutation check refolded 60 of the 64 nodes of the trie)
     calls = count_fuses(monkeypatch)
     assert main(["verify", FOUR]) == 0
-    assert len(calls) == 95
+    assert len(calls) == 84
+
+
+def test_permutation_walk_folds_each_distinct_state_once(monkeypatch, capsys):
+    # the scenario's own order 6, then the walk 6 + 30 + 4 x 23 + 3 x 91 +
+    # 2 x 272 + 1 x 537, once per distinct state of one to five sources;
+    # the trie of all 720 orderings has 6 + 30 + 120 + 360 + 720 + 720 =
+    # 1956 nodes.  528 distinct six-source states take a snapshot, and so
+    # does the baseline
+    calls = count_fuses(monkeypatch)
+    snapshots, snapshot = [], FusionState.snapshot
+    monkeypatch.setattr(FusionState, "snapshot",
+                        lambda self, rule: snapshots.append(self) or snapshot(self, rule))
+    assert main(["verify", RING5, "--checks", "permutation"]) == 0
+    assert (len(calls), len(snapshots)) == (1488, 529)
 
 
 def test_fuse_and_stream_leave_the_prefix_chain_unfolded(capsys):
@@ -542,6 +565,112 @@ def test_sampled_orderings_are_drawn_lazily():
         tracemalloc.stop()
     assert first == want
     assert peak < 1_000_000
+
+
+# the permutation walk over every ordering against refolding each from scratch ---
+
+def outcome(check, *args):
+    """A check's result, or the type and message of the error it raised."""
+    try:
+        return check(*args)
+    except (ValidationError, TotalConflictError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_walk_matches_reference(scenario, rule):
+    every = ordered_lists(scenario, permutations(range(len(scenario.masses))))
+    want = outcome(ref_worst_refold, scenario, rule, every)
+    assert outcome(_check_permutation, scenario, rule, 100, 0) == want
+
+
+@st.composite
+def permutation_scenarios(draw):
+    """2-5 sources of 1-4 focal sets with masses k/100 on 3-4 atoms, under a
+    free, an exclusive or a some-pairs-exclusive model, any rule, and now and
+    then a prune_epsilon.  A focal set is a union of 1-3 atoms or of 1-3
+    intersections of two atoms, widened by one atom if the model empties it."""
+    n = draw(st.integers(3, 4))
+    frame = Frame(("A", "B", "C", "D")[:n])
+    kind = draw(st.sampled_from(["free", "exclusive", "pairs"]))
+    if kind == "pairs":
+        pairs = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                              min_size=1, max_size=n, unique=True))
+        model = Model.with_exclusions(frame, pairs)
+    else:
+        model = Model.free(frame) if kind == "free" else Model.exclusive(frame)
+    atom = st.integers(0, n - 1)
+
+    def focal():
+        meets, p = draw(st.booleans()), frame.empty()
+        for _ in range(draw(st.integers(1, 3))):
+            term = frame.atom(draw(atom))
+            p = p | (term & frame.atom(draw(atom)) if meets else term)
+        return p | frame.atom(draw(atom)) if model.is_empty(p) else p
+
+    def source():
+        count = draw(st.integers(1, 4))
+        cuts = sorted(draw(st.sets(st.integers(1, 99), min_size=count - 1, max_size=count - 1)))
+        parts = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, 100])]
+        return MassFunction(model, [(focal(), k / 100) for k in parts])
+
+    masses = [source() for _ in range(draw(st.integers(2, 5)))]
+    epsilon = draw(st.sampled_from([0.0, 0.0, 0.01, 0.05, 0.2]))
+    names = [f"s{i + 1}" for i in range(len(masses))]
+    return Scenario(FusionState.initial(model, epsilon), names, masses,
+                    draw(st.sampled_from(list(Rule))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(permutation_scenarios())
+def test_permutation_walk_matches_every_refold(scenario):
+    # == on the floats, or the same error type and message
+    assert_walk_matches_reference(scenario, scenario.rule)
+
+
+@pytest.mark.parametrize("rule", list(Rule), ids=lambda r: r.value)
+@pytest.mark.parametrize("path", [RING5, PRUNED3], ids=["ring5", "pruned3"])
+def test_permutation_walk_matches_every_refold_on_golden_scenarios(path, rule):
+    # ring5 has 6 sources, 720 orderings; the golden records print only 4
+    # significant digits of a deviation, so this is the bit-level guard
+    assert_walk_matches_reference(load_scenario(path), rule)
+
+
+def test_permutation_walk_raises_the_first_orderings_error(capsys, tmp_path):
+    # the scenario's own order folds, but orderings empty the pruned state:
+    # (1, 2, 0, 3), the first of them, at source 3, and the later
+    # (2, 0, 1, 3) already at source 2; the first in permutation order wins
+    doc = {
+        "frame": ["A", "B", "C"],
+        "model": "free",
+        "rule": "yager",
+        "prune_epsilon": 0.3,
+        "sources": [
+            {"name": "s1", "masses": {"A|B": 0.2, "B": 0.1, "C": 0.5, "A|B|C": 0.2}},
+            {"name": "s2", "masses": {"A|B": 1.0}},
+            {"name": "s3", "masses": {"A": 0.4, "B|C": 0.2, "C": 0.1, "A|C": 0.3}},
+            {"name": "s4", "masses": {"B": 1.0}},
+        ],
+    }
+    path = write_scenario(tmp_path, doc)
+    assert main(["fuse", path]) == 0
+    capsys.readouterr()
+    assert main(["verify", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: prune_epsilon=0.3 removed every term at source 3\n"
+
+
+@pytest.mark.parametrize("path", [FOUR, RING5, PRUNED3], ids=["four_sources", "ring5", "pruned3"])
+def test_verify_leaves_no_reference_cycle(capsys, path):
+    # a cycle through the walk would keep its memo alive until a full collection
+    build_parser()
+    gc.collect()
+    gc.disable()
+    try:
+        main(["verify", path])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # scenario validation ---------------------------------------------------------------
