@@ -14,7 +14,6 @@ import math
 import random
 import struct
 import sys
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, combinations
 
@@ -36,13 +35,12 @@ class ScenarioError(ValidationError):
     """Scenario file rejected; the message names the offending field."""
 
 
-@dataclass
 class Scenario:
     """A loaded scenario: its start state, its sources' names and masses in order, its rule."""
-    start: FusionState
-    names: list[str]
-    masses: list[MassFunction]
-    rule: Rule
+
+    def __init__(self, start: FusionState, names: list[str], masses: list[MassFunction],
+                 rule: Rule):
+        self.start, self.names, self.masses, self.rule = start, names, masses, rule
 
     @cached_property
     def states(self) -> list[FusionState]:
@@ -255,21 +253,24 @@ def _state_key(used: int, state: FusionState, shapes: dict) -> tuple:
     return used, shapes.setdefault(shape, shape), struct.pack(f"{len(doubles)}d", *doubles)
 
 
-def _worst_completion(state, used, masses, rule, baseline, memo, shapes) -> float:
+def _worst_completion(state, used, scenario, rule, baseline, memo, shapes) -> float:
     """Largest deviation from ``baseline`` of a snapshot of ``state`` folded on
-    with the sources not in the bitmask ``used``, in every order.  A ``(used,
-    state)`` pair met again bit for bit has the same future, so it is looked up
-    in ``memo``; children go in ``permutations`` order and a pair is stored once
-    its subtree finishes, so the first error raised is a refold's."""
+    with the scenario's sources not in the bitmask ``used``, in every order.  A
+    ``(used, state)`` pair met again bit for bit has the same future, so it is
+    looked up in ``memo``; children go in ``permutations`` order and a pair is
+    stored once its subtree finishes, so the first error raised is a refold's.
+    Along the scenario's own order the children are its prefix chain."""
+    masses, chain = scenario.masses, scenario.states
     if used == (1 << len(masses)) - 1:
         return deviation(state.snapshot(rule), baseline)
     worst = 0.0
     for i, m in enumerate(masses):
         if not used >> i & 1:
-            child, child_used = state.fuse(m), used | 1 << i
+            child = chain[i + 1] if state is chain[i] else state.fuse(m)
+            child_used = used | 1 << i
             key = _state_key(child_used, child, shapes)
             if (value := memo.get(key)) is None:
-                value = memo[key] = _worst_completion(child, child_used, masses, rule,
+                value = memo[key] = _worst_completion(child, child_used, scenario, rule,
                                                       baseline, memo, shapes)
             worst = max(worst, value)
     return worst
@@ -283,7 +284,7 @@ def _check_permutation(scenario: Scenario, rule: Rule, trials: int, seed: int) -
         orders = _orderings(len(masses), trials, seed)
         return _worst_refold(scenario, rule, ([masses[i] for i in order] for order in orders))
     baseline = scenario.states[-1].snapshot(rule)
-    return _worst_completion(scenario.start, 0, masses, rule, baseline, {}, {})
+    return _worst_completion(scenario.start, 0, scenario, rule, baseline, {}, {})
 
 
 def _check_markov(scenario: Scenario, *_) -> float | None:

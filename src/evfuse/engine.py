@@ -11,17 +11,15 @@ stored state with a new source equals refusing everything from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as _cartesian
 
 from .errors import ValidationError
-from .lattice import Model
+from .lattice import Model, _Frozen
 from .mass import ColumnSums, MassFunction, ordered_sum, vbf
 from .rules import Rule, apply_transfer, conjunctive
 
 
-@dataclass(frozen=True)
-class FusionState:
+class FusionState(_Frozen):
     """Stored fusion state: the conjunctive accumulator and the column sums,
     both by minterm mask.  The next fold and any snapshot need nothing else;
     the model is the accumulator's.
@@ -30,17 +28,17 @@ class FusionState:
     :meth:`snapshot` never touches the stored values.
     """
 
-    accumulator: MassFunction
-    columns: ColumnSums
-    prune_epsilon: float = 0.0
+    _fields = ("accumulator", "columns", "prune_epsilon")
 
-    def __post_init__(self):
-        eps = self.prune_epsilon  # an int or float, not a bool; NaN fails the range
+    def __init__(self, accumulator: MassFunction, columns: ColumnSums,
+                 prune_epsilon: float = 0.0):
+        eps = prune_epsilon  # an int or float, not a bool; NaN fails the range
         if not isinstance(eps, (int, float)) or isinstance(eps, bool) or not 0.0 <= eps < 1.0:
             raise ValidationError(f"prune_epsilon must lie in [0, 1), got {eps!r}")
-        ours, theirs = self.accumulator.model, self.columns.model
+        ours, theirs = accumulator.model, columns.model
         if theirs is not ours and theirs != ours:
             raise ValidationError("column sums use a different model")
+        self.__dict__.update(accumulator=accumulator, columns=columns, prune_epsilon=eps)
 
     @classmethod
     def initial(cls, model: Model, prune_epsilon: float = 0.0) -> "FusionState":

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import or_
+from operator import attrgetter, or_
 
 from .errors import ExpressionError, ValidationError
 
@@ -38,27 +37,60 @@ _ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TOKEN = re.compile(rf"([&|()])|({_ATOM_NAME.pattern})|(\S)")
 
 
-@dataclass(frozen=True)
-class Frame:
+class _Frozen:
+    """Base of the immutable value classes.  Each names its fields in
+    ``_fields`` and stores them in ``__init__``; instances compare with
+    their own class, hash and print by those fields, and assigning or
+    deleting an attribute raises AttributeError.  The instance ``__dict__``
+    stays, for weak references and for ``cached_property`` memos."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._key = property(attrgetter(*cls._fields))  # the field values, in C
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Frame(_Frozen):
     """Ordered set of elementary hypotheses."""
 
-    atoms: tuple[str, ...]
+    _fields = ("atoms",)
 
-    def __post_init__(self):
-        if not isinstance(self.atoms, (tuple, list)):
-            raise ValidationError(f"atoms must be a tuple or list of names, got {self.atoms!r}")
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        if not 2 <= len(self.atoms) <= MAX_ATOMS:
+    def __init__(self, atoms: tuple[str, ...]):
+        if not isinstance(atoms, (tuple, list)):
+            raise ValidationError(f"atoms must be a tuple or list of names, got {atoms!r}")
+        atoms = tuple(atoms)
+        if not 2 <= len(atoms) <= MAX_ATOMS:
             raise ValidationError(
-                f"frame needs between 2 and {MAX_ATOMS} atoms, got {len(self.atoms)}"
+                f"frame needs between 2 and {MAX_ATOMS} atoms, got {len(atoms)}"
             )
         seen = set()
-        for atom in self.atoms:
+        for atom in atoms:
             if not isinstance(atom, str) or _ATOM_NAME.fullmatch(atom) is None:
                 raise ValidationError(f"invalid atom name {atom!r}")
             if atom in seen:
                 raise ValidationError(f"duplicate atom name {atom!r}")
             seen.add(atom)
+        self.__dict__["atoms"] = atoms
 
     @property
     def n(self) -> int:
@@ -207,8 +239,7 @@ def _require_same_frame(a: Frame, b: Frame,
         raise ValidationError(message)
 
 
-@dataclass(frozen=True)
-class Proposition:
+class Proposition(_Frozen):
     """An element of the union/intersection lattice over a frame.
 
     ``bits`` must be an up-closed minterm family.  The constructors on
@@ -218,12 +249,12 @@ class Proposition:
     are memoised on the frame, by mask.
     """
 
-    frame: Frame
-    bits: int
+    _fields = ("frame", "bits")
 
-    def __post_init__(self):
-        if not 0 <= self.bits <= self.frame.full_bits:
+    def __init__(self, frame: Frame, bits: int):
+        if not 0 <= bits <= frame.full_bits:
             raise ValidationError("minterm mask out of range for this frame")
+        self.__dict__.update(frame=frame, bits=bits)
 
     def __and__(self, other: "Proposition") -> "Proposition":
         _require_same_frame(self.frame, other.frame)
@@ -290,8 +321,7 @@ class Proposition:
         return f"<Proposition {self.text()}>"
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(_Frozen):
     """A frame plus the minterm regions declared impossible.
 
     ``free`` forbids nothing, ``exclusive`` kills every region where two
@@ -302,16 +332,16 @@ class Model:
     themselves stay unmasked.
     """
 
-    frame: Frame
-    constrained: int
+    _fields = ("frame", "constrained")
 
-    def __post_init__(self):
-        if not 0 <= self.constrained <= self.frame.full_bits:
+    def __init__(self, frame: Frame, constrained: int):
+        if not 0 <= constrained <= frame.full_bits:
             raise ValidationError("constraint mask out of range for this frame")
-        if not Proposition(self.frame, self.constrained).is_up_closed():
+        if not Proposition(frame, constrained).is_up_closed():
             raise ValidationError("constraint mask must be closed upward")
-        if all(self.constrained >> (1 << i) & 1 for i in range(self.frame.n)):
+        if all(constrained >> (1 << i) & 1 for i in range(frame.n)):
             raise ValidationError("model leaves no possible singleton region")
+        self.__dict__.update(frame=frame, constrained=constrained)
 
     @classmethod
     def free(cls, frame: Frame) -> "Model":

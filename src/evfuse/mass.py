@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from functools import reduce
 from math import inf
-from typing import Iterable, Mapping
 
 from .errors import ValidationError
 from .lattice import Model, Proposition, _require_same_frame

@@ -113,7 +113,7 @@ def transfer_sdli(result: MassFunction, columns: ColumnSums | None) -> MassFunct
     """
     if columns is None:
         raise ValidationError("the sdli transfer needs column sums")
-    if columns.model != result.model:
+    if columns.model is not result.model and columns.model != result.model:
         raise ValidationError("column sums use a different model")
 
     col, parties_of = columns._masses, result.model.frame._parties

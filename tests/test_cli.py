@@ -515,28 +515,30 @@ def test_worst_refold_shares_prefixes(monkeypatch, lists, fuses):
 
 
 def test_verify_folds_the_scenario_order_once(monkeypatch, capsys):
-    # the scenario's own order 4, then permutation 49, markov 0, vbf 19, eq7
+    # the scenario's own order 4, then permutation 45, markov 0, vbf 19, eq7
     # 6 pairs x 2; the permutation walk fuses 4 + 12 + 2 x 9 + 1 x 15, once
-    # per distinct state of one to three sources; the markov check, the vbf
-    # refold and the baseline share the scenario's prefix chain (95 before,
+    # per distinct state of one to three sources, less the 4 states of the
+    # scenario's own order, which it takes from the prefix chain; the markov
+    # check, the vbf refold and the baseline share that chain too (95 before,
     # when the permutation check refolded 60 of the 64 nodes of the trie)
     calls = count_fuses(monkeypatch)
     assert main(["verify", FOUR]) == 0
-    assert len(calls) == 84
+    assert len(calls) == 80
 
 
 def test_permutation_walk_folds_each_distinct_state_once(monkeypatch, capsys):
     # the scenario's own order 6, then the walk 6 + 30 + 4 x 23 + 3 x 91 +
-    # 2 x 272 + 1 x 537, once per distinct state of one to five sources;
-    # the trie of all 720 orderings has 6 + 30 + 120 + 360 + 720 + 720 =
-    # 1956 nodes.  528 distinct six-source states take a snapshot, and so
-    # does the baseline
+    # 2 x 272 + 1 x 537, once per distinct state of one to five sources,
+    # less the 6 states of the scenario's own order, taken from the prefix
+    # chain; the trie of all 720 orderings has 6 + 30 + 120 + 360 + 720 +
+    # 720 = 1956 nodes.  528 distinct six-source states take a snapshot,
+    # and so does the baseline
     calls = count_fuses(monkeypatch)
     snapshots, snapshot = [], FusionState.snapshot
     monkeypatch.setattr(FusionState, "snapshot",
                         lambda self, rule: snapshots.append(self) or snapshot(self, rule))
     assert main(["verify", RING5, "--checks", "permutation"]) == 0
-    assert (len(calls), len(snapshots)) == (1488, 529)
+    assert (len(calls), len(snapshots)) == (1482, 529)
 
 
 def test_fuse_and_stream_leave_the_prefix_chain_unfolded(capsys):
