@@ -11,6 +11,7 @@ stored state with a new source equals refusing everything from scratch.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product as _cartesian
 
 from .errors import ValidationError
@@ -68,10 +69,7 @@ class FusionState(_Frozen):
 
     def fold(self, masses) -> "FusionState":
         """Fuse each source in turn."""
-        state = self
-        for m in masses:
-            state = state.fuse(m)
-        return state
+        return reduce(FusionState.fuse, masses, self)
 
     def snapshot(self, rule: Rule | str) -> MassFunction:
         """Decision view of the stored state under a rule.

@@ -148,6 +148,12 @@ class MassFunction:
         visible = ~self.model.constrained
         return ordered_sum(v for bits, v in self._masses.items() if bits & p.bits & visible)
 
+    def __getstate__(self):  # pickle protocols 0 and 1 need it with __slots__
+        return self.model, self._masses
+
+    def __setstate__(self, state):
+        self.model, self._masses = state
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, MassFunction):
             return NotImplemented
@@ -200,9 +206,14 @@ class ColumnSums:
         out.model, out.source_count, out._masses = self.model, self.source_count + 1, merged
         return out
 
+    def __getstate__(self):  # pickle protocols 0 and 1 need it with __slots__
+        return self.model, self.source_count, self._masses
+
+    def __setstate__(self, state):
+        self.model, self.source_count, self._masses = state
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, ColumnSums) and (self.model, self.source_count, self._masses) == (
-            other.model, other.source_count, other._masses)
+        return isinstance(other, ColumnSums) and self.__getstate__() == other.__getstate__()
 
     def __repr__(self) -> str:
         return f"ColumnSums({self.sums!r}, source_count={self.source_count})"

@@ -3,12 +3,10 @@
 Every rule here is the same two-stage pipeline: multiply the sources
 pointwise under intersection (the conjunctive stage), then apply a
 transfer operator that decides where mass on model-empty propositions
-goes.  The conjunctive stage never collapses conflicting terms, so
-distinct partial conflicts such as A&B and A&B|B&C stay separate until
-a transfer runs.  The transfers differ only in that routing, so each is
-a route from a conflicting term's mask to ``[(target mask, share)]``
-that one loop, ``_redistribute``, applies; Dempster's instead drops the
-conflict.
+goes.  Distinct partial conflicts such as A&B and A&B|B&C stay apart
+until then.  Dempster's transfer drops them; for every other rule one
+loop, ``_redistribute``, routes each: to a fixed target mask, to the
+union of its atoms, or over its conflict parties by weight.
 """
 
 from __future__ import annotations
@@ -50,23 +48,30 @@ def conjunctive(a: MassFunction, b: MassFunction) -> MassFunction:
     return MassFunction._of_masks(a.model, out, allow_conflict=True)
 
 
-def _union_target(model, bits: int) -> int:
-    # the union of the atoms of bits; total ignorance if bits is void or that union is empty
-    target = model.frame._atoms_union(bits) if bits else 0
-    return target if target & ~model.constrained else model.frame.full_bits
-
-
-def _redistribute(result: MassFunction, route, allow_conflict=False) -> MassFunction:
-    """Keep the non-conflicting terms and send each conflicting term's mass
-    to the ``[(target mask, share)]`` that ``route(term mask)`` names."""
-    model = result.model
-    visible = ~model.constrained
+def _redistribute(result: MassFunction, target=None, weights=None,
+                  allow_conflict=False) -> MassFunction:
+    """Keep the non-conflicting terms and send each conflicting term's mass to
+    ``target``, or with none to the union of its atoms: total ignorance when the
+    term is void or that union is empty.  ``weights``, ``{mask: weight}``, split a
+    non-void term first over its conflict parties by weight, if any party has one."""
+    frame, visible = result.model.frame, ~result.model.constrained
     out = {bits: v for bits, v in result._masses.items() if bits & visible}
     for bits, v in result._masses.items():
-        if not bits & visible:
-            for target, share in route(bits):
-                out[target] = out.get(target, 0.0) + v * share
-    return MassFunction._of_masks(model, out, allow_conflict)
+        if bits & visible:
+            continue
+        if weights is not None and bits:
+            parties = frame._parties(bits)
+            ws = [weights.get(g, 0.0) for g in parties]
+            if (total := ordered_sum(ws)) > 0.0:
+                for g, w in zip(parties, ws):
+                    if w:
+                        out[g] = out.get(g, 0.0) + v * (w / total)
+                continue
+        to = target
+        if to is None and not (to := frame._atoms_union(bits)) & visible:
+            to = frame.full_bits
+        out[to] = out.get(to, 0.0) + v
+    return MassFunction._of_masks(result.model, out, allow_conflict)
 
 
 def transfer_dempster(result: MassFunction) -> MassFunction:
@@ -84,14 +89,12 @@ def transfer_dempster(result: MassFunction) -> MassFunction:
 
 def transfer_smets(result: MassFunction) -> MassFunction:
     """Pool all conflicting mass on the empty proposition (open world)."""
-    pairs = [(0, 1.0)]
-    return _redistribute(result, lambda bits: pairs, allow_conflict=True)
+    return _redistribute(result, 0, allow_conflict=True)
 
 
 def transfer_yager(result: MassFunction) -> MassFunction:
     """Move all conflicting mass to total ignorance."""
-    pairs = [(result.model.frame.full_bits, 1.0)]
-    return _redistribute(result, lambda bits: pairs)
+    return _redistribute(result, result.model.frame.full_bits)
 
 
 def transfer_union(result: MassFunction) -> MassFunction:
@@ -100,7 +103,7 @@ def transfer_union(result: MassFunction) -> MassFunction:
     Serves both the Dubois-Prade and the hybrid DSm rules.  Falls back
     to total ignorance when even that union is empty under the model.
     """
-    return _redistribute(result, lambda bits: [(_union_target(result.model, bits), 1.0)])
+    return _redistribute(result)
 
 
 def transfer_sdli(result: MassFunction, columns: ColumnSums | None) -> MassFunction:
@@ -115,19 +118,7 @@ def transfer_sdli(result: MassFunction, columns: ColumnSums | None) -> MassFunct
         raise ValidationError("the sdli transfer needs column sums")
     if columns.model is not result.model and columns.model != result.model:
         raise ValidationError("column sums use a different model")
-
-    col, parties_of = columns._masses, result.model.frame._parties
-
-    def route(bits):
-        if bits:
-            parties = parties_of(bits)
-            weights = [col.get(g, 0.0) for g in parties]
-            total = ordered_sum(weights)
-            if total > 0.0:
-                return [(g, w / total) for g, w in zip(parties, weights) if w]
-        return [(_union_target(result.model, bits), 1.0)]
-
-    return _redistribute(result, route)
+    return _redistribute(result, weights=columns._masses)
 
 
 def sdli2(m1: MassFunction, m2: MassFunction) -> MassFunction:

@@ -16,6 +16,7 @@ from evfuse import (
     Rule,
     TotalConflictError,
     ValidationError,
+    apply_transfer,
     column_sums,
     combine2,
     conjunctive,
@@ -382,6 +383,46 @@ def test_sdli_parties_with_partial_columns(exclusive, frame):
     cols = ColumnSums(exclusive, {frame.parse("A"): 1.3}, 2)
     out = transfer_sdli(r, cols)
     assert_masses(out, {"A": 1.0}, tol=1e-12)
+
+
+# Every rule's float.hex bits on one stored product that reaches each
+# fallback of the transfer loop.  Under the model below, atom A and B&C are
+# empty.  The product holds a void term, never split, though ∅ has a column
+# total (as when combine2 takes an open-world operand); A, whose atom union
+# is empty; A&C, whose sdli parties {A} and {C} have no column mass; B&C,
+# whose party {B} alone has some; and A&B|B&C, split 1.2 : 0.4 between B
+# and A|C, where v * (w / total) and v * w / total round apart.
+PINNED_TRANSFERS = {
+    Rule.CONJUNCTIVE: {"∅": "0x1.999999999999ap-4", "A&C": "0x1.eb851eb851eb8p-4",
+                       "A": "0x1.47ae147ae147bp-4", "B&C": "0x1.999999999999ap-4",
+                       "A&B|B&C": "0x1.999999999999ap-3", "B": "0x1.0000000000000p-2",
+                       "B|C": "0x1.3333333333333p-3"},
+    Rule.DEMPSTER: {"B": "0x1.4000000000000p-1", "B|C": "0x1.7ffffffffffffp-2"},
+    Rule.SMETS: {"∅": "0x1.3333333333334p-1", "B": "0x1.0000000000000p-2",
+                 "B|C": "0x1.3333333333333p-3"},
+    Rule.YAGER: {"B": "0x1.0000000000000p-2", "B|C": "0x1.3333333333333p-3",
+                 "A|B|C": "0x1.3333333333334p-1"},
+    Rule.DUBOIS_PRADE: {"B": "0x1.0000000000000p-2", "A|C": "0x1.eb851eb851eb8p-4",
+                        "B|C": "0x1.0000000000000p-2", "A|B|C": "0x1.851eb851eb852p-2"},
+    Rule.SDLI: {"B": "0x1.0000000000000p-1", "A|C": "0x1.5c28f5c28f5c2p-3",
+                "B|C": "0x1.3333333333333p-3", "A|B|C": "0x1.70a3d70a3d70ap-3"},
+}
+PINNED_TRANSFERS[Rule.DSM_CLASSIC] = PINNED_TRANSFERS[Rule.CONJUNCTIVE]
+PINNED_TRANSFERS[Rule.DSM_HYBRID] = PINNED_TRANSFERS[Rule.DUBOIS_PRADE]
+
+
+@pytest.mark.parametrize("rule", list(Rule))
+def test_transfer_fallbacks_keep_their_bits(rule):
+    frame = Frame(("A", "B", "C"))
+    model = Model(frame, frame.parse("A|B&C").bits)
+    rows = {"B": 0.25, "B|C": 0.15, "A&B|B&C": 0.2, "B&C": 0.1, "A&C": 0.12, "A": 0.08}
+    terms = {frame.parse(expr): v for expr, v in rows.items()}
+    terms[frame.empty()] = 0.1
+    product = MassFunction(model, terms, allow_conflict=True)
+    columns = ColumnSums(model, {frame.parse("B"): 1.2, frame.parse("A|C"): 0.4,
+                                 frame.empty(): 0.5}, 2)
+    out = apply_transfer(rule, product, columns)
+    assert {p.text(): v.hex() for p, v in out.items()} == PINNED_TRANSFERS[rule]
 
 
 # closed-formula route ---------------------------------------------------------------

@@ -98,8 +98,7 @@ def test_assignment_and_deletion_raise_attribute_error(kind, field):
     assert vars(value) == before
 
 
-# protocols 0 and 1 cannot pickle a MassFunction or ColumnSums, which have __slots__
-@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 @pytest.mark.parametrize("kind", KINDS)
 def test_pickle_round_trip(kind, protocol):
     value = build()[kind]
