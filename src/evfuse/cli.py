@@ -221,28 +221,15 @@ def _orderings(count: int, trials: int, seed: int):
         yield tuple(order)
 
 
-def _worst_refold(scenario: Scenario, rule: Rule, source_lists) -> float:
-    """Largest deviation of a refold of each source list from the
-    scenario's own snapshot.
-
-    The state after a prefix depends on that prefix alone, so each list
-    is refolded only from the first source (by identity) where it leaves
-    the previous list, at first the scenario's own, starting from a copy
-    of its prefix chain; ``states[k]`` holds the state after k sources.
-    """
-    previous, states = scenario.masses, list(scenario.states)
-    baseline, worst = states[-1].snapshot(rule), 0.0
-    for masses in source_lists:
-        masses = list(masses)
-        k = 0
-        while k < min(len(masses), len(previous)) and masses[k] is previous[k]:
-            k += 1
-        del states[k + 1:]
-        for m in masses[k:]:
-            states.append(states[-1].fuse(m))
-        previous = masses
-        worst = max(worst, deviation(states[-1].snapshot(rule), baseline))
-    return worst
+def _refolded(scenario: Scenario, masses: list[MassFunction]) -> FusionState:
+    """The state after folding ``masses`` from the scenario's start.  The
+    state after a prefix depends on that prefix alone, so the fold goes on
+    from the scenario's prefix chain after the sources the list shares,
+    by identity, with the scenario's own order."""
+    own, k = scenario.masses, 0
+    while k < min(len(masses), len(own)) and masses[k] is own[k]:
+        k += 1
+    return scenario.states[k].fold(masses[k:])
 
 
 def _state_key(used: int, state: FusionState, shapes: dict) -> tuple:
@@ -280,10 +267,10 @@ def _check_permutation(scenario: Scenario, rule: Rule, trials: int, seed: int) -
     masses = scenario.masses
     if len(masses) < 2:
         return None  # one source has one ordering, the scenario's own
-    if math.factorial(len(masses)) > ORDERINGS_CAP:
-        orders = _orderings(len(masses), trials, seed)
-        return _worst_refold(scenario, rule, ([masses[i] for i in order] for order in orders))
     baseline = scenario.states[-1].snapshot(rule)
+    if math.factorial(len(masses)) > ORDERINGS_CAP:
+        return max(deviation(_refolded(scenario, [masses[i] for i in order]).snapshot(rule),
+                             baseline) for order in _orderings(len(masses), trials, seed))
     return _worst_completion(scenario.start, 0, scenario, rule, baseline, {}, {})
 
 
@@ -296,8 +283,9 @@ def _check_markov(scenario: Scenario, *_) -> float | None:
 
 def _check_vbf(scenario: Scenario, rule: Rule, *_) -> float:
     masses, neutral = scenario.masses, [vbf(scenario.start.model)]
-    padded = (masses[:k] + neutral + masses[k:] for k in range(len(masses) + 1))
-    return _worst_refold(scenario, rule, padded)
+    baseline = scenario.states[-1].snapshot(rule)
+    return max(deviation(_refolded(scenario, masses[:k] + neutral + masses[k:]).snapshot(rule),
+                         baseline) for k in range(len(masses) + 1))
 
 
 def _closed_form_applies(model: Model, m1: MassFunction, m2: MassFunction) -> bool:

@@ -15,7 +15,7 @@ from functools import reduce
 from itertools import product as _cartesian
 
 from .errors import ValidationError
-from .lattice import Model, _Frozen
+from .lattice import Model, _Frozen, _require_same
 from .mass import ColumnSums, MassFunction, ordered_sum, vbf
 from .rules import Rule, apply_transfer, conjunctive
 
@@ -36,9 +36,7 @@ class FusionState(_Frozen):
         eps = prune_epsilon  # an int or float, not a bool; NaN fails the range
         if not isinstance(eps, (int, float)) or isinstance(eps, bool) or not 0.0 <= eps < 1.0:
             raise ValidationError(f"prune_epsilon must lie in [0, 1), got {eps!r}")
-        ours, theirs = accumulator.model, columns.model
-        if theirs is not ours and theirs != ours:
-            raise ValidationError("column sums use a different model")
+        _require_same(columns.model, accumulator.model, "column sums use a different model")
         self.__dict__.update(accumulator=accumulator, columns=columns, prune_epsilon=eps)
 
     @classmethod
@@ -100,8 +98,8 @@ def oracle_conjunctive(masses) -> MassFunction:
     if len(masses) < 2:
         raise ValidationError("the oracle needs at least two sources")
     model = masses[0].model
-    if any(m.model != model for m in masses):
-        raise ValidationError("sources use different models")
+    for m in masses:
+        _require_same(m.model, model, "sources use different models")
     terms = {}
     for combo in _cartesian(*(m._masses.items() for m in masses)):
         bits, weight = combo[0]

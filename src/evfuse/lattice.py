@@ -39,10 +39,10 @@ _TOKEN = re.compile(rf"([&|()])|({_ATOM_NAME.pattern})|(\S)")
 
 class _Frozen:
     """Base of the immutable value classes.  Each names its fields in
-    ``_fields`` and stores them in ``__init__``; instances compare with
-    their own class, hash and print by those fields, and assigning or
-    deleting an attribute raises AttributeError.  The instance ``__dict__``
-    stays, for weak references and for ``cached_property`` memos."""
+    ``_fields`` and stores them through ``__dict__``; instances compare with
+    their own class, hash (unless ``__hash__ = None``) and print by those
+    fields, and assigning or deleting an attribute raises AttributeError.
+    Pickle, deepcopy and ``cached_property`` use that dict; weakrefs work."""
 
     _fields: tuple[str, ...] = ()
 
@@ -233,10 +233,17 @@ class Frame(_Frozen):
         return _parse(self, text)
 
 
-def _require_same_frame(a: Frame, b: Frame,
-                        message: str = "operands belong to different frames") -> None:
+def _require_same(a, b, message: str = "operands belong to different frames") -> None:
     if a is not b and a != b:
         raise ValidationError(message)
+
+
+def _require_mask(frame: Frame, bits, what: str) -> None:
+    # an int, not a bool, within the frame's minterms
+    if isinstance(bits, bool) or not isinstance(bits, int):
+        raise ValidationError(f"{what} mask must be an int, got {bits!r}")
+    if not 0 <= bits <= frame.full_bits:
+        raise ValidationError(f"{what} mask out of range for this frame")
 
 
 class Proposition(_Frozen):
@@ -252,16 +259,15 @@ class Proposition(_Frozen):
     _fields = ("frame", "bits")
 
     def __init__(self, frame: Frame, bits: int):
-        if not 0 <= bits <= frame.full_bits:
-            raise ValidationError("minterm mask out of range for this frame")
+        _require_mask(frame, bits, "minterm")
         self.__dict__.update(frame=frame, bits=bits)
 
     def __and__(self, other: "Proposition") -> "Proposition":
-        _require_same_frame(self.frame, other.frame)
+        _require_same(self.frame, other.frame)
         return Proposition(self.frame, self.bits & other.bits)
 
     def __or__(self, other: "Proposition") -> "Proposition":
-        _require_same_frame(self.frame, other.frame)
+        _require_same(self.frame, other.frame)
         return Proposition(self.frame, self.bits | other.bits)
 
     @property
@@ -335,8 +341,7 @@ class Model(_Frozen):
     _fields = ("frame", "constrained")
 
     def __init__(self, frame: Frame, constrained: int):
-        if not 0 <= constrained <= frame.full_bits:
-            raise ValidationError("constraint mask out of range for this frame")
+        _require_mask(frame, constrained, "constraint")
         if not Proposition(frame, constrained).is_up_closed():
             raise ValidationError("constraint mask must be closed upward")
         if all(constrained >> (1 << i) & 1 for i in range(frame.n)):
@@ -372,7 +377,7 @@ class Model(_Frozen):
 
     def is_empty(self, p: Proposition) -> bool:
         """True when nothing of p survives outside the constrained regions."""
-        _require_same_frame(self.frame, p.frame)
+        _require_same(self.frame, p.frame)
         return p.bits & ~self.constrained == 0
 
 

@@ -7,7 +7,7 @@ from functools import reduce
 from math import inf
 
 from .errors import ValidationError
-from .lattice import Model, Proposition, _require_same_frame
+from .lattice import Model, Proposition, _Frozen, _require_same
 
 SUM_TOLERANCE = 1e-9
 
@@ -31,7 +31,7 @@ def _entering(model: Model, assignments: Assignments):
     for prop, value in assignments.items() if isinstance(assignments, Mapping) else assignments:
         if not isinstance(prop, Proposition):
             raise ValidationError(f"focal element must be a Proposition, got {prop!r}")
-        _require_same_frame(prop.frame, model.frame, "focal element belongs to a different frame")
+        _require_same(prop.frame, model.frame, "focal element belongs to a different frame")
         yield prop.bits, value
 
 
@@ -72,7 +72,7 @@ def _validated(model: Model, merged: dict[int, float], allow_conflict: bool) -> 
     return {bits: merged[bits] / total for bits in sorted(merged)}
 
 
-class MassFunction:
+class MassFunction(_Frozen):
     """A belief assignment: positive masses on propositions, summing to 1.
 
     Only the model and the masses by minterm mask, in mask order, are
@@ -81,20 +81,19 @@ class MassFunction:
     products and combination outputs may, with ``allow_conflict=True``.
     """
 
-    __slots__ = ("model", "_masses")
+    _fields = ("model", "_masses")
+    __hash__ = None  # the masses are a dict
 
     def __init__(self, model: Model, assignments: Assignments, *, allow_conflict: bool = False):
-        self.model = model
-        self._masses = _validated(model, _summed(model, _entering(model, assignments)),
-                                  allow_conflict)
+        self.__dict__.update(model=model, _masses=_validated(
+            model, _summed(model, _entering(model, assignments)), allow_conflict))
 
     @classmethod
     def _of_masks(cls, model: Model, masses: dict, allow_conflict: bool = False) -> "MassFunction":
         # the engine's results, from {mask: mass}: the same validator,
         # without the proposition checks of __init__
         self = cls.__new__(cls)
-        self.model = model
-        self._masses = _validated(model, masses, allow_conflict)
+        self.__dict__.update(model=model, _masses=_validated(model, masses, allow_conflict))
         return self
 
     @property
@@ -137,27 +136,16 @@ class MassFunction:
         no support for anything and are skipped; with no focal element
         left, the belief is int 0, as in :meth:`plausibility`.
         """
-        _require_same_frame(p.frame, self.frame)
+        _require_same(p.frame, self.frame)
         visible = ~self.model.constrained
         return ordered_sum(v for bits, v in self._masses.items()
                            if (masked := bits & visible) and not masked & ~p.bits)
 
     def plausibility(self, p: Proposition) -> float:
         """Mass on everything whose overlap with p survives the model."""
-        _require_same_frame(p.frame, self.frame)
+        _require_same(p.frame, self.frame)
         visible = ~self.model.constrained
         return ordered_sum(v for bits, v in self._masses.items() if bits & p.bits & visible)
-
-    def __getstate__(self):  # pickle protocols 0 and 1 need it with __slots__
-        return self.model, self._masses
-
-    def __setstate__(self, state):
-        self.model, self._masses = state
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MassFunction):
-            return NotImplemented
-        return self.model == other.model and self._masses == other._masses
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{p.text()}: {v:.6f}" for p, v in self.items())
@@ -169,19 +157,20 @@ def vbf(model: Model) -> MassFunction:
     return MassFunction(model, {model.frame.total_ignorance(): 1.0})
 
 
-class ColumnSums:
+class ColumnSums(_Frozen):
     """Per-proposition totals of the raw source masses seen so far, by
     minterm mask; ``sums`` lists them in mask order.  The constructor takes
     its keys and totals as :class:`MassFunction` takes its masses, without
     the sum to 1, and ``source_count`` an int >= 0."""
 
-    __slots__ = ("model", "source_count", "_masses")
+    _fields = ("model", "source_count", "_masses")
+    __hash__ = None  # the sums are a dict
 
     def __init__(self, model: Model, sums: Mapping[Proposition, float], source_count: int):
         if type(source_count) is not int or source_count < 0:
             raise ValidationError(f"source_count must be an int >= 0, got {source_count!r}")
-        self.model, self.source_count = model, source_count
-        self._masses = _summed(model, _entering(model, sums))
+        self.__dict__.update(model=model, source_count=source_count,
+                             _masses=_summed(model, _entering(model, sums)))
 
     @classmethod
     def empty(cls, model: Model) -> "ColumnSums":
@@ -197,23 +186,13 @@ class ColumnSums:
         return self._masses.get(bits, 0.0)
 
     def add(self, m: MassFunction) -> "ColumnSums":
-        if m.model is not self.model and m.model != self.model:
-            raise ValidationError("mass function uses a different model")
+        _require_same(m.model, self.model, "mass function uses a different model")
         merged = dict(self._masses)
         for bits, v in m._masses.items():
             merged[bits] = merged.get(bits, 0.0) + v
         out = ColumnSums.__new__(ColumnSums)  # sums of validated sources: no checks to rerun
-        out.model, out.source_count, out._masses = self.model, self.source_count + 1, merged
+        out.__dict__.update(model=self.model, source_count=self.source_count + 1, _masses=merged)
         return out
-
-    def __getstate__(self):  # pickle protocols 0 and 1 need it with __slots__
-        return self.model, self.source_count, self._masses
-
-    def __setstate__(self, state):
-        self.model, self.source_count, self._masses = state
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ColumnSums) and self.__getstate__() == other.__getstate__()
 
     def __repr__(self) -> str:
         return f"ColumnSums({self.sums!r}, source_count={self.source_count})"
@@ -229,6 +208,6 @@ def column_sums(masses: Iterable[MassFunction]) -> ColumnSums:
 
 def deviation(a, b) -> float:
     """Largest per-proposition mass difference between two assignments on one frame."""
-    _require_same_frame(a.frame, b.frame)
+    _require_same(a.frame, b.frame)
     da, db = a._masses, b._masses
     return max((abs(da.get(k, 0.0) - db.get(k, 0.0)) for k in da.keys() | db.keys()), default=0.0)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import TotalConflictError, ValidationError
+from .lattice import _require_same
 from .mass import ColumnSums, MassFunction, column_sums, ordered_sum
 
 
@@ -37,8 +38,7 @@ def conjunctive(a: MassFunction, b: MassFunction) -> MassFunction:
     Operands may be sources or previously stored products; the result
     keeps its model-empty terms for a transfer to route later.
     """
-    if a.model is not b.model and a.model != b.model:
-        raise ValidationError("operands use different models")
+    _require_same(a.model, b.model, "operands use different models")
     masks_b = list(b._masses.items())
     out: dict[int, float] = {}
     for x, mx in a._masses.items():
@@ -116,8 +116,7 @@ def transfer_sdli(result: MassFunction, columns: ColumnSums | None) -> MassFunct
     """
     if columns is None:
         raise ValidationError("the sdli transfer needs column sums")
-    if columns.model is not result.model and columns.model != result.model:
-        raise ValidationError("column sums use a different model")
+    _require_same(columns.model, result.model, "column sums use a different model")
     return _redistribute(result, weights=columns._masses)
 
 
@@ -131,8 +130,7 @@ def sdli2(m1: MassFunction, m2: MassFunction) -> MassFunction:
     unions of atoms, it must match ``transfer_sdli(conjunctive(m1, m2),
     column_sums([m1, m2]))`` to within 1e-12, as verify's eq7 checks.
     """
-    if m1.model != m2.model:
-        raise ValidationError("operands use different models")
+    _require_same(m1.model, m2.model, "operands use different models")
     d1, d2, visible = m1._masses, m2._masses, ~m1.model.constrained
     focal = sorted(d1.keys() | d2.keys())
     col = {a: d1.get(a, 0.0) + d2.get(a, 0.0) for a in focal}

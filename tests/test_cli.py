@@ -20,10 +20,11 @@ from evfuse.cli import (
     Scenario,
     ScenarioError,
     _check_permutation,
+    _check_vbf,
     _closed_form_applies,
     _json,
     _orderings,
-    _worst_refold,
+    _refolded,
     build_parser,
     cmd_fuse,
     cmd_stream,
@@ -464,26 +465,68 @@ def ordered_lists(scenario, orders):
     return [[masses[i] for i in order] for order in orders]
 
 
-@pytest.mark.parametrize("rule", ["sdli", "dubois_prade", "yager", "smets"])
-def test_worst_refold_matches_reference(rule):
+def outcome(check, *args):
+    """A check's result, or the type and message of the error it raised."""
+    try:
+        return check(*args)
+    except (ValidationError, TotalConflictError) as exc:
+        return type(exc), str(exc)
+
+
+def pruned_scenario(rng, count):
+    # a prune_epsilon breaks order invariance, so some refolds deviate
+    scenario = random_scenario(rng, count)
+    start = FusionState.initial(scenario.start.model, 0.1)
+    return Scenario(start, scenario.names, scenario.masses, scenario.rule)
+
+
+@pytest.mark.parametrize("rule", ["sdli", "dubois_prade", "yager", "smets", "dempster"])
+def test_refold_checks_match_reference(rule):
+    # the vbf check and the sampled orderings (n! > 720) continue each list
+    # from the prefix chain; each must equal refolding every list from the
+    # start, value for value or error for error (dempster meets total
+    # conflict on the seven sources)
     rng = random.Random(f"refold/{rule}")
-    six, eight = random_scenario(rng, 6), random_scenario(rng, 8)
-    pruned = scenario_from_dict(pruned_doc())
-    masses = six.masses
-    cases = [
-        (six, ordered_lists(six, permutations(range(6)))),  # all 720 orderings
-        (eight, ordered_lists(eight, _orderings(8, 100, 0))),  # sampled orderings
-        (six, padded_lists(six)),
-        (eight, padded_lists(eight)),
-        (pruned, ordered_lists(pruned, permutations(range(3)))),
-        (pruned, padded_lists(pruned)),
-        # repeats, a prefix of the previous list, then a longer list again
-        (six, [masses, masses, masses[:3], masses[:2] + masses[3:], masses[::-1], masses[:1]]),
-    ]
-    for scenario, lists in cases:
-        assert _worst_refold(scenario, rule, lists) == ref_worst_refold(scenario, rule, lists)
-    lists = ordered_lists(pruned, permutations(range(3)))
-    assert _worst_refold(pruned, rule, lists) > CHECKS["permutation"][0]
+    six, seven, eight = (random_scenario(rng, n) for n in (6, 7, 8))
+    pruned, pruned7 = scenario_from_dict(pruned_doc()), pruned_scenario(rng, 7)
+    for scenario in (six, seven, eight, pruned, pruned7):
+        want = outcome(ref_worst_refold, scenario, rule, padded_lists(scenario))
+        assert outcome(_check_vbf, scenario, rule) == want
+    for scenario in (six, seven, eight, pruned, pruned7):
+        count = len(scenario.masses)
+        orders = permutations(range(count)) if count < 7 else _orderings(count, 100, 0)
+        want = outcome(ref_worst_refold, scenario, rule, ordered_lists(scenario, orders))
+        assert outcome(_check_permutation, scenario, rule, 100, 0) == want
+    # the pruned orderings deviate past the tolerance under every rule here but dempster
+    deviates = _check_permutation(pruned, rule, 100, 0) > CHECKS["permutation"][0]
+    assert deviates == (rule != "dempster")
+
+
+def state_bits(state) -> tuple:
+    """A stored state as its masks, float.hex values and source count."""
+    return ([(bits, v.hex()) for bits, v in state.accumulator._masses.items()],
+            [(bits, v.hex()) for bits, v in state.columns._masses.items()],
+            state.source_count)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.02])
+def test_refolded_equals_a_fold_from_the_start(epsilon):
+    rng = random.Random("refolded")
+    model = random_model(rng, n=4)
+    masses = random_sources(rng, model, 6)
+    scenario = Scenario(FusionState.initial(model, epsilon), ["s"] * 6, masses, Rule.SDLI)
+    neutral = vbf(model)
+    # repeats, a prefix, then longer lists again, lists leaving the scenario's
+    # order at every point, and lists of other sources or none
+    lists = [masses, masses, masses[:3], masses[:3] + [neutral], masses,
+             masses[:2] + masses[3:], masses[::-1], masses[:1], [], masses + masses[:2],
+             [neutral] + masses, masses[:4] + [neutral] + masses[4:], [masses[1]] * 3]
+    for lst in lists:
+        got = _refolded(scenario, lst)
+        want = scenario.start.fold(lst)
+        assert got == want and state_bits(got) == state_bits(want)
+    assert _refolded(scenario, masses) is scenario.states[-1]
+    assert _refolded(scenario, masses[:3]) is scenario.states[3]
 
 
 def count_fuses(monkeypatch) -> list:
@@ -498,32 +541,45 @@ def count_fuses(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("lists, fuses", [
-    # 4 for the scenario's own order, whose prefixes the first ordering
-    # (the identity) shares whole, then 60 for the other 23 orderings
-    (lambda s: ordered_lists(s, permutations(range(4))), 64),
-    # 4 for the scenario's own order, then 5 + 5 + 4 + 3 + 2
-    (padded_lists, 23),
-], ids=["orderings", "vbf-padded"])
-def test_worst_refold_shares_prefixes(monkeypatch, lists, fuses):
-    scenario = load_scenario(FOUR)
-    source_lists = lists(scenario)
-    want = ref_worst_refold(scenario, "sdli", source_lists)
+@pytest.mark.parametrize("path, fuses", [
+    # the scenario's own order 4, then the vbf padded into each of the 5
+    # places, each continued from the prefix chain after the k sources
+    # before it: 5 + 4 + 3 + 2 + 1 (19 before, when each list was continued
+    # from the one before it: 5 + 5 + 4 + 3 + 2)
+    (FOUR, 4 + 15),
+    # the same for six sources: 7 + 6 + 5 + 4 + 3 + 2 + 1 (40 before)
+    (RING5, 6 + 28),
+], ids=["four", "ring5"])
+def test_vbf_check_continues_the_prefix_chain(monkeypatch, capsys, path, fuses):
     calls = count_fuses(monkeypatch)
-    assert _worst_refold(scenario, "sdli", source_lists) == want
+    assert main(["verify", path, "--checks", "vbf"]) == 0
     assert len(calls) == fuses
 
 
+def test_sampled_orderings_continue_the_prefix_chain(monkeypatch):
+    # the scenario's own order 7, then for each sampled ordering the sources
+    # after the prefix it shares with the scenario's order; the identity
+    # drawn first shares all 7
+    scenario = random_scenario(random.Random("sampled"), 7)
+    orders = list(_orderings(7, 50, 3))
+    shared = [next((k for k in range(7) if order[k] != k), 7) for order in orders]
+    calls = count_fuses(monkeypatch)
+    _check_permutation(scenario, "sdli", 50, 3)
+    assert len(calls) == 7 + sum(7 - k for k in shared)
+
+
 def test_verify_folds_the_scenario_order_once(monkeypatch, capsys):
-    # the scenario's own order 4, then permutation 45, markov 0, vbf 19, eq7
+    # the scenario's own order 4, then permutation 45, markov 0, vbf 15, eq7
     # 6 pairs x 2; the permutation walk fuses 4 + 12 + 2 x 9 + 1 x 15, once
     # per distinct state of one to three sources, less the 4 states of the
     # scenario's own order, which it takes from the prefix chain; the markov
-    # check, the vbf refold and the baseline share that chain too (95 before,
-    # when the permutation check refolded 60 of the 64 nodes of the trie)
+    # check, the vbf refolds and the baseline share that chain too, the vbf
+    # refolds 5 + 4 + 3 + 2 + 1 after the prefix each shares with it (95
+    # before, when the permutation check refolded 60 of the 64 nodes of the
+    # trie; 80 before, when each vbf refold went on from the one before it)
     calls = count_fuses(monkeypatch)
     assert main(["verify", FOUR]) == 0
-    assert len(calls) == 80
+    assert len(calls) == 76
 
 
 def test_permutation_walk_folds_each_distinct_state_once(monkeypatch, capsys):
@@ -570,14 +626,6 @@ def test_sampled_orderings_are_drawn_lazily():
 
 
 # the permutation walk over every ordering against refolding each from scratch ---
-
-def outcome(check, *args):
-    """A check's result, or the type and message of the error it raised."""
-    try:
-        return check(*args)
-    except (ValidationError, TotalConflictError) as exc:
-        return type(exc), str(exc)
-
 
 def assert_walk_matches_reference(scenario, rule):
     every = ordered_lists(scenario, permutations(range(len(scenario.masses))))

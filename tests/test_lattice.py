@@ -212,6 +212,18 @@ def test_make_model_rejects_malformed_spec(frame, spec):
         make_model(frame, spec)
 
 
+@pytest.mark.parametrize("mask", [2.0, 8.0, True, False, "8", None, [8], 8 + 0j],
+                         ids=["2.0", "8.0", "True", "False", "str", "None", "list", "complex"])
+def test_masks_must_be_ints(frame, mask):
+    # 2.0, True and 8.0 were accepted and failed later with a TypeError from
+    # &; a str failed at once with a TypeError from the range comparison
+    with pytest.raises(ValidationError, match="minterm mask must be an int") as info:
+        Proposition(frame, mask)
+    assert repr(mask) in str(info.value)
+    with pytest.raises(ValidationError, match="constraint mask must be an int"):
+        Model(frame, mask)
+
+
 def test_model_rejects_constrained_singletons(frame):
     mask = frame.full_bits  # would make even the atoms empty
     with pytest.raises(ValidationError):

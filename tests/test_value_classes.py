@@ -1,8 +1,10 @@
-"""The immutable value classes: Frame, Proposition, Model and FusionState.
+"""The immutable value classes: Frame, Proposition, Model, FusionState,
+MassFunction and ColumnSums.
 
-They compare and hash by their fields, reject assignment and deletion,
-print as their fields, and survive pickling, deep copies and weak
-references.
+They compare by their fields, reject assignment and deletion, and
+survive pickling, deep copies and weak references.  The first three hash
+by their fields and print as them; the last three hold dicts and are
+unhashable.
 """
 
 import copy
@@ -21,10 +23,11 @@ def build():
     model = Model.exclusive(frame)
     source = MassFunction(model, {frame.parse("A"): 0.6, frame.total_ignorance(): 0.4})
     state = FusionState.initial(model).fuse(source)
-    return {"frame": frame, "proposition": frame.parse("A|B&C"), "model": model, "state": state}
+    return {"frame": frame, "proposition": frame.parse("A|B&C"), "model": model, "state": state,
+            "mass": source, "columns": state.columns}
 
 
-KINDS = ["frame", "proposition", "model", "state"]
+KINDS = ["frame", "proposition", "model", "state", "mass", "columns"]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -51,6 +54,13 @@ def test_values_differ_by_any_field():
     state = FusionState.initial(Model.free(frame))
     assert state != FusionState.initial(Model.free(frame), 0.25)
     assert state != state.fuse(MassFunction(Model.free(frame), {frame.parse("A"): 1.0}))
+    model, a, top = Model.free(frame), frame.parse("A"), frame.total_ignorance()
+    source = MassFunction(model, {a: 0.5, top: 0.5})
+    assert source != MassFunction(model, {a: 0.25, top: 0.75})
+    assert source != MassFunction(Model.exclusive(frame), {a: 0.5, top: 0.5})
+    assert ColumnSums(model, {a: 0.5}, 1) != ColumnSums(model, {a: 0.5}, 2)
+    assert ColumnSums(model, {a: 0.5}, 1) != ColumnSums(model, {top: 0.5}, 1)
+    assert ColumnSums(model, {a: 0.5}, 1) != ColumnSums(Model.exclusive(frame), {a: 0.5}, 1)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -65,6 +75,12 @@ def test_another_class_is_not_implemented(kind):
 def test_a_stored_state_is_unhashable():
     with pytest.raises(TypeError):
         hash(build()["state"])
+
+
+@pytest.mark.parametrize("kind, name", [("mass", "MassFunction"), ("columns", "ColumnSums")])
+def test_masses_are_unhashable(kind, name):
+    with pytest.raises(TypeError, match=f"^unhashable type: '{name}'$"):
+        hash(build()[kind])
 
 
 def test_repr_strings():
@@ -87,6 +103,8 @@ def test_repr_strings():
 @pytest.mark.parametrize("kind, field", [
     ("frame", "atoms"), ("proposition", "bits"), ("model", "constrained"),
     ("state", "prune_epsilon"), ("frame", "n"), ("model", "extra"),
+    ("mass", "model"), ("mass", "_masses"), ("mass", "terms"),
+    ("columns", "model"), ("columns", "source_count"), ("columns", "_masses"),
 ])
 def test_assignment_and_deletion_raise_attribute_error(kind, field):
     value = build()[kind]
