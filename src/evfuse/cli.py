@@ -138,6 +138,8 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"{path}: not valid UTF-8") from None
     except ValueError as exc:  # JSONDecodeError, or an int past the interpreter's digit limit
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:  # arrays or objects nested past the decoder's depth limit
+        raise ScenarioError(f"{path}: not valid JSON (nested too deeply)") from None
     return scenario_from_dict(doc)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from functools import cached_property, reduce
+from functools import reduce
 from operator import attrgetter, or_
 
 from .errors import ExpressionError, ValidationError
@@ -42,7 +42,8 @@ class _Frozen:
     ``_fields`` and stores them through ``__dict__``; instances compare with
     their own class, hash (unless ``__hash__ = None``) and print by those
     fields, and assigning or deleting an attribute raises AttributeError.
-    Pickle, deepcopy and ``cached_property`` use that dict; weakrefs work."""
+    Pickle and deepcopy copy that dict (a Frame rebuilds from its atoms
+    instead); weakrefs work."""
 
     _fields: tuple[str, ...] = ()
 
@@ -83,35 +84,35 @@ class Frame(_Frozen):
             raise ValidationError(
                 f"frame needs between 2 and {MAX_ATOMS} atoms, got {len(atoms)}"
             )
-        seen = set()
-        for atom in atoms:
+        for k, atom in enumerate(atoms):
             if not isinstance(atom, str) or _ATOM_NAME.fullmatch(atom) is None:
                 raise ValidationError(f"invalid atom name {atom!r}")
-            if atom in seen:
+            if atom in atoms[:k]:
                 raise ValidationError(f"duplicate atom name {atom!r}")
-            seen.add(atom)
-        self.__dict__["atoms"] = atoms
+        # the up-set of the singleton minterm {i} for each atom i, by mask doubling
+        atom_bits = []
+        for i in range(len(atoms)):
+            bits = 1 << (1 << i)
+            for j in range(len(atoms)):
+                if j != i:
+                    bits |= bits << (1 << j)
+            atom_bits.append(bits)
+        # full_bits, every minterm set, is the top of the lattice.  The memos
+        # live as long as the frame and hold only ints and strings, so they
+        # form no reference cycle: _regions maps a region to (the complement
+        # of its up-set, its term text "A&B") for _peel; _party_memo and
+        # _union_memo map a minterm mask to its parties and its atoms' union.
+        self.__dict__.update(atoms=atoms, full_bits=(1 << (1 << len(atoms))) - 2,
+                             _atom_bits=tuple(atom_bits), _regions={}, _party_memo={},
+                             _union_memo={})
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the tables rather than copy the memos
+        return (Frame, (self.atoms,))
 
     @property
     def n(self) -> int:
         return len(self.atoms)
-
-    @cached_property
-    def full_bits(self) -> int:
-        """Mask with every minterm set; the top element of the lattice."""
-        return (1 << (1 << self.n)) - 2
-
-    @cached_property
-    def _atom_bits(self) -> tuple[int, ...]:
-        # Up-set of the singleton minterm {i}, built by mask doubling.
-        out = []
-        for i in range(self.n):
-            bits = 1 << (1 << i)
-            for j in range(self.n):
-                if j != i:
-                    bits |= bits << (1 << j)
-            out.append(bits)
-        return tuple(out)
 
     def _up(self, bits: int) -> int:
         # the regions lying one atom above some region of bits
@@ -119,24 +120,6 @@ class Frame(_Frozen):
         for i, atom in enumerate(self._atom_bits):
             up |= (bits & ~atom) << (1 << i)
         return up
-
-    # Memos filled on first use and living as long as the frame.  They
-    # hold ints and strings only, so they form no reference cycle.
-
-    @cached_property
-    def _regions(self) -> dict[int, tuple[int, str]]:
-        # region -> (the complement of its up-set, its term text "A&B"), filled by _peel
-        return {}
-
-    @cached_property
-    def _party_memo(self) -> dict[int, tuple[int, ...]]:
-        # minterm mask -> the masks of its conflict parties, filled by _parties
-        return {}
-
-    @cached_property
-    def _union_memo(self) -> dict[int, int]:
-        # minterm mask -> the mask of its atoms' union, filled by _atoms_union
-        return {}
 
     def _union(self, atoms: int) -> int:
         # the minterm mask of the union of the atoms set in an atom mask
@@ -184,18 +167,24 @@ class Frame(_Frozen):
 
         These are the minimal atom sets T meeting every DNF term.  T
         misses some term exactly when the region of the atoms outside T
-        is present, so the parties are the minimal elements of the
-        absent regions with the mask bit-reversed (region ``R`` becomes
-        atom set ``~R``).  Each is the union of its atoms, ordered by
-        size then atom position.
+        is absent, so the parties are the complements of the maximal
+        absent regions.  The highest absent region is maximal; the union
+        of its complement's atoms holds every region but those below it,
+        so ANDing the absent mask with that union clears them, and the
+        next highest is maximal too.  Each party is the union of its
+        atoms, ordered by size then atom position.
         """
         parties = self._party_memo.get(bits)
         if parties is None:
+            top, found = (1 << self.n) - 1, {}
             absent = (self.full_bits & ~bits) | 1  # the empty region is never present
-            hitting = int(format(absent, f"0{1 << self.n}b")[::-1], 2)
-            found = sorted(self._peel(hitting), key=lambda atoms: (
-                bin(atoms).count("1"), [i for i in range(self.n) if atoms >> i & 1]))
-            parties = self._party_memo[bits] = tuple(map(self._union, found))
+            while absent:
+                atoms = top ^ (absent.bit_length() - 1)
+                found[atoms] = self._union(atoms)
+                absent &= found[atoms]
+            parties = self._party_memo[bits] = tuple(found[atoms] for atoms in sorted(
+                found, key=lambda atoms: (bin(atoms).count("1"),
+                                          [i for i in range(self.n) if atoms >> i & 1])))
         return parties
 
     def _atoms_union(self, bits: int) -> int:

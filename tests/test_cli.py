@@ -951,6 +951,21 @@ def test_module_entry_point_usage_error():
     assert run.stderr.startswith(b"usage: evfuse")
 
 
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"x": ', "}")],
+                         ids=["array", "object"])
+def test_json_nested_too_deeply_is_a_scenario_error(tmp_path, opening, closing):
+    # json.load raised RecursionError, a traceback and exit 1 ("a check failed");
+    # deep enough to pass the C decoder's limit on every supported Python
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"frame": ["A", "B"], "unknown": ' + opening * depth + "0" + closing * depth
+                    + "}", encoding="utf-8")
+    run = run_module("fuse", str(path))
+    assert run.returncode == 2
+    assert run.stdout == b""
+    assert run.stderr == f"error: {path}: not valid JSON (nested too deeply)\n".encode("ascii")
+
+
 def _named_scenario(path, masses):
     # one source named by a lone surrogate: legal JSON, not encodable text
     doc = {"frame": ["A", "B"], "model": "exclusive", "rule": "dempster",

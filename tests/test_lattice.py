@@ -8,7 +8,7 @@ from itertools import combinations
 from operator import or_
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from evfuse import (
     ExpressionError,
@@ -401,6 +401,12 @@ def test_kernel_matches_reference_exhaustive(n, masks, elements):
             assert p.atoms_union() == union_of_atoms(free, support), p
 
 
+# Atom names that are prefixes of one another, so that term order turns
+# on '&' sorting below every character a name may hold.
+PREFIX_NAMES = ("A", "A0", "A_", "AB", "a", "Z9", "A00", "A0_", "AB_", "Aa",
+                "B", "Z", "Z90", "b", "ZZ", "A_0")
+
+
 # the peeling kernel ---------------------------------------------------------------
 # Frame._peel reads the minimal regions of an up-closed mask by clearing the
 # up-set of its lowest region until nothing is left; text, conflict parties
@@ -416,10 +422,26 @@ def dnf_masks(draw):
     return frame, frame.parse("|".join("&".join(term) for term in terms)).bits
 
 
+def _conflicting(n, text):
+    # a frame of n atoms and a mask every term of which meets two atoms or more,
+    # so it is empty under the exclusive model
+    frame = Frame(PREFIX_NAMES[:n])
+    return frame, frame.parse(text).bits
+
+
 @settings(max_examples=60, deadline=None)
 @given(dnf_masks())
+@example(_conflicting(8, "A&A0|A_&AB&a|A0&Z9&A00|AB&A0_"))
+@example(_conflicting(16, "A&A_0|A&ZZ&b|Z90&A_0|A0&B&Z"))
 def test_peel_matches_reference_on_wide_frames(case):
     frame, bits = case
+    # conflict parties are peeled from the top through atom unions, so on a
+    # fresh frame they leave the peel's region memo empty
+    fresh = Frame(frame.atoms)
+    parties = fresh._parties(bits)
+    assert not fresh._regions
+    assert parties == tuple(union_of_atoms(Model.free(fresh), m).bits
+                            for m in ref_conflict_parties(fresh, bits))
     minimal = ref_minimal_minterms(frame, bits)
     assert tuple(frame._peel(bits)) == minimal
     p = Proposition(frame, bits)
@@ -555,12 +577,6 @@ def test_format_parse_round_trip_all_n3(frame):
     assert len(props) == 18
     for p in props:
         assert frame.parse(p.text()) == p
-
-
-# Atom names that are prefixes of one another, so that term order turns
-# on '&' sorting below every character a name may hold.
-PREFIX_NAMES = ("A", "A0", "A_", "AB", "a", "Z9", "A00", "A0_", "AB_", "Aa",
-                "B", "Z", "Z90", "b", "ZZ", "A_0")
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -158,6 +158,61 @@ def test_frame_memos_fill_on_a_frozen_frame():
     assert frame == Frame(("A", "B", "C"))
 
 
+WIDE = tuple(f"x{i}" for i in range(16))
+MEMOS = ("_regions", "_party_memo", "_union_memo")
+
+
+def _used_wide_frame():
+    frame = Frame(WIDE)
+    p = frame.parse("x0&x1|x2&x3&x15|x7")
+    assert p.text() == "x0&x1|x2&x3&x15|x7" and len(p.conflict_parties()) == 6
+    assert p.atoms_union() == frame.parse("x0|x1|x2|x3|x7|x15")
+    assert all(getattr(frame, memo) for memo in MEMOS)
+    return frame, p
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_frame_pickles_as_its_atom_names(protocol):
+    # the bit tables and memos of a 16-atom frame run to hundreds of
+    # kilobytes; the copy rebuilds them instead
+    frame, p = _used_wide_frame()
+    data = pickle.dumps(frame, protocol)
+    assert len(data) < 1024
+    back = pickle.loads(data)
+    assert back == frame and back._atom_bits == frame._atom_bits
+    assert not any(getattr(back, memo) for memo in MEMOS)
+    q = Proposition(back, p.bits)
+    assert q.text() == p.text()
+    assert [g.bits for g in q.conflict_parties()] == [g.bits for g in p.conflict_parties()]
+    assert q.atoms_union().bits == p.atoms_union().bits
+
+
+def test_a_deepcopied_frame_starts_with_empty_memos():
+    frame, p = _used_wide_frame()
+    for back in (copy.deepcopy(frame), copy.copy(frame)):
+        assert back is not frame and back == frame
+        assert not any(getattr(back, memo) for memo in MEMOS)
+        assert Proposition(back, p.bits).text() == p.text()
+
+
+def test_a_used_state_copies_to_identical_snapshot_bits():
+    frame = Frame(("A", "B", "C", "D"))
+    model = Model.with_exclusions(frame, [("A", "B"), ("C", "D"), ("A", "C")])
+    sources = [{"A": 0.5, "B|C": 0.3, "A|B|C|D": 0.2}, {"B": 0.4, "C&D|A": 0.6},
+               {"C": 0.7, "A|D": 0.2, "B&D": 0.1}]
+    state = FusionState.initial(model).fold(
+        MassFunction(model, {frame.parse(k): v for k, v in s.items()}) for s in sources)
+
+    def hex_snapshots(state):
+        return {rule: [(p.bits, v.hex()) for p, v in state.snapshot(rule).items()]
+                for rule in Rule}
+
+    want = hex_snapshots(state)  # fills the frame's memos before the copies are made
+    for back in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+        assert back.model.frame is not frame
+        assert hex_snapshots(back) == want
+
+
 def test_constructors_take_their_field_names():
     frame = Frame(atoms=["A", "B"])
     assert frame.atoms == ("A", "B")
