@@ -292,10 +292,10 @@ def _check_vbf(scenario: Scenario, rule: Rule, *_) -> float:
 
 def _closed_form_applies(model: Model, m1: MassFunction, m2: MassFunction) -> bool:
     # every conflicting product comes from two unions of atoms, which are
-    # then its conflict parties; a union of atoms has one-atom minimal regions
-    visible, minimal = ~model.constrained, model.frame._peel
-    return all(r & (r - 1) == 0 for x in m1._masses for y in m2._masses
-               if not x & y & visible for r in minimal(x) + minimal(y))
+    # then its conflict parties; only a union of atoms equals its atom union
+    visible, union = ~model.constrained, model.frame._atoms_union
+    return all(x == union(x) and y == union(y) for x in m1._masses for y in m2._masses
+               if not x & y & visible)
 
 
 def _check_eq7(scenario: Scenario, *_) -> float | None:

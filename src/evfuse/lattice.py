@@ -89,18 +89,18 @@ class Frame(_Frozen):
                 raise ValidationError(f"invalid atom name {atom!r}")
             if atom in atoms[:k]:
                 raise ValidationError(f"duplicate atom name {atom!r}")
-        # the up-set of the singleton minterm {i} for each atom i, by mask doubling
+        # atom i's regions: 2**i absent then 2**i present, doubled to span 2**n
         atom_bits = []
         for i in range(len(atoms)):
-            bits = 1 << (1 << i)
-            for j in range(len(atoms)):
-                if j != i:
-                    bits |= bits << (1 << j)
+            bits, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+            while width < 1 << len(atoms):
+                bits |= bits << width
+                width <<= 1
             atom_bits.append(bits)
         # full_bits, every minterm set, is the top of the lattice.  The memos
         # live as long as the frame and hold only ints and strings, so they
         # form no reference cycle: _regions maps a region to (the complement
-        # of its up-set, its term text "A&B") for _peel; _party_memo and
+        # of its up-set, its term text "A&B") for _text; _party_memo and
         # _union_memo map a minterm mask to its parties and its atoms' union.
         self.__dict__.update(atoms=atoms, full_bits=(1 << (1 << len(atoms))) - 2,
                              _atom_bits=tuple(atom_bits), _regions={}, _party_memo={},
@@ -126,7 +126,7 @@ class Frame(_Frozen):
         return reduce(or_, (a for i, a in enumerate(self._atom_bits) if atoms >> i & 1), 0)
 
     def _region(self, region: int) -> tuple[int, str]:
-        """The peel's memo entry for ``region``: the complement of its
+        """The rendering memo's entry for ``region``: the complement of its
         up-set, the AND of its atoms' masks, and its term text.  Region 0
         has no atom; its up-set is every region, bit 0 included."""
         up, names, rest = self.full_bits | 1, [], region
@@ -139,28 +139,22 @@ class Frame(_Frozen):
         entry = self._regions[region] = (~up, "&".join(names))
         return entry
 
-    def _peel(self, bits: int) -> list[int]:
-        """The minimal regions of the up-closed mask ``bits``, ascending.
-
-        The lowest region present has no subset present, so it is minimal;
-        clearing its up-set leaves the other minimal regions.  Each step
-        clears the region it found, so the peel ends on any mask in range.
-        """
-        memo, out = self._regions, []
-        while bits:
-            region = (bits & -bits).bit_length() - 1
-            out.append(region)
-            bits &= (memo.get(region) or self._region(region))[0]
-        return out
-
     def _text(self, bits: int) -> str:
         """The canonical DNF of the up-closed mask ``bits``; ``∅`` for 0.
-        Term strings sort as their name tuples would, since ``&`` sorts
-        below every character an atom name may hold."""
+        The lowest region present has no subset present, so it is a term;
+        clearing its up-set leaves the other terms, and the peel ends on any
+        mask in range.  Term strings sort as their name tuples would, since
+        ``&`` sorts below every character an atom name may hold."""
         if not bits:
             return "∅"
-        memo = self._regions
-        return "|".join(sorted([memo[region][1] for region in self._peel(bits)]))
+        memo, terms = self._regions, []
+        while bits:
+            region = (bits & -bits).bit_length() - 1
+            up, term = memo.get(region) or self._region(region)
+            terms.append(term)
+            bits &= up
+        terms.sort()
+        return "|".join(terms)
 
     def _parties(self, bits: int) -> tuple[int, ...]:
         """The masks of the conflict parties of the non-void mask ``bits``.
@@ -188,10 +182,15 @@ class Frame(_Frozen):
         return parties
 
     def _atoms_union(self, bits: int) -> int:
-        """The mask of the union of every atom in the DNF of ``bits``."""
+        """The mask of the union of every atom in the DNF of ``bits``.
+        Atom i is in it exactly when some present region r holds i and r
+        without i (``>> 2**i`` moves r there) is absent: every minimal
+        region in r then holds i, by up-closure, and is such an r itself."""
         union = self._union_memo.get(bits)
         if union is None:
-            union = self._union_memo[bits] = self._union(reduce(or_, self._peel(bits), 0))
+            union = self._union_memo[bits] = reduce(or_, (
+                a for i, a in enumerate(self._atom_bits)
+                if (bits & a) >> (1 << i) | bits != bits), 0)
         return union
 
     def atom_index(self, ref: int | str) -> int:
@@ -273,7 +272,7 @@ class Proposition(_Frozen):
 
         For an up-closed family these are its minimal regions, which
         generate the whole proposition and form the unique DNF antichain;
-        the kernel peels them with :meth:`Frame._peel`.
+        the kernel peels them in :meth:`Frame._text`.
         """
         rem = self.bits & ~self.frame._up(self.bits)
         out = []

@@ -65,7 +65,8 @@ def _validated(model: Model, merged: dict[int, float], allow_conflict: bool) -> 
         total = ordered_sum(merged.values())
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise ValidationError(f"masses sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
-    empty = [] if allow_conflict else [b for b in merged if not b & ~model.constrained]
+    visible = ~model.constrained
+    empty = [] if allow_conflict else [b for b in merged if not b & visible]
     if empty:
         text = Proposition(model.frame, min(empty)).text()
         raise ValidationError(f"focal element {text} is empty under the model")

@@ -424,6 +424,19 @@ def source_pairs(draw):
     return model, source(), source()
 
 
+def test_atom_unions_and_eq7_scope_leave_the_rendering_memo_empty():
+    # only rendering peels into Frame._regions; eq7's scope test compares
+    # each conflicting operand with its atom union
+    frame = Frame(("A", "B", "C", "D"))
+    model = Model.exclusive(frame)
+    a, b, c, d = (frame.atom(name) for name in frame.atoms)
+    m1 = MassFunction(model, [(a, 0.6), (b | c, 0.4)])
+    assert not _closed_form_applies(model, m1, MassFunction(model, [(c, 0.5), (a & b | d, 0.5)]))
+    assert _closed_form_applies(model, m1, MassFunction(model, [(c | d, 1.0)]))
+    assert frame._atoms_union((a & b | d).bits) == (a | b | d).bits
+    assert not frame._regions
+
+
 # sdli2 multiplies two masses, adds at most 16 products into a term, sums
 # at most 8 shares, divides twice per share and renormalises once, all on
 # positive numbers, so its relative error stays near 50 * 2**-53; the bound

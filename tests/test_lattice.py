@@ -408,9 +408,9 @@ PREFIX_NAMES = ("A", "A0", "A_", "AB", "a", "Z9", "A00", "A0_", "AB_", "Aa",
 
 
 # the peeling kernel ---------------------------------------------------------------
-# Frame._peel reads the minimal regions of an up-closed mask by clearing the
-# up-set of its lowest region until nothing is left; text, conflict parties
-# and atom unions all read it.  The exhaustive tests above stop at 4 atoms.
+# Frame._text reads the minimal regions of an up-closed mask by clearing the
+# up-set of its lowest region until nothing is left; conflict parties and
+# atom unions are read without it.  The exhaustive tests above stop at 4 atoms.
 
 @st.composite
 def dnf_masks(draw):
@@ -433,28 +433,32 @@ def _conflicting(n, text):
 @given(dnf_masks())
 @example(_conflicting(8, "A&A0|A_&AB&a|A0&Z9&A00|AB&A0_"))
 @example(_conflicting(16, "A&A_0|A&ZZ&b|Z90&A_0|A0&B&Z"))
-def test_peel_matches_reference_on_wide_frames(case):
+def test_text_matches_reference_on_wide_frames(case):
     frame, bits = case
     # conflict parties are peeled from the top through atom unions, so on a
-    # fresh frame they leave the peel's region memo empty
+    # fresh frame they leave the rendering memo empty
     fresh = Frame(frame.atoms)
     parties = fresh._parties(bits)
     assert not fresh._regions
     assert parties == tuple(union_of_atoms(Model.free(fresh), m).bits
                             for m in ref_conflict_parties(fresh, bits))
     minimal = ref_minimal_minterms(frame, bits)
-    assert tuple(frame._peel(bits)) == minimal
     p = Proposition(frame, bits)
     assert p.text() == ref_text(frame, bits)
-    if frame.n >= 5:
-        free = Model.free(frame)
-        want = [union_of_atoms(free, m) for m in ref_conflict_parties(frame, bits)]
-        assert list(p.conflict_parties()) == want
-        assert p.atoms_union() == union_of_atoms(free, reduce(or_, minimal))
+    free = Model.free(frame)
+    want = [union_of_atoms(free, m) for m in ref_conflict_parties(frame, bits)]
+    assert list(p.conflict_parties()) == want
+    assert p.atoms_union() == union_of_atoms(free, reduce(or_, minimal))
+
+
+def _regions_named(frame, text):
+    # the region each term of a rendering names; region 0's term is ""
+    return [sum(1 << frame.atoms.index(name) for name in term.split("&") if name)
+            for term in text.split("|")]
 
 
 @pytest.mark.parametrize("n", [3, MAX_ATOMS])
-def test_peel_ends_on_masks_holding_region_zero(n):
+def test_text_ends_on_masks_holding_region_zero(n):
     # Region 0 lies inside no atom, so no atom mask holds it.  The up-set
     # the peel clears when it finds region 0 must hold bit 0 itself, or a
     # mask holding region 0 never empties.
@@ -462,18 +466,29 @@ def test_peel_ends_on_masks_holding_region_zero(n):
     everything = frame.full_bits | 1
     assert frame._region(0)[0] == ~everything
     for bits in (1, everything, 1 | frame.atom(0).bits):
-        assert frame._peel(bits) == [0]
+        assert frame._text(bits) == ""  # region 0's term, alone
 
 
-def test_peel_ends_on_every_mask_of_a_small_frame():
+def test_text_ends_on_every_mask_of_a_small_frame():
     # up-closed or not, region 0 or not: each step clears the region it found
     frame = Frame(("A", "B", "C"))
     assert not frame._region(0)[0] & 1  # else the masks holding region 0 never empty
-    for bits in range(1 << (1 << frame.n)):
-        regions = frame._peel(bits)
-        assert regions == sorted(set(regions)) and all(bits >> r & 1 for r in regions)
+    assert frame._text(0) == "∅"
+    for bits in range(1, 1 << (1 << frame.n)):
+        text = frame._text(bits)
+        regions = _regions_named(frame, text)
+        assert len(set(regions)) == len(regions) and all(bits >> r & 1 for r in regions)
         if ref_is_up_closed(frame, bits):
-            assert tuple(regions) == ref_minimal_minterms(frame, bits), bits
+            assert text == ref_text(frame, bits), bits
+
+
+@pytest.mark.parametrize("n", range(2, MAX_ATOMS + 1))
+def test_atom_masks_hold_exactly_their_regions(n):
+    # bit r of atom i's mask is set exactly when region r lies inside atom i
+    frame = Frame(PREFIX_NAMES[:n])
+    for i in range(n):
+        want = int("".join(str(r >> i & 1) for r in reversed(range(1 << n))), 2)
+        assert frame._atom_bits[i] == want, i
 
 
 def test_void_decomposition_raises_on_every_call(frame):
