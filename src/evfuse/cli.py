@@ -214,24 +214,13 @@ def _report(rule: Rule, output: str, steps, with_steps: bool = False) -> int:
 
 
 def _orderings(count: int, trials: int, seed: int):
-    """The identity, then ``trials`` seeded shuffles of ``count`` sources, one at a time."""
+    """``trials`` seeded shuffles of ``count`` sources, one at a time, each
+    with the length of the prefix it shares with the scenario's order."""
     rng = random.Random(seed)
-    yield tuple(range(count))
     for _ in range(trials):
         order = list(range(count))
         rng.shuffle(order)
-        yield tuple(order)
-
-
-def _refolded(scenario: Scenario, masses: list[MassFunction]) -> FusionState:
-    """The state after folding ``masses`` from the scenario's start.  The
-    state after a prefix depends on that prefix alone, so the fold goes on
-    from the scenario's prefix chain after the sources the list shares,
-    by identity, with the scenario's own order."""
-    own, k = scenario.masses, 0
-    while k < min(len(masses), len(own)) and masses[k] is own[k]:
-        k += 1
-    return scenario.states[k].fold(masses[k:])
+        yield order, next((k for k, i in enumerate(order) if i != k), count)
 
 
 def _state_key(used: int, state: FusionState, shapes: dict) -> tuple:
@@ -269,10 +258,11 @@ def _check_permutation(scenario: Scenario, rule: Rule, trials: int, seed: int) -
     masses = scenario.masses
     if len(masses) < 2:
         return None  # one source has one ordering, the scenario's own
-    baseline = scenario.states[-1].snapshot(rule)
+    chain = scenario.states
+    baseline = chain[-1].snapshot(rule)
     if math.factorial(len(masses)) > ORDERINGS_CAP:
-        return max(deviation(_refolded(scenario, [masses[i] for i in order]).snapshot(rule),
-                             baseline) for order in _orderings(len(masses), trials, seed))
+        return max(deviation(chain[k].fold([masses[i] for i in order[k:]]).snapshot(rule),
+                             baseline) for order, k in _orderings(len(masses), trials, seed))
     return _worst_completion(scenario.start, 0, scenario, rule, baseline, {}, {})
 
 
@@ -284,10 +274,11 @@ def _check_markov(scenario: Scenario, *_) -> float | None:
 
 
 def _check_vbf(scenario: Scenario, rule: Rule, *_) -> float:
-    masses, neutral = scenario.masses, [vbf(scenario.start.model)]
-    baseline = scenario.states[-1].snapshot(rule)
-    return max(deviation(_refolded(scenario, masses[:k] + neutral + masses[k:]).snapshot(rule),
-                         baseline) for k in range(len(masses) + 1))
+    # the neutral source goes in after k sources, so its refold continues from states[k]
+    masses, chain, neutral = scenario.masses, scenario.states, vbf(scenario.start.model)
+    baseline = chain[-1].snapshot(rule)
+    return max(deviation(chain[k].fuse(neutral).fold(masses[k:]).snapshot(rule), baseline)
+               for k in range(len(masses) + 1))
 
 
 def _closed_form_applies(model: Model, m1: MassFunction, m2: MassFunction) -> bool:

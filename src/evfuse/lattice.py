@@ -227,10 +227,10 @@ def _require_same(a, b, message: str = "operands belong to different frames") ->
 
 
 def _require_mask(frame: Frame, bits, what: str) -> None:
-    # an int, not a bool, within the frame's minterms
+    # an int, not a bool, within the frame's minterms; region 0 lies in no atom
     if isinstance(bits, bool) or not isinstance(bits, int):
         raise ValidationError(f"{what} mask must be an int, got {bits!r}")
-    if not 0 <= bits <= frame.full_bits:
+    if bits & 1 or not 0 <= bits <= frame.full_bits:
         raise ValidationError(f"{what} mask out of range for this frame")
 
 
@@ -330,7 +330,7 @@ class Model(_Frozen):
 
     def __init__(self, frame: Frame, constrained: int):
         _require_mask(frame, constrained, "constraint")
-        if not Proposition(frame, constrained).is_up_closed():
+        if frame._up(constrained) & ~constrained:
             raise ValidationError("constraint mask must be closed upward")
         if all(constrained >> (1 << i) & 1 for i in range(frame.n)):
             raise ValidationError("model leaves no possible singleton region")

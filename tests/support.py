@@ -224,10 +224,10 @@ def ref_conjunctive(a, b) -> dict[Proposition, float]:
 
 # reference column sums and refold ------------------------------------------
 # ColumnSums.add adds into a copy in no particular order and sorts only
-# when read; cli._worst_refold shares the states of common prefixes
-# between consecutive source lists.  These are the versions that copy
-# and re-sort on every source and refold every list from the initial
-# state; both rewrites must equal them exactly.
+# when read; verify's checks continue each source list from the state
+# after the prefix it shares with the scenario's order.  These are the
+# versions that copy and re-sort on every source and refold every list
+# from the initial state; both rewrites must equal them exactly.
 
 def ref_column_sums(masses) -> dict[Proposition, float]:
     sums: dict[Proposition, float] = {}

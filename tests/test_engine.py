@@ -230,6 +230,40 @@ def test_markov_requirement_random():
                 assert deviation(state.accumulator, oracle_conjunctive(sources[:k])) <= 1e-12
 
 
+def state_bits(state) -> tuple:
+    """A stored state as its masks, float.hex values and source count."""
+    return ([(bits, v.hex()) for bits, v in state.accumulator._masses.items()],
+            [(bits, v.hex()) for bits, v in state.columns._masses.items()],
+            state.source_count)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.02])
+def test_a_fold_continued_from_a_prefix_state_equals_a_fold_from_the_start(epsilon):
+    # the Markov requirement to the bit: the state after a prefix depends on
+    # that prefix alone, so a list may be folded on from the state after the
+    # longest prefix it shares with a chain of states already folded
+    rng = random.Random("refolded")
+    model = random_model(rng, n=4)
+    masses = random_sources(rng, model, 6)
+    start = FusionState.initial(model, epsilon)
+    chain = [start]
+    for m in masses:
+        chain.append(chain[-1].fuse(m))
+    neutral = vbf(model)
+    # repeats, a prefix, then longer lists again, lists leaving the chain's
+    # order at every point, and lists of other sources or none
+    lists = [masses, masses, masses[:3], masses[:3] + [neutral], masses,
+             masses[:2] + masses[3:], masses[::-1], masses[:1], [], masses + masses[:2],
+             [neutral] + masses, masses[:4] + [neutral] + masses[4:], [masses[1]] * 3]
+    for lst in lists:
+        k = max(i for i in range(min(len(lst), len(masses)) + 1) if lst[:i] == masses[:i])
+        got = chain[k].fold(lst[k:])
+        want = start.fold(lst)
+        assert got == want and state_bits(got) == state_bits(want)
+        if k == len(lst):  # a prefix of the chain's own list is the chain's state
+            assert got is chain[k]
+
+
 def _snapshot_or_error(model, sources, rule):
     state = FusionState.initial(model)
     for m in sources:

@@ -224,6 +224,17 @@ def test_masks_must_be_ints(frame, mask):
         Model(frame, mask)
 
 
+@pytest.mark.parametrize("mask", [1, 3, 5])
+def test_masks_holding_region_zero_are_rejected(mask):
+    # region 0 lies inside no atom; Proposition(frame, 1) used to build and
+    # render as "", with dnf_terms (("",),)
+    frame = Frame(("A", "B"))
+    with pytest.raises(ValidationError, match="minterm mask out of range for this frame"):
+        Proposition(frame, mask)
+    with pytest.raises(ValidationError, match="constraint mask out of range for this frame"):
+        Model(frame, mask)
+
+
 def test_model_rejects_constrained_singletons(frame):
     mask = frame.full_bits  # would make even the atoms empty
     with pytest.raises(ValidationError):
