@@ -100,11 +100,10 @@ class Frame(_Frozen):
         # full_bits, every minterm set, is the top of the lattice.  The memos
         # live as long as the frame and hold only ints and strings, so they
         # form no reference cycle: _regions maps a region to (the complement
-        # of its up-set, its term text "A&B") for _text; _party_memo and
-        # _union_memo map a minterm mask to its parties and its atoms' union.
+        # of its up-set, its term text "A&B") for _text; _routes maps a
+        # minterm mask to (its parties' masks, their union) for routing.
         self.__dict__.update(atoms=atoms, full_bits=(1 << (1 << len(atoms))) - 2,
-                             _atom_bits=tuple(atom_bits), _regions={}, _party_memo={},
-                             _union_memo={})
+                             _atom_bits=tuple(atom_bits), _regions={}, _routes={})
 
     def __reduce__(self):
         # pickle and deepcopy rebuild the tables rather than copy the memos
@@ -156,42 +155,38 @@ class Frame(_Frozen):
         terms.sort()
         return "|".join(terms)
 
-    def _parties(self, bits: int) -> tuple[int, ...]:
-        """The masks of the conflict parties of the non-void mask ``bits``.
-
-        These are the minimal atom sets T meeting every DNF term.  T
-        misses some term exactly when the region of the atoms outside T
-        is absent, so the parties are the complements of the maximal
-        absent regions.  The highest absent region is maximal; the union
-        of its complement's atoms holds every region but those below it,
-        so ANDing the absent mask with that union clears them, and the
-        next highest is maximal too.  Each party is the union of its
-        atoms, ordered by size then atom position.
+    def _route(self, bits: int) -> tuple[tuple[int, ...], int]:
+        """The routing memo's entry for ``bits``: its conflict parties'
+        masks and their union; ``((0,), 0)`` for 0.  The parties are the
+        minimal atom sets T meeting every DNF term.  T misses a term
+        exactly when the region of the atoms outside T is absent, so they
+        are the complements of the maximal absent regions.  The highest
+        absent region is maximal; the union of its complement's atoms
+        holds every region but those below it, so ANDing the absent mask
+        with it clears them, and the next highest is maximal too.  Parties
+        sort by size then atom position.  The terms form an antichain, so
+        atom v of term E and the atoms outside E meet every term and shrink
+        to a party holding v: the parties' union is the DNF's atom union.
         """
-        parties = self._party_memo.get(bits)
-        if parties is None:
-            top, found = (1 << self.n) - 1, {}
-            absent = (self.full_bits & ~bits) | 1  # the empty region is never present
-            while absent:
-                atoms = top ^ (absent.bit_length() - 1)
-                found[atoms] = self._union(atoms)
-                absent &= found[atoms]
-            parties = self._party_memo[bits] = tuple(found[atoms] for atoms in sorted(
-                found, key=lambda atoms: (bin(atoms).count("1"),
-                                          [i for i in range(self.n) if atoms >> i & 1])))
-        return parties
+        top, found = (1 << self.n) - 1, {}
+        absent = (self.full_bits & ~bits) | 1  # the empty region is never present
+        while absent:
+            atoms = top ^ (absent.bit_length() - 1)
+            found[atoms] = self._union(atoms)
+            absent &= found[atoms]
+        parties = tuple(found[atoms] for atoms in sorted(
+            found, key=lambda atoms: (bin(atoms).count("1"),
+                                      [i for i in range(self.n) if atoms >> i & 1])))
+        entry = self._routes[bits] = (parties, reduce(or_, parties))
+        return entry
+
+    def _parties(self, bits: int) -> tuple[int, ...]:
+        # the masks of the conflict parties of the non-void mask bits
+        return (self._routes.get(bits) or self._route(bits))[0]
 
     def _atoms_union(self, bits: int) -> int:
-        """The mask of the union of every atom in the DNF of ``bits``.
-        Atom i is in it exactly when some present region r holds i and r
-        without i (``>> 2**i`` moves r there) is absent: every minimal
-        region in r then holds i, by up-closure, and is such an r itself."""
-        union = self._union_memo.get(bits)
-        if union is None:
-            union = self._union_memo[bits] = reduce(or_, (
-                a for i, a in enumerate(self._atom_bits)
-                if (bits & a) >> (1 << i) | bits != bits), 0)
-        return union
+        # the mask of the union of every atom in the DNF of bits
+        return (self._routes.get(bits) or self._route(bits))[1]
 
     def atom_index(self, ref: int | str) -> int:
         if isinstance(ref, str):

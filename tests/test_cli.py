@@ -325,6 +325,11 @@ def test_verify_unknown_check(capsys):
     assert "entropy" in capsys.readouterr().err
 
 
+def test_verify_needs_at_least_one_check(capsys):
+    assert main(["verify", THREE, "--checks", ","]) == 2
+    assert capsys.readouterr().err == "error: --checks: need at least one check\n"
+
+
 def test_verify_bad_trials(capsys):
     assert main(["verify", THREE, "--trials", "0"]) == 2
 
@@ -804,6 +809,21 @@ def test_non_utf8_file(capsys, tmp_path):
                 ("bool", [True, "A"]),
             ]
         ),
+        pytest.param(
+            lambda d: d.update(model={"exclusive_pairs": "AB"}),
+            "model.exclusive_pairs: must be a list of atom pairs",
+            id="pairs-str",
+        ),
+        pytest.param(
+            lambda d: d.update(model={"exclusive_pairs": [["A", "Z"]]}),
+            "model.exclusive_pairs: unknown atom 'Z'",
+            id="pair-unknown-atom",
+        ),
+        pytest.param(
+            lambda d: d.update(model={"exclusive_pairs": [["A", "A"]]}),
+            "model.exclusive_pairs: exclusive pair must name two distinct atoms, got ('A', 'A')",
+            id="pair-same-atom",
+        ),
         # the loader leaves these to Frame and FusionState
         pytest.param(lambda d: d.update(frame="AB"), "frame: atoms", id="frame-str"),
         pytest.param(lambda d: d.update(frame={"A": 1, "B": 2}), "frame: atoms", id="frame-dict"),
@@ -841,6 +861,13 @@ def test_scenario_errors_name_field(capsys, tmp_path, mutate, needle):
     path.write_text(json.dumps(doc).replace(f'"{HUGE_INT}"', HUGE_INT), encoding="utf-8")
     assert main(["fuse", str(path)]) == 2
     assert needle in capsys.readouterr().err
+
+
+def test_scenario_top_level_array_is_rejected(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text('[{"frame": ["A", "B"]}]', encoding="utf-8")
+    assert main(["fuse", str(path)]) == 2
+    assert capsys.readouterr().err == "error: scenario: top level must be a JSON object\n"
 
 
 def test_scenario_pair_model(tmp_path, capsys):

@@ -101,6 +101,15 @@ def test_fuse_model_guard(exclusive, free, frame):
         FusionState.initial(exclusive).fuse(other)
 
 
+def test_fuse_rejects_mass_on_a_model_empty_proposition(exclusive, frame):
+    # a combination output may hold conflict; a source may not
+    conflicting = MassFunction(exclusive, {frame.parse("A&B"): 0.5, frame.parse("C"): 0.5},
+                               allow_conflict=True)
+    with pytest.raises(ValidationError,
+                       match="^source puts mass on model-empty propositions$"):
+        FusionState.initial(exclusive).fuse(conflicting)
+
+
 def test_fuse_accepts_an_equal_model_built_another_way():
     frame = Frame(("A", "B"))
     one, other = Model.exclusive(frame), Model.with_exclusions(frame, [("A", "B")])

@@ -235,6 +235,13 @@ def test_masks_holding_region_zero_are_rejected(mask):
         Model(frame, mask)
 
 
+def test_model_rejects_a_constraint_not_closed_upward(frame):
+    # the region of A and B alone, without A&B&C above it
+    region = frame.atom("A").bits & frame.atom("B").bits & ~frame.atom("C").bits
+    with pytest.raises(ValidationError, match="^constraint mask must be closed upward$"):
+        Model(frame, region)
+
+
 def test_model_rejects_constrained_singletons(frame):
     mask = frame.full_bits  # would make even the atoms empty
     with pytest.raises(ValidationError):

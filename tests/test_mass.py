@@ -184,6 +184,11 @@ def test_column_sums_model_mismatch(m1, free, frame):
         column_sums([m1, other])
 
 
+def test_column_sums_need_a_source():
+    with pytest.raises(ValidationError, match="^need at least one mass function$"):
+        column_sums([])
+
+
 def test_column_sums_permutation_and_concat():
     rng = random.Random(2024)
     for _ in range(25):
@@ -491,13 +496,33 @@ def test_one_frames_memos_serve_every_model_on_it(first, second):
     shared = Frame(GOLDEN_ATOMS)
     earlier = Model(shared, golden_model(first).constrained)
     _hex_snapshots(FusionState.initial(earlier).fold(golden_sources(first, earlier, 40)))
-    filled = set(shared._party_memo) | set(shared._union_memo)
+    filled = set(shared._routes)
     later = Model(shared, golden_model(second).constrained)
     states = [FusionState.initial(m).fold(golden_sources(second, m, 40))
               for m in (later, golden_model(second))]
     assert _hex_snapshots(states[0]) == _hex_snapshots(states[1])
     visible = ~later.constrained
     assert {bits for bits in states[0].accumulator._masses if not bits & visible} & filled
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_union_and_party_routes_read_one_memo_entry(reverse):
+    # the union route fills one entry per conflicting mask, holding the
+    # mask's parties, so sdli's party split and union fallback add none
+    model = golden_model("ring")
+    sources = golden_sources("ring", model, 20)
+    state = FusionState.initial(model).fold(sources[::-1] if reverse else sources)
+    state.snapshot(Rule.DUBOIS_PRADE)
+    routes, visible = model.frame._routes, ~model.constrained
+    conflicting = [bits for bits in state.accumulator._masses if not bits & visible]
+    assert len(conflicting) > 1 and set(conflicting) <= set(routes)
+    filled = set(routes)
+    for bits in conflicting:
+        if bits:
+            assert routes[bits][0] == tuple(g.bits for g in Proposition(model.frame, bits)
+                                            .conflict_parties())
+    state.snapshot(Rule.SDLI)
+    assert set(routes) == filled
 
 
 def _dropped_line(kind):

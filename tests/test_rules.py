@@ -377,6 +377,12 @@ def test_sdli_zero_column_fallback(exclusive, frame):
     assert_masses(out, {"A|B": 0.4, "C": 0.6}, tol=1e-12)
 
 
+def test_sdli_transfer_needs_column_sums(exclusive):
+    r = result_from_rows(exclusive, {"A&B": 0.4, "C": 0.6})
+    with pytest.raises(ValidationError, match="^the sdli transfer needs column sums$"):
+        transfer_sdli(r, None)
+
+
 def test_sdli_parties_with_partial_columns(exclusive, frame):
     # only one party has column mass: it takes the whole transfer
     r = result_from_rows(exclusive, {"A&B": 0.5, "A": 0.5})
@@ -479,7 +485,8 @@ def test_references_call_no_kernel_function(monkeypatch):
         raise AssertionError("a reference called a kernel routine")
 
     for owner, name in ((rules, "conjunctive"), (engine, "conjunctive"), (rules, "_redistribute"),
-                        (ColumnSums, "add"), (Frame, "_parties"), (Frame, "_atoms_union")):
+                        (ColumnSums, "add"), (Frame, "_parties"), (Frame, "_atoms_union"),
+                        (Frame, "_route")):
         monkeypatch.setattr(owner, name, broken)
     with pytest.raises(AssertionError, match="kernel routine"):
         combine2(Rule.SDLI, *lines[1][:2])

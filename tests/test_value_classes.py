@@ -159,7 +159,7 @@ def test_frame_memos_fill_on_a_frozen_frame():
 
 
 WIDE = tuple(f"x{i}" for i in range(16))
-MEMOS = ("_regions", "_party_memo", "_union_memo")
+MEMOS = ("_regions", "_routes")
 
 
 def _used_wide_frame():
