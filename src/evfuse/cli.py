@@ -284,8 +284,8 @@ def _check_vbf(scenario: Scenario, rule: Rule, *_) -> float:
 def _closed_form_applies(model: Model, m1: MassFunction, m2: MassFunction) -> bool:
     # every conflicting product comes from two unions of atoms, which are
     # then its conflict parties; only a union of atoms equals its atom union
-    visible, union = ~model.constrained, model.frame._atoms_union
-    return all(x == union(x) and y == union(y) for x in m1._masses for y in m2._masses
+    visible, route = ~model.constrained, model.frame._route
+    return all(x == route(x)[1] and y == route(y)[1] for x in m1._masses for y in m2._masses
                if not x & y & visible)
 
 

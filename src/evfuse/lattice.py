@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from functools import reduce
-from operator import attrgetter, or_
+from operator import attrgetter
 
 from .errors import ExpressionError, ValidationError
 
@@ -100,8 +99,8 @@ class Frame(_Frozen):
         # full_bits, every minterm set, is the top of the lattice.  The memos
         # live as long as the frame and hold only ints and strings, so they
         # form no reference cycle: _regions maps a region to (the complement
-        # of its up-set, its term text "A&B") for _text; _routes maps a
-        # minterm mask to (its parties' masks, their union) for routing.
+        # of its up-set, its term text "A&B") for _text; _routes maps a minterm
+        # mask to (its parties' masks, their union), read and filled only by _route.
         self.__dict__.update(atoms=atoms, full_bits=(1 << (1 << len(atoms))) - 2,
                              _atom_bits=tuple(atom_bits), _regions={}, _routes={})
 
@@ -119,10 +118,6 @@ class Frame(_Frozen):
         for i, atom in enumerate(self._atom_bits):
             up |= (bits & ~atom) << (1 << i)
         return up
-
-    def _union(self, atoms: int) -> int:
-        # the minterm mask of the union of the atoms set in an atom mask
-        return reduce(or_, (a for i, a in enumerate(self._atom_bits) if atoms >> i & 1), 0)
 
     def _region(self, region: int) -> tuple[int, str]:
         """The rendering memo's entry for ``region``: the complement of its
@@ -156,37 +151,35 @@ class Frame(_Frozen):
         return "|".join(terms)
 
     def _route(self, bits: int) -> tuple[tuple[int, ...], int]:
-        """The routing memo's entry for ``bits``: its conflict parties'
-        masks and their union; ``((0,), 0)`` for 0.  The parties are the
-        minimal atom sets T meeting every DNF term.  T misses a term
-        exactly when the region of the atoms outside T is absent, so they
-        are the complements of the maximal absent regions.  The highest
-        absent region is maximal; the union of its complement's atoms
-        holds every region but those below it, so ANDing the absent mask
-        with it clears them, and the next highest is maximal too.  Parties
-        sort by size then atom position.  The terms form an antichain, so
-        atom v of term E and the atoms outside E meet every term and shrink
-        to a party holding v: the parties' union is the DNF's atom union.
-        """
-        top, found = (1 << self.n) - 1, {}
+        """The routing memo's entry for ``bits``, filled on first use: its
+        conflict parties' masks and their union; ``((0,), 0)`` for 0.  The
+        parties are the minimal atom sets T meeting every DNF term.  T misses
+        a term exactly when the region of the atoms outside T is absent, so
+        they are the complements of the maximal absent regions.  The highest
+        absent region is maximal; the union of its complement's atoms, ORed
+        from that party's own atoms, holds every region but those below it,
+        so ANDing it into the absent mask leaves the next highest maximal.
+        Parties sort by size then atom positions.  The terms form an
+        antichain, so atom v of term E and the atoms outside E meet every
+        term and shrink to a party holding v: their union is the atom union."""
+        entry = self._routes.get(bits)
+        if entry:
+            return entry
+        top, atom_bits, found, whole = (1 << self.n) - 1, self._atom_bits, [], 0
         absent = (self.full_bits & ~bits) | 1  # the empty region is never present
         while absent:
-            atoms = top ^ (absent.bit_length() - 1)
-            found[atoms] = self._union(atoms)
-            absent &= found[atoms]
-        parties = tuple(found[atoms] for atoms in sorted(
-            found, key=lambda atoms: (bin(atoms).count("1"),
-                                      [i for i in range(self.n) if atoms >> i & 1])))
-        entry = self._routes[bits] = (parties, reduce(or_, parties))
+            rest, positions, union = top ^ (absent.bit_length() - 1), [], 0
+            while rest:
+                i = (rest & -rest).bit_length() - 1
+                positions.append(i)
+                union |= atom_bits[i]
+                rest &= rest - 1
+            found.append((len(positions), positions, union))
+            absent &= union
+            whole |= union
+        found.sort()
+        entry = self._routes[bits] = (tuple(party for *_, party in found), whole)
         return entry
-
-    def _parties(self, bits: int) -> tuple[int, ...]:
-        # the masks of the conflict parties of the non-void mask bits
-        return (self._routes.get(bits) or self._route(bits))[0]
-
-    def _atoms_union(self, bits: int) -> int:
-        # the mask of the union of every atom in the DNF of bits
-        return (self._routes.get(bits) or self._route(bits))[1]
 
     def atom_index(self, ref: int | str) -> int:
         if isinstance(ref, str):
@@ -287,16 +280,16 @@ class Proposition(_Frozen):
     def conflict_parties(self) -> tuple["Proposition", ...]:
         """The minimal union-of-atoms factors whose intersection equals
         this proposition, ordered by size then atom position; see
-        :meth:`Frame._parties`."""
+        :meth:`Frame._route`."""
         if self.is_void:
             raise ValidationError("empty proposition has no conflict parties")
-        return tuple(Proposition(self.frame, g) for g in self.frame._parties(self.bits))
+        return tuple(Proposition(self.frame, g) for g in self.frame._route(self.bits)[0])
 
     def atoms_union(self) -> "Proposition":
         """Union of every atom mentioned in the DNF of this proposition."""
         if self.is_void:
             raise ValidationError("empty proposition mentions no atoms")
-        return Proposition(self.frame, self.frame._atoms_union(self.bits))
+        return Proposition(self.frame, self.frame._route(self.bits)[1])
 
     def text(self) -> str:
         """Canonical DNF rendering; parses back to the same proposition.

@@ -59,17 +59,19 @@ def _redistribute(result: MassFunction, target=None, weights=None,
     for bits, v in result._masses.items():
         if bits & visible:
             continue
-        if weights is not None and bits:
-            parties = frame._parties(bits)
-            ws = [weights.get(g, 0.0) for g in parties]
-            if (total := ordered_sum(ws)) > 0.0:
-                for g, w in zip(parties, ws):
-                    if w:
+        if (to := target) is None:
+            parties, to = frame._route(bits)
+            total = 0  # the party weights, added left to right as ordered_sum does
+            if weights is not None and bits:
+                for g in parties:
+                    total += weights.get(g, 0.0)
+            if total > 0.0:
+                for g in parties:
+                    if w := weights.get(g, 0.0):
                         out[g] = out.get(g, 0.0) + v * (w / total)
                 continue
-        to = target
-        if to is None and not (to := frame._atoms_union(bits)) & visible:
-            to = frame.full_bits
+            if not to & visible:
+                to = frame.full_bits
         out[to] = out.get(to, 0.0) + v
     return MassFunction._of_masks(result.model, out, allow_conflict)
 

@@ -421,6 +421,32 @@ def test_every_rule_matches_the_exact_reference(line):
             assert abs(Fraction(got[bits]) - exact) <= EXACT_RELATIVE_BOUND * exact, (rule, bits)
 
 
+# The golden lines fold far more sources than the properties above.  Each
+# fold takes a product, an add into its term and a renormalising division
+# per term, and a snapshot one transfer share: about four roundings of
+# 2**-53 relative per source, so the error grows with the source count.
+# The bound was fixed before the first run.
+LONG_LINE_SOURCES = 50
+ROUNDINGS_PER_SOURCE = 4
+LONG_LINE_BOUND = ROUNDINGS_PER_SOURCE * LONG_LINE_SOURCES * 2.0 ** -53
+
+
+@pytest.mark.parametrize("kind", ["exclusive", "ring", "free"])
+def test_long_golden_lines_stay_near_the_exact_reference(kind):
+    model = golden_model(kind)
+    sources = golden_sources(kind, model, LONG_LINE_SOURCES)
+    state = FusionState.initial(model).fold(sources)
+    product, columns = ref_exact_state(sources)
+    for rule in Rule:
+        want = ref_exact_snapshot(rule, model, product, columns)
+        got = {p.bits: v for p, v in state.snapshot(rule).items()}
+        assert got.keys() <= want.keys(), rule
+        # a term that underflowed and was dropped counts as error 1
+        worst = max(abs(Fraction(got.get(bits, 0.0)) - exact) / exact
+                    for bits, exact in want.items())
+        assert worst <= LONG_LINE_BOUND, (rule, float(worst))
+
+
 def test_fold_and_snapshot_never_take_the_per_value_check(monkeypatch):
     # Engine results pass the validator's whole-dict check; the per-value loop
     # of _summed is only its error path, and a clean line never takes it.

@@ -456,7 +456,7 @@ def test_text_matches_reference_on_wide_frames(case):
     # conflict parties are peeled from the top through atom unions, so on a
     # fresh frame they leave the rendering memo empty
     fresh = Frame(frame.atoms)
-    parties = fresh._parties(bits)
+    parties = fresh._route(bits)[0]
     assert not fresh._regions
     assert parties == tuple(union_of_atoms(Model.free(fresh), m).bits
                             for m in ref_conflict_parties(fresh, bits))

@@ -485,8 +485,7 @@ def test_references_call_no_kernel_function(monkeypatch):
         raise AssertionError("a reference called a kernel routine")
 
     for owner, name in ((rules, "conjunctive"), (engine, "conjunctive"), (rules, "_redistribute"),
-                        (ColumnSums, "add"), (Frame, "_parties"), (Frame, "_atoms_union"),
-                        (Frame, "_route")):
+                        (ColumnSums, "add"), (Frame, "_route")):
         monkeypatch.setattr(owner, name, broken)
     with pytest.raises(AssertionError, match="kernel routine"):
         combine2(Rule.SDLI, *lines[1][:2])
