@@ -233,24 +233,24 @@ def _state_key(used: int, state: FusionState, shapes: dict) -> tuple:
 
 def _worst_completion(state, used, scenario, rule, baseline, memo, shapes) -> float:
     """Largest deviation from ``baseline`` of a snapshot of ``state`` folded on
-    with the scenario's sources not in the bitmask ``used``, in every order.  A
-    ``(used, state)`` pair met again bit for bit has the same future, so it is
-    looked up in ``memo``; children go in ``permutations`` order and a pair is
-    stored once its subtree finishes, so the first error raised is a refold's.
-    Along the scenario's own order the children are its prefix chain."""
+    with the sources not in the bitmask ``used``, in every order.  A state with
+    every source is scored with no key; any other call looks its bit-exact
+    ``(used, state)`` pair up in ``memo`` where it starts and stores it once its
+    children finish, so the first error raised is a refold's.  Children go in
+    ``permutations`` order; along the scenario's own order, the prefix chain."""
     masses, chain = scenario.masses, scenario.states
     if used == (1 << len(masses)) - 1:
         return deviation(state.snapshot(rule), baseline)
+    key = _state_key(used, state, shapes)
+    if (worst := memo.get(key)) is not None:
+        return worst
     worst = 0.0
     for i, m in enumerate(masses):
         if not used >> i & 1:
             child = chain[i + 1] if state is chain[i] else state.fuse(m)
-            child_used = used | 1 << i
-            key = _state_key(child_used, child, shapes)
-            if (value := memo.get(key)) is None:
-                value = memo[key] = _worst_completion(child, child_used, scenario, rule,
-                                                      baseline, memo, shapes)
-            worst = max(worst, value)
+            worst = max(worst, _worst_completion(child, used | 1 << i, scenario, rule,
+                                                 baseline, memo, shapes))
+    memo[key] = worst
     return worst
 
 

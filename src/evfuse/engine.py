@@ -15,7 +15,7 @@ from functools import reduce
 from itertools import product as _cartesian
 
 from .errors import ValidationError
-from .lattice import Model, _Frozen, _require_same
+from .lattice import MAX_STATE_BITS, Model, _Frozen, _require_same
 from .mass import ColumnSums, MassFunction, ordered_sum, vbf
 from .rules import Rule, apply_transfer, conjunctive
 
@@ -56,10 +56,17 @@ class FusionState(_Frozen):
         """Fold one more source into the stored accumulator.
 
         The new accumulator is the conjunctive product of the old one
-        with the source, never of any transferred snapshot.
+        with the source, never of any transferred snapshot.  A product
+        that could pass ``MAX_STATE_BITS`` is refused before it is built.
         """
         if not m.is_input_valid():
             raise ValidationError("source puts mass on model-empty propositions")
+        terms, n = len(self.accumulator._masses) * len(m._masses), self.model.frame.n
+        if terms << n > MAX_STATE_BITS:
+            raise ValidationError(
+                f"source {self.source_count + 1}: the state could grow to {terms} terms of "
+                f"2**{n} bits, past the limit of {MAX_STATE_BITS} mask bits; "
+                "prune_epsilon bounds the state")
         accumulator = conjunctive(self.accumulator, m)
         if self.prune_epsilon > 0.0:
             accumulator = _pruned(accumulator, self.prune_epsilon, self.source_count + 1)

@@ -30,6 +30,8 @@ from .errors import ExpressionError, ValidationError
 MAX_ATOMS = 16
 # An input limit on open parentheses; no canonical expression nests any.
 MAX_NESTING = 100
+# An input limit on a fold's product, in mask bits (terms x 2**n): 16 MiB of masks.
+MAX_STATE_BITS = 1 << 27
 
 _ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # an operator, an atom name or any other non-space character; finditer skips spaces

@@ -94,11 +94,15 @@ _NAMES = ("A", "B", "C", "D", "E")
 
 
 def random_model(rng: random.Random, n: int | None = None,
-                 kinds=("exclusive", "free")) -> Model:
+                 kinds=("exclusive", "free", "pairs")) -> Model:
+    """A free or exclusive model, or one excluding a random non-empty set of atom pairs."""
     if n is None:
         n = rng.randint(2, 4)
     frame = Frame(_NAMES[:n])
     kind = rng.choice(kinds)
+    if kind == "pairs":
+        pairs = list(combinations(range(n), 2))
+        return Model.with_exclusions(frame, rng.sample(pairs, rng.randint(1, len(pairs))))
     return Model.exclusive(frame) if kind == "exclusive" else Model.free(frame)
 
 
@@ -114,8 +118,9 @@ def union_of_atoms(model: Model, atom_mask: int) -> Proposition:
 def random_prop(rng: random.Random, model: Model) -> Proposition:
     """A random valid focal element for the model's proposition space.
 
-    Exclusive models only admit unions of atoms; free models admit any
-    union of intersections.
+    Exclusive models only admit unions of atoms.  Under any other model it
+    is a union of 1-3 intersections, widened by one atom if the model
+    empties it.
     """
     frame = model.frame
     if model == Model.exclusive(frame):
@@ -129,7 +134,7 @@ def random_prop(rng: random.Random, model: Model) -> Proposition:
                 atom = frame.atom(i)
                 term = atom if term is None else term & atom
         p = term if p is None else p | term
-    return p
+    return p | frame.atom(rng.randrange(frame.n)) if model.is_empty(p) else p
 
 
 def random_mass(rng: random.Random, model: Model, max_focal: int = 3) -> MassFunction:

@@ -14,7 +14,7 @@ from itertools import combinations, islice, permutations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from evfuse import Frame, FusionState, MassFunction, Model, Rule, sdli2, vbf
+from evfuse import Frame, FusionState, MassFunction, Model, Rule, cli, sdli2, vbf
 from evfuse.cli import (
     CHECKS,
     Scenario,
@@ -585,14 +585,25 @@ def test_permutation_walk_folds_each_distinct_state_once(monkeypatch, capsys):
     # 2 x 272 + 1 x 537, once per distinct state of one to five sources,
     # less the 6 states of the scenario's own order, taken from the prefix
     # chain; the trie of all 720 orderings has 6 + 30 + 120 + 360 + 720 +
-    # 720 = 1956 nodes.  528 distinct six-source states take a snapshot,
-    # and so does the baseline
+    # 720 = 1956 nodes.  Each of the 537 visits to a six-source state takes a
+    # snapshot, unkeyed, and so does the baseline: 528 distinct states, 9 of
+    # them met twice (529 before, when six-source states were keyed too)
     calls = count_fuses(monkeypatch)
     snapshots, snapshot = [], FusionState.snapshot
     monkeypatch.setattr(FusionState, "snapshot",
                         lambda self, rule: snapshots.append(self) or snapshot(self, rule))
     assert main(["verify", RING5, "--checks", "permutation"]) == 0
-    assert (len(calls), len(snapshots)) == (1482, 529)
+    assert (len(calls), len(snapshots)) == (1482, 538)
+
+
+@pytest.mark.parametrize("path, count", [(FOUR, 4), (RING5, 6)], ids=["four_sources", "ring5"])
+def test_permutation_walk_keys_no_state_holding_every_source(monkeypatch, capsys, path, count):
+    # such a state has no future to share, so the walk scores it at once
+    used, state_key = [], cli._state_key
+    monkeypatch.setattr(cli, "_state_key",
+                        lambda mask, *rest: used.append(mask) or state_key(mask, *rest))
+    assert main(["verify", path, "--checks", "permutation"]) == 0
+    assert used and (1 << count) - 1 not in used
 
 
 def test_fuse_and_stream_leave_the_prefix_chain_unfolded(capsys):
@@ -946,14 +957,36 @@ def test_help_matches_a_fresh_parser(capsys, argv):
 ROOT = SCENARIO_DIR.parent
 
 
-def run_module(*args):
-    """``python -m evfuse.cli`` from the checkout root, with an ASCII
-    stdout and stderr, so only ``main``'s switch to UTF-8 lets ``∅``
-    through."""
+def run_module(*args, python=(sys.executable, "-m", "evfuse.cli"), timeout=120):
+    """``python -m evfuse.cli`` (or the given command line) from the
+    checkout root, with an ASCII stdout and stderr, so only ``main``'s
+    switch to UTF-8 lets ``∅`` through."""
     path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), PYTHONIOENCODING="ascii")
-    return subprocess.run([sys.executable, "-m", "evfuse.cli", *args], cwd=ROOT, env=env,
-                          capture_output=True, timeout=120)
+    return subprocess.run([*python, *args], cwd=ROOT, env=env, capture_output=True,
+                          timeout=timeout)
+
+
+def test_a_state_past_the_size_limit_exits_2_under_a_memory_cap(tmp_path):
+    # 16 free atoms and 20 sources of 4 unions of 1-3 atoms: the state grows
+    # with every source, and each term is a 2**16-bit mask, so with no limit
+    # the fold runs out of memory under the cap, set in the child only
+    pytest.importorskip("resource")
+    rng, names = random.Random("state-limit"), [chr(ord("A") + i) for i in range(16)]
+    sources = []
+    for i in range(20):
+        unions = set()
+        while len(unions) < 4:
+            unions.add("|".join(sorted(rng.sample(names, rng.randint(1, 3)))))
+        sources.append({"name": f"s{i + 1}",
+                        "masses": dict(zip(sorted(unions), (0.4, 0.3, 0.2, 0.1)))})
+    path = write_scenario(tmp_path, {"frame": names, "rule": "sdli", "sources": sources})
+    capped = ("import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2); "
+              "runpy.run_module('evfuse.cli', run_name='__main__')")
+    run = run_module("fuse", path, python=[sys.executable, "-c", capped], timeout=20)
+    assert (run.returncode, run.stdout) == (2, b"")
+    assert run.stderr == (b"error: source 6: the state could grow to 2832 terms of 2**16 bits, "
+                          b"past the limit of 134217728 mask bits; prune_epsilon bounds the state\n")
 
 
 @pytest.mark.parametrize("rule", [[], ["--rule", "smets"]], ids=["scenario-rule", "smets"])

@@ -4,9 +4,10 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from evfuse import engine, rules
+from evfuse.cli import _closed_form_applies
 from evfuse import (
     ColumnSums,
     Frame,
@@ -458,12 +459,29 @@ def test_sdli2_model_mismatch(m1, free, frame):
 @settings(max_examples=150)
 @given(st.integers(0, 10_000_000))
 def test_sdli2_matches_transfer_route(seed):
+    # within the closed form's scope, the one eq7 compares in
     rng = random.Random(seed)
     model = random_model(rng)
     a, b = random_mass(rng, model), random_mass(rng, model)
+    assume(_closed_form_applies(model, a, b))
     direct = sdli2(a, b)
     routed = transfer_sdli(conjunctive(a, b), column_sums([a, b]))
     assert deviation(direct, routed) <= 1e-12
+
+
+def test_sdli2_leaves_the_transfer_route_outside_the_closed_forms_scope():
+    # with A excluded from B and from C, A meets A&B|C in nothing: sdli2
+    # splits the product by the two columns, but the route splits it by its
+    # conflict parties A and B|C, and no source put mass on B|C
+    frame = Frame(("A", "B", "C"))
+    model = Model.with_exclusions(frame, [(0, 1), (0, 2)])
+    a = MassFunction(model, {frame.parse("A"): 1.0})
+    b = MassFunction(model, {frame.parse("A&B|C"): 1.0})
+    assert not _closed_form_applies(model, a, b)
+    assert as_text_dict(sdli2(a, b)) == {"A": 0.5, "A&B|C": 0.5}
+    routed = transfer_sdli(conjunctive(a, b), column_sums([a, b]))
+    assert as_text_dict(routed) == {"A": 1.0}
+    assert deviation(sdli2(a, b), routed) > 1e-12
 
 
 def test_references_call_no_kernel_function(monkeypatch):

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import evfuse
+
+# the directory holding the evfuse this suite imported: src/, or an installed copy
+SRC = Path(evfuse.__file__).resolve().parent.parent
 
 # Run isolated (-I: no PYTHONPATH, no user site).  ``site`` may still
 # preload third-party modules before any evfuse code runs, so the
