@@ -100,9 +100,9 @@ class Frame(_Frozen):
             atom_bits.append(bits)
         # full_bits, every minterm set, is the top of the lattice.  The memos
         # live as long as the frame and hold only ints and strings, so they
-        # form no reference cycle: _regions maps a region to (the complement
-        # of its up-set, its term text "A&B") for _text; _routes maps a minterm
-        # mask to (its parties' masks, their union), read and filled only by _route.
+        # form no reference cycle: _regions maps a region to (the complement of
+        # its up-set, its term text "A&B"), _routes a minterm mask to (its
+        # parties' masks, their union); only _text and _route read and fill them.
         self.__dict__.update(atoms=atoms, full_bits=(1 << (1 << len(atoms))) - 2,
                              _atom_bits=tuple(atom_bits), _regions={}, _routes={})
 
@@ -121,34 +121,29 @@ class Frame(_Frozen):
             up |= (bits & ~atom) << (1 << i)
         return up
 
-    def _region(self, region: int) -> tuple[int, str]:
-        """The rendering memo's entry for ``region``: the complement of its
-        up-set, the AND of its atoms' masks, and its term text.  Region 0
-        has no atom; its up-set is every region, bit 0 included."""
-        up, names, rest = self.full_bits | 1, [], region
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            up &= self._atom_bits[i]
-            names.append(self.atoms[i])
-            rest ^= low
-        entry = self._regions[region] = (~up, "&".join(names))
-        return entry
-
     def _text(self, bits: int) -> str:
         """The canonical DNF of the up-closed mask ``bits``; ``∅`` for 0.
         The lowest region present has no subset present, so it is a term;
         clearing its up-set leaves the other terms, and the peel ends on any
         mask in range.  Term strings sort as their name tuples would, since
-        ``&`` sorts below every character an atom name may hold."""
+        ``&`` sorts below every character an atom name may hold.  A region's
+        up-set, memoised here with its term, is the AND of its atoms' masks;
+        region 0 has no atom, so its up-set holds bit 0 too."""
         if not bits:
             return "∅"
         memo, terms = self._regions, []
         while bits:
             region = (bits & -bits).bit_length() - 1
-            up, term = memo.get(region) or self._region(region)
-            terms.append(term)
-            bits &= up
+            if (entry := memo.get(region)) is None:
+                up, names, rest = self.full_bits | 1, [], region
+                while rest:
+                    i = (rest & -rest).bit_length() - 1
+                    up &= self._atom_bits[i]
+                    names.append(self.atoms[i])
+                    rest &= rest - 1
+                entry = memo[region] = (~up, "&".join(names))
+            terms.append(entry[1])
+            bits &= entry[0]
         terms.sort()
         return "|".join(terms)
 

@@ -48,12 +48,11 @@ def conjunctive(a: MassFunction, b: MassFunction) -> MassFunction:
     return MassFunction._of_masks(a.model, out, allow_conflict=True)
 
 
-def _redistribute(result: MassFunction, target=None, weights=None,
-                  allow_conflict=False) -> MassFunction:
-    """Keep the non-conflicting terms and send each conflicting term's mass to
-    ``target``, or with none to the union of its atoms: total ignorance when the
-    term is void or that union is empty.  ``weights``, ``{mask: weight}``, split a
-    non-void term first over its conflict parties by weight, if any party has one."""
+def _redistribute(result: MassFunction, target=None, weights=None) -> MassFunction:
+    """Send each conflicting term's mass to ``target``, kept as conflict only when
+    that is the empty mask, or with none to the union of its atoms: total ignorance
+    when the term is void or that union is empty.  ``weights``, ``{mask: weight}``,
+    split a non-void term first over its conflict parties by weight, if any has one."""
     frame, visible = result.model.frame, ~result.model.constrained
     out = {bits: v for bits, v in result._masses.items() if bits & visible}
     for bits, v in result._masses.items():
@@ -73,7 +72,7 @@ def _redistribute(result: MassFunction, target=None, weights=None,
             if not to & visible:
                 to = frame.full_bits
         out[to] = out.get(to, 0.0) + v
-    return MassFunction._of_masks(result.model, out, allow_conflict)
+    return MassFunction._of_masks(result.model, out, target == 0)
 
 
 def transfer_dempster(result: MassFunction) -> MassFunction:
@@ -90,8 +89,8 @@ def transfer_dempster(result: MassFunction) -> MassFunction:
 
 
 def transfer_smets(result: MassFunction) -> MassFunction:
-    """Pool all conflicting mass on the empty proposition (open world)."""
-    return _redistribute(result, 0, allow_conflict=True)
+    """Pool all conflicting mass on the empty mask, kept as conflict (open world)."""
+    return _redistribute(result, 0)
 
 
 def transfer_yager(result: MassFunction) -> MassFunction:

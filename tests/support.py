@@ -16,6 +16,8 @@ from itertools import combinations
 from operator import add
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from evfuse import Frame, FusionState, MassFunction, Model, Proposition, Rule, deviation
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -148,6 +150,33 @@ def random_mass(rng: random.Random, model: Model, max_focal: int = 3) -> MassFun
 def random_sources(rng: random.Random, model: Model, count: int,
                    max_focal: int = 3) -> list[MassFunction]:
     return [random_mass(rng, model, max_focal) for _ in range(count)]
+
+
+# Hypothesis draws ---------------------------------------------------------------
+# The composites of the property tests draw their models and sources here;
+# each keeps its own draw of a focal set.
+
+def draw_model(draw, atoms: tuple[int, int], kinds=("free", "exclusive", "pairs")) -> Model:
+    """A model on ``atoms[0]``-``atoms[1]`` atoms, of one of ``kinds``: free,
+    exclusive, or excluding 1 to n distinct atom pairs."""
+    n = draw(st.integers(*atoms))
+    frame = Frame(_NAMES[:n])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "pairs":
+        pairs = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                              min_size=1, max_size=n, unique=True))
+        return Model.with_exclusions(frame, pairs)
+    return Model.free(frame) if kind == "free" else Model.exclusive(frame)
+
+
+def draw_source(draw, model: Model, focal, denominator: int) -> MassFunction:
+    """A source of 1-4 focal sets, each drawn by ``focal()``, with masses
+    k/``denominator`` summing to 1."""
+    count = draw(st.integers(1, 4))
+    cuts = sorted(draw(st.sets(st.integers(1, denominator - 1),
+                               min_size=count - 1, max_size=count - 1)))
+    parts = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, denominator])]
+    return MassFunction(model, [(focal(), k / denominator) for k in parts])
 
 
 # reference lattice routines ---------------------------------------------------

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, islice, permutations
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -39,6 +39,8 @@ from support import (
     UNION_12,
     UNION_123,
     UNION_1234,
+    draw_model,
+    draw_source,
     random_model,
     random_sources,
     ref_exact_snapshot,
@@ -402,14 +404,8 @@ def source_pairs(draw):
     has no conflict) and two sources of 1-4 focal sets, with masses k/100.
     A focal set is a union of 1-3 atoms or, one time in four, of 1-3
     intersections of two atoms."""
-    n = draw(st.integers(3, 5))
-    frame = Frame(("A", "B", "C", "D", "E")[:n])
-    if draw(st.booleans()):
-        pairs = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
-                              min_size=1, max_size=n, unique=True))
-        model = Model.with_exclusions(frame, pairs)
-    else:
-        model = Model.exclusive(frame)
+    model = draw_model(draw, (3, 5), kinds=("exclusive", "pairs"))
+    frame, n = model.frame, model.frame.n
     atom = st.integers(0, n - 1)
 
     def focal():
@@ -419,13 +415,7 @@ def source_pairs(draw):
             p = p | (term & frame.atom(draw(atom)) if meets else term)
         return p | frame.atom(draw(atom)) if model.is_empty(p) else p
 
-    def source():
-        count = draw(st.integers(1, 4))
-        cuts = sorted(draw(st.sets(st.integers(1, 99), min_size=count - 1, max_size=count - 1)))
-        parts = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, 100])]
-        return MassFunction(model, [(focal(), k / 100) for k in parts])
-
-    return model, source(), source()
+    return model, draw_source(draw, model, focal, 100), draw_source(draw, model, focal, 100)
 
 
 def test_atom_unions_and_eq7_scope_leave_the_rendering_memo_empty():
@@ -648,15 +638,8 @@ def permutation_scenarios(draw):
     free, an exclusive or a some-pairs-exclusive model, any rule, and now and
     then a prune_epsilon.  A focal set is a union of 1-3 atoms or of 1-3
     intersections of two atoms, widened by one atom if the model empties it."""
-    n = draw(st.integers(3, 4))
-    frame = Frame(("A", "B", "C", "D")[:n])
-    kind = draw(st.sampled_from(["free", "exclusive", "pairs"]))
-    if kind == "pairs":
-        pairs = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
-                              min_size=1, max_size=n, unique=True))
-        model = Model.with_exclusions(frame, pairs)
-    else:
-        model = Model.free(frame) if kind == "free" else Model.exclusive(frame)
+    model = draw_model(draw, (3, 4))
+    frame, n = model.frame, model.frame.n
     atom = st.integers(0, n - 1)
 
     def focal():
@@ -666,13 +649,7 @@ def permutation_scenarios(draw):
             p = p | (term & frame.atom(draw(atom)) if meets else term)
         return p | frame.atom(draw(atom)) if model.is_empty(p) else p
 
-    def source():
-        count = draw(st.integers(1, 4))
-        cuts = sorted(draw(st.sets(st.integers(1, 99), min_size=count - 1, max_size=count - 1)))
-        parts = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, 100])]
-        return MassFunction(model, [(focal(), k / 100) for k in parts])
-
-    masses = [source() for _ in range(draw(st.integers(2, 5)))]
+    masses = [draw_source(draw, model, focal, 100) for _ in range(draw(st.integers(2, 5)))]
     epsilon = draw(st.sampled_from([0.0, 0.0, 0.01, 0.05, 0.2]))
     names = [f"s{i + 1}" for i in range(len(masses))]
     return Scenario(FusionState.initial(model, epsilon), names, masses,

@@ -482,7 +482,8 @@ def test_text_ends_on_masks_holding_region_zero(n):
     # mask holding region 0 never empties.
     frame = Frame(PREFIX_NAMES[:n])
     everything = frame.full_bits | 1
-    assert frame._region(0)[0] == ~everything
+    frame._text(1)  # fills region 0's memo entry
+    assert frame._regions[0][0] == ~everything
     for bits in (1, everything, 1 | frame.atom(0).bits):
         assert frame._text(bits) == ""  # region 0's term, alone
 
@@ -490,7 +491,8 @@ def test_text_ends_on_masks_holding_region_zero(n):
 def test_text_ends_on_every_mask_of_a_small_frame():
     # up-closed or not, region 0 or not: each step clears the region it found
     frame = Frame(("A", "B", "C"))
-    assert not frame._region(0)[0] & 1  # else the masks holding region 0 never empty
+    frame._text(1)  # fills region 0's memo entry
+    assert not frame._regions[0][0] & 1  # else the masks holding region 0 never empty
     assert frame._text(0) == "∅"
     for bits in range(1, 1 << (1 << frame.n)):
         text = frame._text(bits)

@@ -336,16 +336,36 @@ def test_union_transfer_equals_pair_oracle_exhaustive():
 
 
 def test_union_transfer_equals_pair_oracle_random():
+    # focal sets are unions of atoms, so every pair is in eq7's scope; each
+    # pair of sources is taken under the exclusive, the free and a drawn
+    # pair-exclusion model
     rng = random.Random(4242)
     frame = Frame(("A", "B", "C"))
-    model = Model.exclusive(frame)
+    exclusive = Model.exclusive(frame)
     for _ in range(200):
-        a, b = random_mass(rng, model), random_mass(rng, model)
-        got = transfer_union(conjunctive(a, b)).terms
-        want = _dubois_prade_pairwise(a, b)
-        keys = set(got) | set(want)
-        for p in keys:
-            assert got.get(p, 0.0) == pytest.approx(want.get(p, 0.0), abs=1e-12)
+        a, b = random_mass(rng, exclusive), random_mass(rng, exclusive)
+        for model in (exclusive, Model.free(frame), random_model(rng, 3, kinds=("pairs",))):
+            x, y = MassFunction(model, a.items()), MassFunction(model, b.items())
+            got = transfer_union(conjunctive(x, y)).terms
+            want = _dubois_prade_pairwise(x, y)
+            keys = set(got) | set(want)
+            for p in keys:
+                assert got.get(p, 0.0) == pytest.approx(want.get(p, 0.0), abs=1e-12)
+
+
+def test_union_transfer_keeps_only_the_meet_outside_eq7s_scope(exclusive):
+    # B|A&C is no union of atoms.  Its meet with A, A&B|A&C, goes to the
+    # union of its atoms, A|B|C; the textbook two-source rule sends the
+    # pair to A | (B|A&C) = A|B.  The stored state keeps only the meet.
+    m1 = mass_from_rows(exclusive, {"A": 0.6, "A|B|C": 0.4})
+    m2 = mass_from_rows(exclusive, {"B|A&C": 0.7, "A|B|C": 0.3})
+    routed = {"A": 0.18, "A&C|B": 0.28, "A|B|C": 0.54}
+    assert_masses(transfer_union(conjunctive(m1, m2)), routed, tol=1e-12)
+    state = FusionState.initial(exclusive).fold([m1, m2])
+    for rule in (Rule.DUBOIS_PRADE, Rule.DSM_HYBRID):
+        assert_masses(state.snapshot(rule), routed, tol=1e-12)
+    assert_masses(_dubois_prade_pairwise(m1, m2),
+                  {"A": 0.18, "A&C|B": 0.28, "A|B": 0.42, "A|B|C": 0.12}, tol=1e-12)
 
 
 # proportional partial-conflict transfer ---------------------------------------------
