@@ -155,19 +155,14 @@ def _emit(lines: list[str]) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-@cache
-def _encoder(pad: str):
-    # json's C encoder, whose item separator ends a line and indents the next by pad
-    return json.JSONEncoder(ensure_ascii=False, separators=(",\n" + pad, ": ")).encode
-
-
 def _json(value, pad: str = "") -> str:
-    """``json.dumps(value, ensure_ascii=False, indent=2)`` nested at ``pad``,
-    for scalars, lists and dicts with string keys.  ``indent`` selects
-    json's pure-Python encoder; here a dict of scalars, such as a
-    snapshot's masses, is one call into its C encoder."""
+    """``json.dumps(value, ensure_ascii=False, indent=2)`` nested at ``pad``, for
+    scalars, lists and dicts with string keys.  ``indent`` selects json's pure-Python
+    encoder; here a dict of scalars, such as a snapshot's masses, is one call into
+    its C encoder, whose item separator ends a line and indents the next."""
     inner = pad + "  "
-    encode, sep = _encoder(inner), ",\n" + inner
+    sep = ",\n" + inner
+    encode = json.JSONEncoder(ensure_ascii=False, separators=(sep, ": ")).encode
     if isinstance(value, dict) and value:
         if not any(isinstance(v, (dict, list)) for v in value.values()):
             return f"{{\n{inner}{encode(value)[1:-1]}\n{pad}}}"
@@ -214,13 +209,12 @@ def _report(rule: Rule, output: str, steps, with_steps: bool = False) -> int:
 
 
 def _orderings(count: int, trials: int, seed: int):
-    """``trials`` seeded shuffles of ``count`` sources, one at a time, each
-    with the length of the prefix it shares with the scenario's order."""
+    """``trials`` seeded shuffles of ``count`` sources, drawn one at a time."""
     rng = random.Random(seed)
     for _ in range(trials):
         order = list(range(count))
         rng.shuffle(order)
-        yield order, next((k for k, i in enumerate(order) if i != k), count)
+        yield order
 
 
 def _state_key(used: int, state: FusionState, shapes: dict) -> tuple:
@@ -237,7 +231,8 @@ def _worst_completion(state, used, scenario, rule, baseline, memo, shapes) -> fl
     every source is scored with no key; any other call looks its bit-exact
     ``(used, state)`` pair up in ``memo`` where it starts and stores it once its
     children finish, so the first error raised is a refold's.  Children go in
-    ``permutations`` order; along the scenario's own order, the prefix chain."""
+    ``permutations`` order; along the scenario's own order, the prefix chain.
+    A key stands for the sources left as a set, since all their orders are walked."""
     masses, chain = scenario.masses, scenario.states
     if used == (1 << len(masses)) - 1:
         return deviation(state.snapshot(rule), baseline)
@@ -258,11 +253,10 @@ def _check_permutation(scenario: Scenario, rule: Rule, trials: int, seed: int) -
     masses = scenario.masses
     if len(masses) < 2:
         return None  # one source has one ordering, the scenario's own
-    chain = scenario.states
-    baseline = chain[-1].snapshot(rule)
+    baseline = scenario.states[-1].snapshot(rule)
     if math.factorial(len(masses)) > ORDERINGS_CAP:
-        return max(deviation(chain[k].fold([masses[i] for i in order[k:]]).snapshot(rule),
-                             baseline) for order, k in _orderings(len(masses), trials, seed))
+        return max(deviation(scenario.start.fold([masses[i] for i in order]).snapshot(rule),
+                             baseline) for order in _orderings(len(masses), trials, seed))
     return _worst_completion(scenario.start, 0, scenario, rule, baseline, {}, {})
 
 

@@ -122,13 +122,13 @@ class Frame(_Frozen):
         return up
 
     def _text(self, bits: int) -> str:
-        """The canonical DNF of the up-closed mask ``bits``; ``∅`` for 0.
-        The lowest region present has no subset present, so it is a term;
-        clearing its up-set leaves the other terms, and the peel ends on any
-        mask in range.  Term strings sort as their name tuples would, since
-        ``&`` sorts below every character an atom name may hold.  A region's
-        up-set, memoised here with its term, is the AND of its atoms' masks;
-        region 0 has no atom, so its up-set holds bit 0 too."""
+        """The canonical DNF of the up-closed mask ``bits``; ``∅`` for 0.  The lowest
+        region present has no subset present, so it is a term; clearing its up-set
+        leaves the other terms, and the peel ends on any mask in range.  Term strings
+        sort as their name tuples would, since ``&`` sorts below every character an
+        atom name may hold.  A region's up-set, memoised here with its term, is the AND
+        of its atoms' masks; region 0 has no atom, so its up-set holds bit 0 too.  A
+        memoised term costs about three whole-mask operations."""
         if not bits:
             return "∅"
         memo, terms = self._regions, []

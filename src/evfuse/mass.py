@@ -159,10 +159,10 @@ def vbf(model: Model) -> MassFunction:
 
 
 class ColumnSums(_Frozen):
-    """Per-proposition totals of the raw source masses seen so far, by
-    minterm mask; ``sums`` lists them in mask order.  The constructor takes
-    its keys and totals as :class:`MassFunction` takes its masses, without
-    the sum to 1, and ``source_count`` an int >= 0."""
+    """Per-proposition totals of the raw source masses seen so far, by minterm
+    mask in no particular order; ``sums`` sorts them into mask order.  The
+    constructor takes its keys and totals as :class:`MassFunction` takes its
+    masses, without the sum to 1, and ``source_count`` an int >= 0."""
 
     _fields = ("model", "source_count", "_masses")
     __hash__ = None  # the sums are a dict

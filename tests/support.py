@@ -153,8 +153,9 @@ def random_sources(rng: random.Random, model: Model, count: int,
 
 
 # Hypothesis draws ---------------------------------------------------------------
-# The composites of the property tests draw their models and sources here;
-# each keeps its own draw of a focal set.
+# The composites of the property tests draw their models and sources here.
+# ``source_pairs`` and ``permutation_scenarios`` in test_cli.py draw their
+# focal sets with ``draw_focal``; ``exact_lines`` keeps its own draw.
 
 def draw_model(draw, atoms: tuple[int, int], kinds=("free", "exclusive", "pairs")) -> Model:
     """A model on ``atoms[0]``-``atoms[1]`` atoms, of one of ``kinds``: free,
@@ -177,6 +178,18 @@ def draw_source(draw, model: Model, focal, denominator: int) -> MassFunction:
                                min_size=count - 1, max_size=count - 1)))
     parts = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, denominator])]
     return MassFunction(model, [(focal(), k / denominator) for k in parts])
+
+
+def draw_focal(draw, model: Model, meets) -> Proposition:
+    """A union of 1-3 atoms or, when ``meets`` draws true, of 1-3 intersections
+    of two atoms, widened by one atom when the model empties it."""
+    frame = model.frame
+    atom = st.integers(0, frame.n - 1)
+    joined, p = draw(meets), frame.empty()
+    for _ in range(draw(st.integers(1, 3))):
+        term = frame.atom(draw(atom))
+        p = p | (term & frame.atom(draw(atom)) if joined else term)
+    return p | frame.atom(draw(atom)) if model.is_empty(p) else p
 
 
 # reference lattice routines ---------------------------------------------------

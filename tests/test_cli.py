@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from itertools import islice, permutations
 
 import pytest
@@ -39,6 +40,7 @@ from support import (
     UNION_12,
     UNION_123,
     UNION_1234,
+    draw_focal,
     draw_model,
     draw_source,
     random_model,
@@ -405,16 +407,7 @@ def source_pairs(draw):
     A focal set is a union of 1-3 atoms or, one time in four, of 1-3
     intersections of two atoms."""
     model = draw_model(draw, (3, 5), kinds=("exclusive", "pairs"))
-    frame, n = model.frame, model.frame.n
-    atom = st.integers(0, n - 1)
-
-    def focal():
-        meets, p = draw(st.integers(0, 3)) == 0, frame.empty()
-        for _ in range(draw(st.integers(1, 3))):
-            term = frame.atom(draw(atom))
-            p = p | (term & frame.atom(draw(atom)) if meets else term)
-        return p | frame.atom(draw(atom)) if model.is_empty(p) else p
-
+    focal = partial(draw_focal, draw, model, st.integers(0, 3).map(lambda k: k == 0))
     return model, draw_source(draw, model, focal, 100), draw_source(draw, model, focal, 100)
 
 
@@ -489,16 +482,15 @@ def pruned_scenario(rng, count):
 
 @pytest.mark.parametrize("rule", ["sdli", "dubois_prade", "yager", "smets", "dempster"])
 def test_refold_checks_match_reference(rule):
-    # the vbf check and the sampled orderings (n! > 720) continue each list
-    # from the prefix chain; each must equal refolding every list from the
-    # start, value for value or error for error (dempster meets total
-    # conflict on the seven sources)
+    # the vbf check continues each padded list from the prefix chain and the
+    # sampled orderings (n! > 720) refold from the start; each must equal
+    # refolding every list from the start, value for value or error for
+    # error (dempster meets total conflict on the seven sources)
     rng = random.Random(f"refold/{rule}")
     six, seven, eight = (random_scenario(rng, n) for n in (6, 7, 8))
     pruned, pruned7 = scenario_from_dict(pruned_doc()), pruned_scenario(rng, 7)
-    # one MassFunction object listed many times: a shuffle then shares a
-    # longer prefix with the scenario's order object for object than
-    # position for position, and each check continues from the latter
+    # one MassFunction object listed many times: every ordering of it equals
+    # the scenario's order object for object, though not position for position
     m, a, b = eight.masses[:3]
     repeats = (Scenario(eight.start, eight.names[:7], [m] * 7, eight.rule),
                Scenario(eight.start, eight.names, [a, b] * 4, eight.rule))
@@ -509,7 +501,7 @@ def test_refold_checks_match_reference(rule):
     for scenario in scenarios:
         count = len(scenario.masses)
         orders = (permutations(range(count)) if count < 7
-                  else (order for order, _ in _orderings(count, 100, 0)))
+                  else _orderings(count, 100, 0))
         want = outcome(ref_worst_refold, scenario, rule, ordered_lists(scenario, orders))
         assert outcome(_check_permutation, scenario, rule, 100, 0) == want
     # the pruned orderings deviate past the tolerance under every rule here but dempster
@@ -544,16 +536,12 @@ def test_vbf_check_continues_the_prefix_chain(monkeypatch, capsys, path, fuses):
     assert len(calls) == fuses
 
 
-def test_sampled_orderings_continue_the_prefix_chain(monkeypatch):
-    # the scenario's own order 7, then for each sampled ordering the sources
-    # after the prefix it shares with the scenario's order
+def test_sampled_orderings_refold_from_the_start(monkeypatch):
+    # the scenario's own order 7, then every source of each sampled ordering
     scenario = random_scenario(random.Random("sampled"), 7)
-    orders = list(_orderings(7, 50, 3))
-    shared = [next((k for k in range(7) if order[k] != k), 7) for order, _ in orders]
-    assert [k for _, k in orders] == shared
     calls = count_fuses(monkeypatch)
     _check_permutation(scenario, "sdli", 50, 3)
-    assert len(calls) == 7 + sum(7 - k for k in shared)
+    assert len(calls) == 7 + 50 * 7
 
 
 def test_verify_folds_the_scenario_order_once(monkeypatch, capsys):
@@ -616,7 +604,7 @@ def test_sampled_orderings_are_drawn_lazily():
         want.append(order)
     tracemalloc.start()
     try:
-        first = [order for order, _ in islice(_orderings(8, 100_000, 0), 10)]
+        first = list(islice(_orderings(8, 100_000, 0), 10))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -639,16 +627,7 @@ def permutation_scenarios(draw):
     then a prune_epsilon.  A focal set is a union of 1-3 atoms or of 1-3
     intersections of two atoms, widened by one atom if the model empties it."""
     model = draw_model(draw, (3, 4))
-    frame, n = model.frame, model.frame.n
-    atom = st.integers(0, n - 1)
-
-    def focal():
-        meets, p = draw(st.booleans()), frame.empty()
-        for _ in range(draw(st.integers(1, 3))):
-            term = frame.atom(draw(atom))
-            p = p | (term & frame.atom(draw(atom)) if meets else term)
-        return p | frame.atom(draw(atom)) if model.is_empty(p) else p
-
+    focal = partial(draw_focal, draw, model, st.booleans())
     masses = [draw_source(draw, model, focal, 100) for _ in range(draw(st.integers(2, 5)))]
     epsilon = draw(st.sampled_from([0.0, 0.0, 0.01, 0.05, 0.2]))
     names = [f"s{i + 1}" for i in range(len(masses))]
