@@ -58,6 +58,9 @@ class FusionState(_Frozen):
         The new accumulator is the conjunctive product of the old one
         with the source, never of any transferred snapshot.  A product
         that could pass ``MAX_STATE_BITS`` is refused before it is built.
+        The successor skips the constructor's checks: ``conjunctive`` and
+        ``ColumnSums.add`` hold the source to this state's model, and
+        ``prune_epsilon`` is this state's, checked when it was built.
         """
         if not m.is_input_valid():
             raise ValidationError("source puts mass on model-empty propositions")
@@ -70,7 +73,10 @@ class FusionState(_Frozen):
         accumulator = conjunctive(self.accumulator, m)
         if self.prune_epsilon > 0.0:
             accumulator = _pruned(accumulator, self.prune_epsilon, self.source_count + 1)
-        return FusionState(accumulator, self.columns.add(m), self.prune_epsilon)
+        out = FusionState.__new__(FusionState)
+        out.__dict__.update(accumulator=accumulator, columns=self.columns.add(m),
+                            prune_epsilon=self.prune_epsilon)
+        return out
 
     def fold(self, masses) -> "FusionState":
         """Fuse each source in turn."""

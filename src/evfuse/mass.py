@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from functools import reduce
 from math import inf
+from operator import sub
 
 from .errors import ValidationError
 from .lattice import Model, Proposition, _Frozen, _require_same
@@ -57,7 +58,10 @@ def _summed(model: Model, pairs) -> dict[int, float]:
 def _validated(model: Model, merged: dict[int, float], allow_conflict: bool) -> dict[int, float]:
     """The one validation: ``{bits: value}`` to normalised masses by mask, in mask order.
     A finite total and a positive least value pass as they are; anything else
-    (NaN, inf, a negative value, a zero) goes value by value through ``_summed``."""
+    (NaN, inf, a negative value, a zero) goes value by value through ``_summed``.
+    The total is taken in ``merged``'s own order.  A dict already in mask order
+    whose total is exactly 1.0 is copied, not divided: ``v / 1.0 == v``.  The
+    result is always a new dict, never ``merged`` itself."""
     values = merged.values()
     total = ordered_sum(values)
     if not (total < inf and min(values, default=1.0) > 0.0):
@@ -70,7 +74,10 @@ def _validated(model: Model, merged: dict[int, float], allow_conflict: bool) -> 
     if empty:
         text = Proposition(model.frame, min(empty)).text()
         raise ValidationError(f"focal element {text} is empty under the model")
-    return {bits: merged[bits] / total for bits in sorted(merged)}
+    order = sorted(merged)
+    if total == 1.0 and order == list(merged):
+        return dict(merged)
+    return {bits: merged[bits] / total for bits in order}
 
 
 class MassFunction(_Frozen):
@@ -91,7 +98,7 @@ class MassFunction(_Frozen):
 
     @classmethod
     def _of_masks(cls, model: Model, masses: dict, allow_conflict: bool = False) -> "MassFunction":
-        # the engine's results, from {mask: mass}: the same validator,
+        # the engine's results, from {mask: float mass}: the same validator,
         # without the proposition checks of __init__
         self = cls.__new__(cls)
         self.__dict__.update(model=model, _masses=_validated(model, masses, allow_conflict))
@@ -127,8 +134,13 @@ class MassFunction(_Frozen):
         return ordered_sum(v for bits, v in self._masses.items() if not bits & visible)
 
     def is_input_valid(self) -> bool:
-        """True when usable as a source: no mass on empty propositions."""
-        return self.conflict_mass() == 0.0
+        """True when usable as a source: no mass on empty propositions.
+        Every stored mass is > 0, so that is no conflicting mask at all."""
+        visible = ~self.model.constrained
+        for bits in self._masses:
+            if not bits & visible:
+                return False
+        return True
 
     def belief(self, p: Proposition) -> float:
         """Mass provably inside p, with constrained regions masked out.
@@ -208,7 +220,11 @@ def column_sums(masses: Iterable[MassFunction]) -> ColumnSums:
 
 
 def deviation(a, b) -> float:
-    """Largest per-proposition mass difference between two assignments on one frame."""
+    """Largest per-proposition mass difference between two assignments on one frame.
+    Every MassFunction keeps its masses in mask order, so equal key sets line
+    up value by value and need no lookups."""
     _require_same(a.frame, b.frame)
     da, db = a._masses, b._masses
+    if da.keys() == db.keys():
+        return max(map(abs, map(sub, da.values(), db.values())), default=0.0)
     return max((abs(da.get(k, 0.0) - db.get(k, 0.0)) for k in da.keys() | db.keys()), default=0.0)

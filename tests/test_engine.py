@@ -1,5 +1,6 @@
 """The stored-state engine: streaming, snapshots, order invariance."""
 
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -97,10 +98,27 @@ def test_first_fuse_adopts_source(exclusive, m1):
     assert state.columns.sums == m1.terms
 
 
-def test_fuse_model_guard(exclusive, free, frame):
-    other = MassFunction(free, {frame.parse("A"): 1.0})
-    with pytest.raises(ValidationError):
-        FusionState.initial(exclusive).fuse(other)
+def test_fuse_model_guard(exclusive, free, m1, frame):
+    # the successor is built without its constructor: the product's own
+    # model check is what refuses a source of another model on the frame
+    other = MassFunction(free, {frame.parse("A"): 0.5, frame.parse("A&B"): 0.5})
+    for state in (FusionState.initial(exclusive), FusionState.initial(exclusive).fuse(m1)):
+        with pytest.raises(ValidationError, match="^operands use different models$"):
+            state.fuse(other)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.02])
+def test_a_fused_state_is_the_state_its_constructor_builds(epsilon):
+    rng = random.Random("fused-state")
+    for _ in range(20):
+        model = random_model(rng)
+        state = FusionState.initial(model, epsilon)
+        for m in random_sources(rng, model, 4):
+            state = state.fuse(m)
+            built = FusionState(state.accumulator, state.columns, state.prune_epsilon)
+            assert state == built and vars(state) == vars(built)
+            back = pickle.loads(pickle.dumps(state))
+            assert back == state and state_bits(back) == state_bits(state)
 
 
 def test_fuse_rejects_mass_on_a_model_empty_proposition(exclusive, frame):
@@ -150,6 +168,16 @@ def test_snapshot_is_pure(exclusive, m1, m2):
     second = state.snapshot(Rule.SDLI)
     assert first == second  # bit-identical values
     assert state.accumulator.terms == before
+
+
+@pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.value)
+def test_no_snapshot_shares_the_stored_dict(exclusive, m1, m2, rule):
+    # the accumulators here are in mask order and total exactly 1.0, so
+    # the validator copies them rather than dividing
+    for state in (FusionState.initial(exclusive), FusionState.initial(exclusive).fuse(m1),
+                  FusionState.initial(exclusive).fuse(m1).fuse(m2)):
+        assert mass_module.ordered_sum(state.accumulator._masses.values()) == 1.0
+        assert state.snapshot(rule)._masses is not state.accumulator._masses
 
 
 def test_snapshot_classic_keeps_conflicts(exclusive, m1, m2):

@@ -3,9 +3,10 @@
 import gc
 import random
 import weakref
+from functools import partial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from evfuse import (
     ColumnSums,
@@ -18,10 +19,11 @@ from evfuse import (
     TotalConflictError,
     ValidationError,
     column_sums,
+    conjunctive,
     deviation,
     vbf,
 )
-from evfuse.mass import ordered_sum as package_sum
+from evfuse.mass import _validated, ordered_sum as package_sum
 
 from support import (
     COLUMNS_12,
@@ -30,6 +32,9 @@ from support import (
     GOLDEN_LINES,
     UNION_12,
     as_text_dict,
+    draw_focal,
+    draw_model,
+    draw_source,
     golden_model,
     golden_sources,
     mass_from_rows,
@@ -403,6 +408,77 @@ def test_deviation_symmetry(seed):
     model = random_model(rng)
     a, b = random_mass(rng, model), random_mass(rng, model)
     assert deviation(a, b) == deviation(b, a)
+
+
+# the exact shortcuts: each gives the bits of the plain form it skips ---------------
+
+def _union_deviation(a, b):
+    # deviation over the union of both key sets, in set order
+    da, db = a._masses, b._masses
+    return max((abs(da.get(k, 0.0) - db.get(k, 0.0)) for k in da.keys() | db.keys()), default=0.0)
+
+
+def _divided(merged):
+    # the validator's dividing path: the total in the dict's own order, then
+    # every value over it, in mask order
+    total = ordered_sum(merged.values())
+    return [(bits, (merged[bits] / total).hex()) for bits in sorted(merged)]
+
+
+def _hexed(masses):
+    return [(bits, v.hex()) for bits, v in masses.items()]
+
+
+@st.composite
+def shortcut_cases(draw):
+    """A free, exclusive or some-pairs-exclusive model on 2-4 atoms, two
+    sources, a twin of the first (its focal sets with its masses reversed:
+    equal keys, other values) and the unnormalised product of the two
+    sources in the order the products arise, often out of mask order."""
+    model = draw_model(draw, (2, 4))
+    focal = partial(draw_focal, draw, model, st.booleans())
+    a, b = draw_source(draw, model, focal, 100), draw_source(draw, model, focal, 100)
+    twin = MassFunction(model, zip(a.focal(), [v for _, v in reversed(a.items())]))
+    raw = {}
+    for x, mx in a._masses.items():
+        for y, my in b._masses.items():
+            raw[x & y] = raw.get(x & y, 0.0) + mx * my
+    return model, a, b, twin, raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(shortcut_cases())
+def test_shortcuts_give_the_bits_of_their_plain_forms(case):
+    model, a, b, twin, raw = case
+    product = conjunctive(a, b)
+    # the source check looks for a conflicting mask; every stored mass is > 0
+    for m in (a, b, twin, product, conjunctive(a, twin)):
+        assert m.is_input_valid() == (m.conflict_mass() == 0.0)
+    # equal key sets zip their value views; unequal ones take the union
+    for x, y in ((a, twin), (product, conjunctive(b, a)), (a, b), (a, product)):
+        assert deviation(x, y).hex() == _union_deviation(x, y).hex()
+    # a dict in mask order summing to exactly 1.0 is copied, any other divided
+    for merged in (a._masses, twin._masses, product._masses, raw):
+        assert _hexed(_validated(model, dict(merged), True)) == _divided(merged)
+
+
+def test_validation_copies_only_a_dict_in_mask_order_summing_to_exactly_one(exclusive, frame):
+    a, b, c = (frame.parse(name).bits for name in "ABC")
+    assert a < b < c
+    # in mask order, total exactly 1.0: the same values, in a new dict
+    d = {a: 0.5, b: 0.25, c: 0.25}
+    m = MassFunction._of_masks(exclusive, d)
+    assert m._masses == d and list(m._masses) == [a, b, c] and m._masses is not d
+    # out of mask order, total exactly 1.0: sorted into mask order
+    d = {c: 0.25, a: 0.5, b: 0.25}
+    assert list(MassFunction._of_masks(exclusive, d)._masses) == [a, b, c]
+    # in mask order, total 0.9999999999999999: divided, so every value moves
+    d = {a: 0.7, b: 0.2, c: 0.1}
+    total = ordered_sum(d.values())
+    assert total != 1.0
+    got = MassFunction._of_masks(exclusive, d)._masses
+    assert _hexed(got) == _divided(d)
+    assert all(got[bits] != v for bits, v in d.items())
 
 
 # public views of the by-mask storage ---------------------------------------------------
