@@ -203,7 +203,46 @@ class Frame(_Frozen):
         return Proposition(self, 0)
 
     def parse(self, text: str) -> "Proposition":
-        return _parse(self, text)
+        """Parse a proposition expression; '&' binds tighter than '|'.
+
+        One pass over the tokens on minterm masks.  ``union`` ORs the finished
+        terms of the innermost open group and ``term`` ANDs the factors of its
+        current term; ``(`` pushes the pair and ``)`` folds the group into the
+        term of the pair it pops.  ``operand`` is true where an atom or ``(``
+        must come next.
+        """
+        full = self.full_bits
+        stack = []
+        union, term, operand = 0, full, True
+        for kind, value, at in _tokenize(text):
+            if operand:
+                if kind == "atom":
+                    try:
+                        term &= self._atom_bits[self.atoms.index(value)]
+                    except ValueError:
+                        raise ExpressionError(f"unknown atom {value!r}", at) from None
+                    operand = False
+                elif kind == "(":
+                    if len(stack) == MAX_NESTING:
+                        raise ExpressionError(f"parentheses nested deeper than {MAX_NESTING}", at)
+                    stack.append((union, term))
+                    union, term = 0, full
+                else:
+                    what = "end of input" if kind == "end" else repr(value)
+                    raise ExpressionError(f"expected atom or '(', found {what}", at)
+            elif kind == "&":
+                operand = True
+            elif kind == "|":
+                union, term, operand = union | term, full, True
+            elif kind == ")" and stack:
+                group = union | term
+                union, term = stack.pop()
+                term &= group
+            elif stack:
+                raise ExpressionError("expected ')'", at)
+            elif kind != "end":
+                raise ExpressionError(f"expected '&', '|' or end of input, found {value!r}", at)
+        return Proposition(self, union | term)
 
 
 def _require_same(a, b, message: str = "operands belong to different frames") -> None:
@@ -375,46 +414,3 @@ def _tokenize(text: str):
         tokens.append((op, op, at) if op else ("atom", atom, at))
     tokens.append(("end", "", len(text)))
     return tokens
-
-
-def _parse(frame: Frame, text: str) -> Proposition:
-    """Parse a proposition expression; '&' binds tighter than '|'.
-
-    One pass over the tokens on minterm masks.  ``union`` ORs the finished
-    terms of the innermost open group and ``term`` ANDs the factors of its
-    current term; ``(`` pushes the pair and ``)`` folds the group into the
-    term of the pair it pops.  ``operand`` is true where an atom or ``(``
-    must come next.
-    """
-    full = frame.full_bits
-    stack = []
-    union, term, operand = 0, full, True
-    for kind, value, at in _tokenize(text):
-        if operand:
-            if kind == "atom":
-                try:
-                    term &= frame._atom_bits[frame.atoms.index(value)]
-                except ValueError:
-                    raise ExpressionError(f"unknown atom {value!r}", at) from None
-                operand = False
-            elif kind == "(":
-                if len(stack) == MAX_NESTING:
-                    raise ExpressionError(f"parentheses nested deeper than {MAX_NESTING}", at)
-                stack.append((union, term))
-                union, term = 0, full
-            else:
-                what = "end of input" if kind == "end" else repr(value)
-                raise ExpressionError(f"expected atom or '(', found {what}", at)
-        elif kind == "&":
-            operand = True
-        elif kind == "|":
-            union, term, operand = union | term, full, True
-        elif kind == ")" and stack:
-            group = union | term
-            union, term = stack.pop()
-            term &= group
-        elif stack:
-            raise ExpressionError("expected ')'", at)
-        elif kind != "end":
-            raise ExpressionError(f"expected '&', '|' or end of input, found {value!r}", at)
-    return Proposition(frame, union | term)

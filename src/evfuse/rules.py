@@ -155,32 +155,27 @@ def sdli2(m1: MassFunction, m2: MassFunction) -> MassFunction:
     return MassFunction._of_masks(m1.model, out)
 
 
-def _no_transfer(result: MassFunction, columns) -> MassFunction:
-    # the pre-transfer masses are the decision output; dsm_classic is the
-    # conjunctive rule on the free lattice.  Rebuilt, not returned as is:
-    # the CLI output carries this second renormalisation, and a snapshot
-    # must not share the stored terms.
-    return MassFunction._of_masks(result.model, result._masses, allow_conflict=True)
-
-
-# Each entry calls its transfer through the module global, looked up at
-# call time, so that the transfers can be replaced from outside.
-_TRANSFERS = {
-    Rule.CONJUNCTIVE: _no_transfer,
-    Rule.DSM_CLASSIC: _no_transfer,
-    Rule.DEMPSTER: lambda r, c: transfer_dempster(r),
-    Rule.SMETS: lambda r, c: transfer_smets(r),
-    Rule.YAGER: lambda r, c: transfer_yager(r),
-    Rule.DUBOIS_PRADE: lambda r, c: transfer_union(r),
-    Rule.DSM_HYBRID: lambda r, c: transfer_union(r),
-    Rule.SDLI: lambda r, c: transfer_sdli(r, c),
-}
-
-
 def apply_transfer(rule: Rule | str, result: MassFunction,
                    columns: ColumnSums | None = None) -> MassFunction:
-    """Apply only the transfer stage of a rule to a stored product."""
-    return _TRANSFERS[Rule(rule)](result, columns)
+    """Apply only the transfer stage of a rule to a stored product.
+
+    ``conjunctive`` and ``dsm_classic`` (the conjunctive rule on the free
+    lattice) keep the pre-transfer masses.  Those are rebuilt, not returned
+    as is: the CLI output carries this second renormalisation, and a
+    snapshot must not share the stored terms.
+    """
+    rule = Rule(rule)
+    if rule is Rule.DEMPSTER:
+        return transfer_dempster(result)
+    if rule is Rule.SMETS:
+        return transfer_smets(result)
+    if rule is Rule.YAGER:
+        return transfer_yager(result)
+    if rule is Rule.DUBOIS_PRADE or rule is Rule.DSM_HYBRID:
+        return transfer_union(result)
+    if rule is Rule.SDLI:
+        return transfer_sdli(result, columns)
+    return MassFunction._of_masks(result.model, result._masses, allow_conflict=True)
 
 
 def combine2(rule: Rule | str, m1: MassFunction, m2: MassFunction) -> MassFunction:

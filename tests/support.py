@@ -366,6 +366,46 @@ def ref_exact_snapshot(rule, model: Model, product, columns) -> dict[int, Fracti
     return out
 
 
+# textbook rules on Shafer's model ------------------------------------------
+# Dempster's, Smets' and Yager's n-source rules on the power set of the
+# atoms (Shafer, "A Mathematical Theory of Evidence", 1976), in Fraction
+# arithmetic.  A focal set is the frozenset of atoms whose singleton
+# region its mask holds: the set the mask stands for under the exclusive
+# model, where every other region is empty.  Conflict is the mass on the
+# empty set.  Nothing here reads a routing entry, a column sum or a
+# stored product.
+
+def atom_set(frame: Frame, bits: int) -> frozenset:
+    """The atoms whose singleton region ``bits`` holds."""
+    return frozenset(a for i, a in enumerate(frame.atoms) if bits >> (1 << i) & 1)
+
+
+def ref_shafer(rule, model: Model, masses) -> dict[frozenset, Fraction] | None:
+    """The exact ``dempster``, ``smets`` or ``yager`` combination of the
+    sources on the power set, by atom set; None where Dempster's rule is
+    undefined because no mass is kept.  Exclusive models only."""
+    rule, frame = Rule(rule), model.frame
+    overlaps = sum(1 << r for r in range(1, 1 << frame.n) if r & (r - 1))
+    if model.constrained != overlaps:
+        raise ValueError("the power-set reference covers the exclusive model only")
+    product = {frozenset(frame.atoms): Fraction(1)}
+    for m in masses:
+        out: dict[frozenset, Fraction] = {}
+        for x, mx in product.items():
+            for p, v in m.items():
+                z = x & atom_set(frame, p.bits)
+                out[z] = out.get(z, 0) + mx * Fraction(v)
+        product = out
+    conflict = product.pop(frozenset(), 0)
+    if rule is Rule.DEMPSTER:
+        kept = sum(product.values())
+        return {s: v / kept for s, v in product.items()} if kept else None
+    target = {Rule.SMETS: frozenset(), Rule.YAGER: frozenset(frame.atoms)}[rule]
+    if conflict:
+        product[target] = product.get(target, 0) + conflict
+    return product
+
+
 # seeded fusion lines for the library-level golden record -----------------
 # Each line folds 100-200 sources on a 5-atom frame under one model and
 # takes a snapshot under every rule after every source.  Focal sets come

@@ -688,8 +688,15 @@ def test_parse_matches_python_eval(case):
     ("A+B", "unexpected character '+'", 1),
     ("A|Z", "unknown atom 'Z'", 2),
     ("(" * 101 + "A" + ")" * 101, "parentheses nested deeper than 100", 100),
+    # a bad character is reported before any syntax error found earlier
+    ("A&&B+", "unexpected character '+'", 4),
+    ("(A|B$", "unexpected character '$'", 4),
+    ("Z+", "unexpected character '+'", 1),
+    ("A)(€", "unexpected character '€'", 3),
 ], ids=["dangling-and", "unclosed", "juxtaposed", "stray-close", "lone-close",
-        "bad-character", "unknown-atom", "too-deep"])
+        "bad-character", "unknown-atom", "too-deep", "bad-character-after-double-and",
+        "bad-character-in-open-group", "bad-character-after-unknown-atom",
+        "bad-character-after-stray-close"])
 def test_parse_error_table(frame, text, message, position):
     with pytest.raises(ExpressionError) as err:
         frame.parse(text)
