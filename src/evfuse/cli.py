@@ -1,9 +1,9 @@
 """Scenario-driven command line: batch fusion, streaming, and checks.
 
-Scenarios are single JSON documents naming a frame, a model, an ordered
-list of sources (proposition expression -> mass), and a rule.  Output is
-deterministic: fixed sort order, fixed 6-decimal table formatting, and
-full-precision JSON.
+A scenario is one JSON document naming a frame, a model, a rule, an
+optional ``prune_epsilon`` and an ordered list of sources, each its masses
+(proposition expression -> mass) and an optional ``name``.  Output is
+deterministic: fixed sort order, 6-decimal tables, full-precision JSON.
 """
 
 from __future__ import annotations

@@ -60,8 +60,7 @@ def _validated(model: Model, merged: dict[int, float], allow_conflict: bool) -> 
     A finite total and a positive least value pass as they are; anything else
     (NaN, inf, a negative value, a zero) goes value by value through ``_summed``.
     The total is taken in ``merged``'s own order.  A dict already in mask order
-    whose total is exactly 1.0 is copied, not divided: ``v / 1.0 == v``.  The
-    result is always a new dict, never ``merged`` itself."""
+    whose total is exactly 1.0 is kept, not divided: ``v / 1.0 == v``."""
     values = merged.values()
     total = ordered_sum(values)
     if not (total < inf and min(values, default=1.0) > 0.0):
@@ -76,7 +75,7 @@ def _validated(model: Model, merged: dict[int, float], allow_conflict: bool) -> 
         raise ValidationError(f"focal element {text} is empty under the model")
     order = sorted(merged)
     if total == 1.0 and order == list(merged):
-        return dict(merged)
+        return merged
     return {bits: merged[bits] / total for bits in order}
 
 
@@ -98,8 +97,8 @@ class MassFunction(_Frozen):
 
     @classmethod
     def _of_masks(cls, model: Model, masses: dict, allow_conflict: bool = False) -> "MassFunction":
-        # the engine's results, from {mask: float mass}: the same validator,
-        # without the proposition checks of __init__
+        # the engine's results: the validator without __init__'s proposition checks.
+        # It keeps the {mask: mass} dict it is handed, built for this call alone.
         self = cls.__new__(cls)
         self.__dict__.update(model=model, _masses=_validated(model, masses, allow_conflict))
         return self
@@ -193,10 +192,6 @@ class ColumnSums(_Frozen):
     def sums(self) -> dict[Proposition, float]:
         frame, masses = self.model.frame, self._masses
         return {Proposition(frame, bits): masses[bits] for bits in sorted(masses)}
-
-    def value(self, bits: int) -> float:
-        """The column total of the proposition with minterm mask ``bits``."""
-        return self._masses.get(bits, 0.0)
 
     def add(self, m: MassFunction) -> "ColumnSums":
         _require_same(m.model, self.model, "mass function uses a different model")

@@ -160,9 +160,9 @@ def apply_transfer(rule: Rule | str, result: MassFunction,
     """Apply only the transfer stage of a rule to a stored product.
 
     ``conjunctive`` and ``dsm_classic`` (the conjunctive rule on the free
-    lattice) keep the pre-transfer masses.  Those are rebuilt, not returned
-    as is: the CLI output carries this second renormalisation, and a
-    snapshot must not share the stored terms.
+    lattice) keep the pre-transfer masses.  Those are rebuilt from a copy,
+    not returned as is: the CLI output carries this second renormalisation,
+    and a snapshot must not share the stored terms.
     """
     rule = Rule(rule)
     if rule is Rule.DEMPSTER:
@@ -175,7 +175,7 @@ def apply_transfer(rule: Rule | str, result: MassFunction,
         return transfer_union(result)
     if rule is Rule.SDLI:
         return transfer_sdli(result, columns)
-    return MassFunction._of_masks(result.model, result._masses, allow_conflict=True)
+    return MassFunction._of_masks(result.model, dict(result._masses), allow_conflict=True)
 
 
 def combine2(rule: Rule | str, m1: MassFunction, m2: MassFunction) -> MassFunction:

@@ -381,13 +381,26 @@ def atom_set(frame: Frame, bits: int) -> frozenset:
 
 
 def ref_shafer(rule, model: Model, masses) -> dict[frozenset, Fraction] | None:
-    """The exact ``dempster``, ``smets`` or ``yager`` combination of the
-    sources on the power set, by atom set; None where Dempster's rule is
-    undefined because no mass is kept.  Exclusive models only."""
+    """The exact combination of the sources on the power set, by atom set:
+    ``dempster``, ``smets`` or ``yager`` of any number of sources, or
+    ``dubois_prade`` and ``dsm_hybrid`` of exactly two, which send each pair
+    of focal sets to X∩Y, or to X∪Y when that meet is empty (Dubois and
+    Prade, 1988).  None where Dempster's rule is undefined because no mass
+    is kept.  Exclusive models only."""
     rule, frame = Rule(rule), model.frame
     overlaps = sum(1 << r for r in range(1, 1 << frame.n) if r & (r - 1))
     if model.constrained != overlaps:
         raise ValueError("the power-set reference covers the exclusive model only")
+    if rule is Rule.DUBOIS_PRADE or rule is Rule.DSM_HYBRID:
+        if len(masses) != 2:
+            raise ValueError(f"the {rule.value} reference takes exactly two sources")
+        out: dict[frozenset, Fraction] = {}
+        for p, u in masses[0].items():
+            for q, v in masses[1].items():
+                x, y = atom_set(frame, p.bits), atom_set(frame, q.bits)
+                z = x & y or x | y
+                out[z] = out.get(z, 0) + Fraction(u) * Fraction(v)
+        return out
     product = {frozenset(frame.atoms): Fraction(1)}
     for m in masses:
         out: dict[frozenset, Fraction] = {}

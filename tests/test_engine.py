@@ -27,6 +27,8 @@ from evfuse import (
 from evfuse import mass as mass_module
 
 from support import (
+    CONFLICT_123,
+    CONFLICT_1234,
     CONJ_12,
     CONJ_123,
     CONJ_1234,
@@ -146,8 +148,10 @@ def test_streaming_accumulators(exclusive, m1, m2, m3, m4):
     assert_masses(state.accumulator, CONJ_12)
     state = state.fuse(m3)
     assert_masses(state.accumulator, CONJ_123)
+    assert state.accumulator.conflict_mass() == pytest.approx(CONFLICT_123, abs=1e-9)
     state = state.fuse(m4)
     assert_masses(state.accumulator, CONJ_1234)
+    assert state.accumulator.conflict_mass() == pytest.approx(CONFLICT_1234, abs=1e-9)
     assert state.source_count == 4
 
 
@@ -172,8 +176,9 @@ def test_snapshot_is_pure(exclusive, m1, m2):
 
 @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.value)
 def test_no_snapshot_shares_the_stored_dict(exclusive, m1, m2, rule):
-    # the accumulators here are in mask order and total exactly 1.0, so
-    # the validator copies them rather than dividing
+    # the accumulators here are in mask order and total exactly 1.0, so the
+    # validator keeps the dict it is handed: apply_transfer copies the
+    # accumulator, and the validator keeps that copy
     for state in (FusionState.initial(exclusive), FusionState.initial(exclusive).fuse(m1),
                   FusionState.initial(exclusive).fuse(m1).fuse(m2)):
         assert mass_module.ordered_sum(state.accumulator._masses.values()) == 1.0

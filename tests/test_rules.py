@@ -545,6 +545,30 @@ def test_shafers_model_matches_the_power_set_reference():
     assert undefined  # the seeds reach Dempster's total conflict
 
 
+def test_dubois_prade_matches_the_two_source_power_set_reference():
+    # the same merge by atom set and the same bound as above, fixed before the first run
+    routed = 0
+    for seed in range(400):
+        rng = random.Random(f"dubois-prade/{seed}")
+        model = random_model(rng, rng.randint(3, 5), kinds=("exclusive",))
+        sources = random_sources(rng, model, 2)
+        state = FusionState.initial(model).fold(sources)
+        routed += state.accumulator.conflict_mass() > 0.0
+        for rule in (Rule.DUBOIS_PRADE, Rule.DSM_HYBRID):
+            want = ref_shafer(rule, model, sources)
+            got = _by_atom_set(state.snapshot(rule))
+            assert set(got) == set(want), (seed, rule)
+            assert max(abs(got[s] - want[s]) for s in want) <= SHAFER_BOUND, (seed, rule)
+    assert routed  # the seeds reach pairs of focal sets with an empty meet
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_dubois_prade_reference_takes_exactly_two_sources(exclusive, m1, count):
+    for rule in (Rule.DUBOIS_PRADE, Rule.DSM_HYBRID):
+        with pytest.raises(ValueError, match="exactly two sources"):
+            ref_shafer(rule, exclusive, [m1] * count)
+
+
 def test_shafer_reference_covers_the_exclusive_model_only(free):
     with pytest.raises(ValueError, match="exclusive model only"):
         ref_shafer(Rule.DEMPSTER, free, [])
@@ -589,6 +613,9 @@ def test_references_call_no_kernel_function(monkeypatch):
         for i in range(len(lines[1]) - 2):
             for rule in (Rule.DEMPSTER, Rule.SMETS, Rule.YAGER):
                 exact = ref_shafer(rule, exclusive, lines[1][i:i + 3])
+                out.append(sorted((sorted(s), str(v)) for s, v in exact.items()))
+            for rule in (Rule.DUBOIS_PRADE, Rule.DSM_HYBRID):
+                exact = ref_shafer(rule, exclusive, lines[1][i:i + 2])
                 out.append(sorted((sorted(s), str(v)) for s, v in exact.items()))
         return out
 
