@@ -96,7 +96,7 @@ def scenario_from_dict(doc) -> Scenario:
     names, sources = [], []
     for i, entry in enumerate(raw_sources):
         if not isinstance(entry, dict):
-            _fail(f"sources[{i}]", "must be an object with 'name' and 'masses'")
+            _fail(f"sources[{i}]", "must be an object with 'masses' and an optional 'name'")
         _reject_unknown(entry, {"name", "masses"}, f"sources[{i}].", "source")
         name = entry.get("name", f"source_{i + 1}")
         if not isinstance(name, str):

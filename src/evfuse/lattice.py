@@ -98,13 +98,16 @@ class Frame(_Frozen):
                 bits |= bits << width
                 width <<= 1
             atom_bits.append(bits)
-        # full_bits, every minterm set, is the top of the lattice.  The memos
-        # live as long as the frame and hold only ints and strings, so they
-        # form no reference cycle: _regions maps a region to (the complement of
-        # its up-set, its term text "A&B"), _routes a minterm mask to (its
-        # parties' masks, their union); only _text and _route read and fill them.
+        # full_bits, every minterm set, is the top of the lattice.  The three
+        # memos live as long as the frame and hold only ints, strings and
+        # sequences of them, so they form no reference cycle; each has one reader
+        # and filler.  _regions (_text) maps a region to (the complement of its
+        # up-set, its term text "A&B"), _routes (_route) a minterm mask to (its
+        # parties' masks, their union), and _plans (rules._plan) a (constraint
+        # mask, transfer) pair to the routing plan of the last stored key layout.
         self.__dict__.update(atoms=atoms, full_bits=(1 << (1 << len(atoms))) - 2,
-                             _atom_bits=tuple(atom_bits), _regions={}, _routes={})
+                             _atom_bits=tuple(atom_bits), _regions={}, _routes={},
+                             _plans={})
 
     def __reduce__(self):
         # pickle and deepcopy rebuild the tables rather than copy the memos

@@ -55,25 +55,32 @@ def _summed(model: Model, pairs) -> dict[int, float]:
     return merged
 
 
-def _validated(model: Model, merged: dict[int, float], allow_conflict: bool) -> dict[int, float]:
+def _validated(model: Model, merged: dict[int, float], allow_conflict: bool,
+               layout=None) -> dict[int, float]:
     """The one validation: ``{bits: value}`` to normalised masses by mask, in mask order.
     A finite total and a positive least value pass as they are; anything else
     (NaN, inf, a negative value, a zero) goes value by value through ``_summed``.
     The total is taken in ``merged``'s own order.  A dict already in mask order
-    whose total is exactly 1.0 is kept, not divided: ``v / 1.0 == v``."""
+    whose total is exactly 1.0 is kept, not divided: ``v / 1.0 == v``.  ``layout``,
+    ``(sorted keys, model-empty keys)`` of ``merged`` as handed in, the latter
+    empty where conflict is allowed, stands for those two scans of its keys
+    unless ``_summed`` rebuilt it."""
     values = merged.values()
     total = ordered_sum(values)
     if not (total < inf and min(values, default=1.0) > 0.0):
-        merged = _summed(model, merged.items())
+        merged, layout = _summed(model, merged.items()), None
         total = ordered_sum(merged.values())
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise ValidationError(f"masses sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
-    visible = ~model.constrained
-    empty = [] if allow_conflict else [b for b in merged if not b & visible]
+    if layout is None:
+        visible = ~model.constrained
+        order = sorted(merged)
+        empty = [] if allow_conflict else [b for b in merged if not b & visible]
+    else:
+        order, empty = layout
     if empty:
         text = Proposition(model.frame, min(empty)).text()
         raise ValidationError(f"focal element {text} is empty under the model")
-    order = sorted(merged)
     if total == 1.0 and order == list(merged):
         return merged
     return {bits: merged[bits] / total for bits in order}
@@ -96,11 +103,13 @@ class MassFunction(_Frozen):
             model, _summed(model, _entering(model, assignments)), allow_conflict))
 
     @classmethod
-    def _of_masks(cls, model: Model, masses: dict, allow_conflict: bool = False) -> "MassFunction":
+    def _of_masks(cls, model: Model, masses: dict, allow_conflict: bool = False,
+                  layout=None) -> "MassFunction":
         # the engine's results: the validator without __init__'s proposition checks.
         # It keeps the {mask: mass} dict it is handed, built for this call alone.
         self = cls.__new__(cls)
-        self.__dict__.update(model=model, _masses=_validated(model, masses, allow_conflict))
+        self.__dict__.update(model=model,
+                             _masses=_validated(model, masses, allow_conflict, layout))
         return self
 
     @property

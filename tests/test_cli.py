@@ -709,6 +709,16 @@ def test_non_utf8_file(capsys, tmp_path):
     assert capsys.readouterr().err == f"error: {path}: not valid UTF-8\n"
 
 
+def test_a_source_that_is_not_an_object_is_told_its_fields(capsys, tmp_path):
+    # a source's name is optional; only its masses are required
+    path = tmp_path / "list_source.json"
+    path.write_text('{"frame": ["A", "B"], "rule": "dempster", "sources": [["A"]]}',
+                    encoding="utf-8")
+    assert main(["fuse", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: sources[0]: must be an object with 'masses' and an optional 'name'\n")
+
+
 @pytest.mark.parametrize(
     "mutate, needle",
     [

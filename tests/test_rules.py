@@ -1,7 +1,7 @@
 """Conjunctive combination and the transfer-operator catalog."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -49,6 +49,7 @@ from support import (
     as_text_dict,
     assert_masses,
     atom_set,
+    GOLDEN_ATOMS,
     golden_model,
     golden_sources,
     mass_from_rows,
@@ -625,11 +626,182 @@ def test_references_call_no_kernel_function(monkeypatch):
         raise AssertionError("a reference called a kernel routine")
 
     for owner, name in ((rules, "conjunctive"), (engine, "conjunctive"), (rules, "_redistribute"),
-                        (ColumnSums, "add"), (Frame, "_route")):
+                        (rules, "_plan"), (ColumnSums, "add"), (Frame, "_route")):
         monkeypatch.setattr(owner, name, broken)
     with pytest.raises(AssertionError, match="kernel routine"):
         combine2(Rule.SDLI, *lines[1][:2])
     assert digests() == want
+
+
+# routing plans ------------------------------------------------------------------------
+# _redistribute plans each stored key layout once and replays the plan; the copy
+# below routes every term afresh on every call, as the loop did before plans.
+
+
+def redistribute_per_step(result: MassFunction, target=None, weights=None) -> MassFunction:
+    """Send each conflicting term's mass to ``target``, kept as conflict only when
+    that is the empty mask, or with none to the union of its atoms: total ignorance
+    when the term is void or that union is empty.  ``weights``, ``{mask: weight}``,
+    split a non-void term first over its conflict parties by weight, if any has one."""
+    frame, visible = result.model.frame, ~result.model.constrained
+    out = {bits: v for bits, v in result._masses.items() if bits & visible}
+    for bits, v in result._masses.items():
+        if bits & visible:
+            continue
+        if (to := target) is None:
+            parties, to = frame._route(bits)
+            total = 0  # the party weights, added left to right as ordered_sum does
+            if weights is not None and bits:
+                for g in parties:
+                    total += weights.get(g, 0.0)
+            if total > 0.0:
+                for g in parties:
+                    if w := weights.get(g, 0.0):
+                        out[g] = out.get(g, 0.0) + v * (w / total)
+                continue
+            if not to & visible:
+                to = frame.full_bits
+        out[to] = out.get(to, 0.0) + v
+    return MassFunction._of_masks(result.model, out, target == 0)
+
+
+ROUTED = {Rule.SMETS: "smets", Rule.YAGER: "yager", Rule.DUBOIS_PRADE: "union",
+          Rule.DSM_HYBRID: "union", Rule.SDLI: "sdli"}
+
+
+def _per_step(rule, product, columns):
+    if rule is Rule.SMETS:
+        return redistribute_per_step(product, 0)
+    if rule is Rule.YAGER:
+        return redistribute_per_step(product, product.model.frame.full_bits)
+    if rule is Rule.SDLI:
+        return redistribute_per_step(product, weights=columns._masses)
+    return redistribute_per_step(product)
+
+
+def _bits(transfer, *args):
+    # the keys in order with each value's float.hex, or the error raised
+    try:
+        return [(bits, v.hex()) for bits, v in transfer(*args)._masses.items()]
+    except ValidationError as exc:
+        return str(exc)
+
+
+@st.composite
+def planned_calls(draw):
+    """Routed snapshots on one 2-4-atom frame, in any interleaving.  Two models,
+    each free, exclusive, excluding atom pairs or emptying one atom, share two
+    key layouts (the void term allowed): per model three stored products, the
+    first two on one layout.  Per model two column sums, one weighing a set of
+    unions of atoms and one the rest, so that each snapshot taken under both
+    flips which parties weigh."""
+    n = draw(st.integers(2, 4))
+    frame = Frame(GOLDEN_ATOMS[:n])
+    atom = st.integers(0, n - 1)
+    models = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(("free", "exclusive", "pairs", "empty atom")))
+        if kind == "pairs":
+            pairs = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                                  min_size=1, max_size=n, unique=True))
+            models.append(Model.with_exclusions(frame, pairs))
+        elif kind == "empty atom":
+            models.append(Model(frame, frame.atom(draw(atom)).bits))
+        else:
+            models.append(Model.free(frame) if kind == "free" else Model.exclusive(frame))
+
+    def term():
+        p = frame.empty()
+        if draw(st.integers(0, 5)):  # else the void term
+            for _ in range(draw(st.integers(1, 3))):
+                meet = frame.total_ignorance()
+                for _ in range(draw(st.integers(1, 3))):
+                    meet = meet & frame.atom(draw(atom))
+                p = p | meet
+        return p
+
+    def weighed(props):
+        return {p: draw(st.integers(1, 20)) for p in props}
+
+    def product(model, props):
+        weights = weighed(props)
+        total = sum(weights.values())
+        return MassFunction(model, [(p, w / total) for p, w in weights.items()],
+                            allow_conflict=True)
+
+    layouts = [[term() for _ in range(draw(st.integers(1, 8)))] for _ in range(2)]
+    unions = [frame.parse("|".join(GOLDEN_ATOMS[i] for i in range(n) if mask >> i & 1))
+              for mask in range(1, 1 << n)]
+    weighing = set(draw(st.lists(st.sampled_from(unions), unique=True)))
+    products, columns = [], []
+    for model in models:
+        products.append([product(model, layouts[0]), product(model, layouts[0]),
+                         product(model, layouts[1])])
+        columns.append([ColumnSums(model, weighed(props), 2) for props in (
+            [u for u in unions if u in weighing], [u for u in unions if u not in weighing])])
+    calls = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2),
+                                    st.sampled_from(list(ROUTED)), st.booleans()),
+                          min_size=1, max_size=10))
+    return [(rule, products[m][p], columns[m][c ^ flip]) for m, p, rule, flip in calls
+            for c in (0, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(planned_calls())
+def test_planned_routing_matches_the_per_step_loop_bit_for_bit(calls):
+    for rule, product, columns in calls:
+        assert _bits(apply_transfer, rule, product, columns) == _bits(
+            _per_step, rule, product, columns)
+
+
+def test_a_frame_keeps_the_last_plan_per_constraint_and_transfer():
+    frame = Frame(GOLDEN_ATOMS)
+    exclusive, ring = (Model(frame, golden_model(kind).constrained)
+                       for kind in ("exclusive", "ring"))
+    sources = golden_sources("exclusive", exclusive, 3)
+    state = FusionState.initial(exclusive).fold(sources[:2])
+    plans = frame._plans
+
+    def routed(product, columns):
+        # an sdli snapshot, held to the per-step loop; the one plan it leaves
+        assert _bits(transfer_sdli, product, columns) == _bits(
+            redistribute_per_step, product, None, columns._masses)
+        (plan,) = plans.values()
+        return plan
+
+    first = routed(state.accumulator, state.columns)
+    assert routed(state.accumulator, state.columns) is first  # a hit
+    later = state.fuse(sources[2])
+    assert tuple(later.accumulator._masses) != first[0]
+    grown = routed(later.accumulator, later.columns)  # a new layout replaces the plan
+    assert grown is not first and grown[0] == tuple(later.accumulator._masses)
+    # the same layout with no party weighing: every term falls back to its union
+    assert routed(later.accumulator, ColumnSums.empty(exclusive)) is not grown
+    ring_state = FusionState.initial(ring).fold(golden_sources("ring", ring, 3))
+    for rule in ROUTED:
+        for s in (later, ring_state):
+            assert _bits(apply_transfer, rule, s.accumulator, s.columns) == _bits(
+                _per_step, rule, s.accumulator, s.columns)
+    # one plan per model and transfer; dubois_prade and dsm_hybrid share theirs
+    assert len(plans) == 2 * len(set(ROUTED.values()))
+
+
+def test_a_long_stream_keeps_one_plan_per_constraint_and_transfer():
+    # the benchmark's stream: all 8 rules, one model each, a snapshot after every source
+    frame = Frame(GOLDEN_ATOMS)
+    kinds = {Rule.CONJUNCTIVE: "exclusive", Rule.DEMPSTER: "exclusive", Rule.SMETS: "ring",
+             Rule.YAGER: "ring", Rule.DUBOIS_PRADE: "exclusive", Rule.DSM_CLASSIC: "free",
+             Rule.DSM_HYBRID: "ring", Rule.SDLI: "exclusive"}
+    used = set()
+    for rule, kind in kinds.items():
+        model = Model(frame, golden_model(kind).constrained)
+        state = FusionState.initial(model)
+        for source in golden_sources(kind, model, 300):
+            state = state.fuse(source)
+            state.snapshot(rule)
+        if rule in ROUTED:
+            used.add((kind, ROUTED[rule]))
+    assert len(frame._plans) == len(used) == 5
 
 
 # rule dispatch ------------------------------------------------------------------------

@@ -13,7 +13,8 @@ import weakref
 
 import pytest
 
-from evfuse import ColumnSums, Frame, FusionState, MassFunction, Model, Proposition, Rule
+from evfuse import (ColumnSums, Frame, FusionState, MassFunction, Model, Proposition, Rule,
+                    apply_transfer)
 from evfuse.cli import Scenario
 
 
@@ -159,7 +160,7 @@ def test_frame_memos_fill_on_a_frozen_frame():
 
 
 WIDE = tuple(f"x{i}" for i in range(16))
-MEMOS = ("_regions", "_routes")
+MEMOS = ("_regions", "_routes", "_plans")
 
 
 def _used_wide_frame():
@@ -167,6 +168,10 @@ def _used_wide_frame():
     p = frame.parse("x0&x1|x2&x3&x15|x7")
     assert p.text() == "x0&x1|x2&x3&x15|x7" and len(p.conflict_parties()) == 6
     assert p.atoms_union() == frame.parse("x0|x1|x2|x3|x7|x15")
+    # a routed snapshot of a conflicting product fills the plan memo
+    product = MassFunction(Model.exclusive(frame), {p: 0.5, frame.parse("x0&x1"): 0.5},
+                           allow_conflict=True)
+    assert apply_transfer(Rule.DUBOIS_PRADE, product).mass(frame.parse("x0|x1")) == 0.5
     assert all(getattr(frame, memo) for memo in MEMOS)
     return frame, p
 
