@@ -38,7 +38,7 @@ def _entering(model: Model, assignments: Assignments):
 
 def _summed(model: Model, pairs) -> dict[int, float]:
     """The one value check: ``(bits, value)`` pairs to totals by mask.  Each value
-    must convert to a finite float >= 0; zeros are dropped, repeated masks summed."""
+    must convert to a finite float >= 0, as must each mask's total; zeros are dropped."""
     merged: dict[int, float] = {}
     for bits, value in pairs:
         try:
@@ -46,12 +46,12 @@ def _summed(model: Model, pairs) -> dict[int, float]:
         except (TypeError, ValueError, OverflowError) as exc:
             text = Proposition(model.frame, bits).text()
             raise ValidationError(f"mass on {text} is not a number: {exc}") from None
-        if not 0.0 <= value < inf:  # also false for NaN
+        if not 0.0 <= value < inf or (value := merged.get(bits, 0.0) + value) == inf:
             problem = "negative" if value < 0.0 else "non-finite"
             text = Proposition(model.frame, bits).text()
             raise ValidationError(f"{problem} mass {value!r} on {text}")
         if value > 0.0:
-            merged[bits] = merged.get(bits, 0.0) + value
+            merged[bits] = value
     return merged
 
 
@@ -179,10 +179,10 @@ def vbf(model: Model) -> MassFunction:
 
 
 class ColumnSums(_Frozen):
-    """Per-proposition totals of the raw source masses seen so far, by minterm
-    mask in no particular order; ``sums`` sorts them into mask order.  The
-    constructor takes its keys and totals as :class:`MassFunction` takes its
-    masses, without the sum to 1, and ``source_count`` an int >= 0."""
+    """Per-proposition totals of the raw source masses seen so far, by minterm mask in
+    no particular order.  Keys are any propositions on the model's frame, model-empty
+    ones too (``add`` of a stored product), and every total is finite and > 0, so
+    ``rules._plan`` weighs a conflict party exactly when it is a key."""
 
     _fields = ("model", "source_count", "_masses")
     __hash__ = None  # the sums are a dict

@@ -13,7 +13,7 @@ is planned once per stored key layout and replayed on every snapshot.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import compress, count, repeat
+from itertools import compress, count
 from operator import not_
 
 from .errors import TotalConflictError, ValidationError
@@ -51,23 +51,22 @@ def conjunctive(a: MassFunction, b: MassFunction) -> MassFunction:
     return MassFunction._of_masks(a.model, out, allow_conflict=True)
 
 
-def _plan(model, keys: tuple, target, weights) -> tuple:
+def _plan(model, keys: tuple, target, columns) -> tuple:
     """Where ``_redistribute`` sends each term of the stored key tuple ``keys``, and
     ``Frame._plans``' only reader and filler: the frame keeps the last plan per
-    constraint and transfer, reused while the keys, and for ``weights`` which of
-    the plan's parties weigh, are the same.  A plan is ``(keys, parties, which of
-    them weigh, visible selectors, conflicting selectors, routes, output keys,
-    (those sorted, the model-empty ones unless kept as conflict))``.  A conflicting
-    term's route is its output slot, or ``(slot, party index)`` per weighing party
-    when split by weight.  Output keys are the visible ones in mask order, then new
-    ones in first-use order, as the routing below reaches them.  The parts are
-    lists, only read: a tuple built from an iterator is resized as it grows, and
-    building them so on every miss kept pymalloc arenas in use under CPython 3.11
-    (verify's peak RSS +1 MB)."""
+    constraint and transfer, reused while ``keys`` and ``columns`` (a weighted split's
+    column keys, else None) are the same.  A plan is ``(keys, columns, weighing
+    parties, visible selectors, conflicting selectors, routes, output keys, (those
+    sorted, the model-empty ones unless kept as conflict))``.  A conflicting term's
+    route is its output slot, or ``(slot, party index)`` per party of it that is a
+    column key.  Output keys are the visible ones in mask order, then new ones in
+    first-use order, as the routing below reaches them.  The parts are lists, only
+    read: a tuple built from an iterator is resized as it grows, and building them so
+    on every miss kept pymalloc arenas in use under CPython 3.11 (verify's RSS +1 MB)."""
     frame, visible = model.frame, ~model.constrained
-    memo_key = (model.constrained, target, weights is not None)
+    memo_key = (model.constrained, target, columns is not None)
     plan = frame._plans.get(memo_key)
-    if plan and plan[0] == keys and (not plan[1] or plan[2] == _weighing(weights, plan[1])):
+    if plan and plan[0] == keys and plan[1] == columns:
         return plan
     keep = [bits & visible for bits in keys]
     conflicting = list(map(not_, keep))
@@ -78,47 +77,40 @@ def _plan(model, keys: tuple, target, weights) -> tuple:
     for bits in compress(keys, conflicting):
         if (to := target) is None:
             parties, to = frame._route(bits)
-            if weights is not None and bits:
-                shares = []
-                for g in parties:
-                    k = parties_at.setdefault(g, len(parties_at))
-                    if weights.get(g, 0.0):
-                        shares.append((slots.setdefault(g, len(slots)), k))
+            if columns is not None and bits:
+                shares = [(slots.setdefault(g, len(slots)),
+                           parties_at.setdefault(g, len(parties_at)))
+                          for g in parties if g in columns]
                 if shares:
                     routes.append(tuple(shares))
                     continue
             if not to & visible:
                 to = frame.full_bits
         routes.append(slots.setdefault(to, len(slots)))
-    parties, new = list(parties_at), list(slots)[len(out_keys):]
+    new = list(slots)[len(out_keys):]
     out_keys += new
     plan = frame._plans[memo_key] = (
-        keys, parties, _weighing(weights, parties), keep, conflicting, routes, out_keys,
+        keys, columns, list(parties_at), keep, conflicting, routes, out_keys,
         (sorted(out_keys), [b for b in new if not b & visible] if new and target != 0 else []))
     return plan
-
-
-def _weighing(weights, parties: list) -> list:
-    # which of the parties have a nonzero weight; no parties without weights
-    return list(map(bool, map(weights.get, parties, repeat(0.0)))) if parties else []
 
 
 def _redistribute(result: MassFunction, target=None, weights=None) -> MassFunction:
     """Send each conflicting term's mass to ``target``, kept as conflict only when
     that is the empty mask, or with none to the union of its atoms: total ignorance
-    when the term is void or that union is empty.  ``weights``, ``{mask: weight}``,
-    split a non-void term first over its conflict parties by weight, if any has one.
+    when the term is void or that union is empty.  ``weights``, ``{mask: weight > 0}``,
+    split a non-void term first over its conflict parties that are its keys, if any.
     This replays the key layout's ``_plan``: the visible values in mask order, then
     ``+= v`` per conflicting term in mask order, or ``+= v * (w / total)`` per
-    weighing party with ``total`` their weights added left to right from int 0; a
-    party without weight would add nothing to it.  A new key starts from 0.0."""
+    weighing party with ``total`` their weights added left to right from int 0.  A
+    new key starts from 0.0."""
     model, masses = result.model, result._masses
-    _, parties, _, keep, conflicting, routes, keys, layout = _plan(
-        model, tuple(masses), target, weights)
+    _, _, parties, keep, conflicting, routes, keys, layout = _plan(
+        model, tuple(masses), target, None if weights is None else weights.keys())
     values = masses.values()
     out = list(compress(values, keep))
     out += [0.0] * (len(keys) - len(out))
-    weight = list(map(weights.get, parties, repeat(0.0))) if parties else None
+    weight = list(map(weights.__getitem__, parties)) if parties else None
     for v, to in zip(compress(values, conflicting), routes):
         if to.__class__ is int:
             out[to] += v
@@ -167,8 +159,8 @@ def transfer_sdli(result: MassFunction, columns: ColumnSums | None) -> MassFunct
     """Redistribute each conflicting term over its conflict parties,
     proportionally to the parties' accumulated column sums.
 
-    Parties with zero column sum get nothing; if no party has any
-    column mass the term falls back to the union transfer.  The column
+    Parties that are not column keys get nothing; if no party is one,
+    the term falls back to the union transfer.  The column
     sums must cover exactly the sources whose product is ``result``.
     """
     if columns is None:

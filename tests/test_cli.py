@@ -15,7 +15,7 @@ from itertools import islice, permutations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from evfuse import Frame, FusionState, MassFunction, Model, Rule, cli, sdli2, vbf
+from evfuse import Frame, FusionState, MassFunction, Model, Rule, cli, rules, sdli2, vbf
 from evfuse.cli import (
     CHECKS,
     Scenario,
@@ -572,6 +572,30 @@ def test_permutation_walk_folds_each_distinct_state_once(monkeypatch, capsys):
                         lambda self, rule: snapshots.append(self) or snapshot(self, rule))
     assert main(["verify", RING5, "--checks", "permutation"]) == 0
     assert (len(calls), len(snapshots)) == (1482, 538)
+
+
+@pytest.mark.parametrize("path, rule, builds, hits", [
+    # eq7's six two-source folds give four one-shot layouts; vbf's neutral
+    # source makes total ignorance a column key, a new key set on a layout
+    # already planned (5 builds and 23 hits when the plan read which parties
+    # have a column total)
+    (FOUR, "sdli", 6, 22),
+    (FOUR, "dubois_prade", 5, 23),
+    (RING5, "sdli", 2, 544),
+], ids=["four_sources-sdli", "four_sources-dubois_prade", "ring5-sdli"])
+def test_verify_builds_each_routing_plan_once(monkeypatch, capsys, path, rule, builds, hits):
+    # a call whose plan was already on the frame is a hit, any other a build
+    calls, plan = [], rules._plan
+
+    def counting_plan(model, *args):
+        stored = list(model.frame._plans.values())
+        out = plan(model, *args)
+        calls.append(any(out is p for p in stored))
+        return out
+
+    monkeypatch.setattr(rules, "_plan", counting_plan)
+    assert main(["verify", path, "--rule", rule]) == 0
+    assert (calls.count(False), calls.count(True)) == (builds, hits)
 
 
 @pytest.mark.parametrize("path, count", [(FOUR, 4), (RING5, 6)], ids=["four_sources", "ring5"])

@@ -25,6 +25,7 @@ from evfuse import (
     vbf,
 )
 from evfuse import mass as mass_module
+from evfuse.cli import load_scenario
 
 from support import (
     CONFLICT_123,
@@ -32,6 +33,7 @@ from support import (
     CONJ_12,
     CONJ_123,
     CONJ_1234,
+    SCENARIO_DIR,
     SDLI_123_EXACT,
     UNION_12,
     UNION_123,
@@ -346,6 +348,48 @@ def _snapshot_or_error(model, sources, rule):
         return state.snapshot(rule), None
     except TotalConflictError as exc:
         return None, exc
+
+
+def _grouping_cases():
+    # (start, sources): the shipped scenarios, the golden ones without
+    # prune_epsilon, then seeded random lines of 2-7 sources on 3-5 atoms
+    paths = sorted(SCENARIO_DIR.glob("*.json"))
+    paths += [SCENARIO_DIR.parent / "tests" / "golden" / "scenarios" / name
+              for name in ("exclusive4_eight.json", "free5.json", "ring5.json")]
+    for path in paths:
+        scenario = load_scenario(str(path))
+        yield scenario.start, scenario.masses
+    for seed in range(300):
+        rng = random.Random(f"grouping/{seed}")
+        model = random_model(rng, rng.randint(3, 5))
+        yield FusionState.initial(model), random_sources(rng, model, rng.randint(2, 7))
+
+
+def _outcome_of(state, rule):
+    try:
+        return state.snapshot(rule), None
+    except TotalConflictError as exc:
+        return None, exc
+
+
+def test_every_rule_is_associative_over_any_split_of_the_sources():
+    # the stored state of the sources split in two is the conjunctive product
+    # of the two sides' states, with their column sums added; its snapshot
+    # must match the fold of all the sources, or raise where that raises.
+    # The bound was fixed before the first run.
+    for start, masses in _grouping_cases():
+        model, n, whole = start.model, len(masses), start.fold(masses)
+        for k in range(n + 1):
+            left, right = start.fold(masses[:k]), start.fold(masses[k:])
+            sums = [*left.columns.sums.items(), *right.columns.sums.items()]
+            joined = FusionState(conjunctive(left.accumulator, right.accumulator),
+                                 ColumnSums(model, sums, n))
+            for rule in ALL_RULES:
+                want, want_err = _outcome_of(whole, rule)
+                got, got_err = _outcome_of(joined, rule)
+                assert (got_err is None) == (want_err is None), (k, rule)
+                if want_err is None:
+                    assert deviation(got, want) <= 1e-12, (k, rule)
 
 
 def test_permutation_invariance_random_all_rules():

@@ -4,6 +4,7 @@ import gc
 import random
 import weakref
 from functools import partial
+from math import inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from evfuse import (
     column_sums,
     conjunctive,
     deviation,
+    transfer_smets,
     vbf,
 )
 from evfuse.mass import _validated, ordered_sum as package_sum
@@ -294,6 +296,70 @@ def test_column_sums_take_values_as_mass_functions_do(exclusive_ab, pairs, want)
     cols = ColumnSums(exclusive_ab, [(frame.parse(e), v) for e, v in pairs], 2)
     got = {p.text(): v for p, v in cols.sums.items()}
     assert got == want and all(type(v) is float for v in got.values())
+
+
+def test_column_sums_reject_a_repeated_key_whose_total_overflows(exclusive_ab):
+    # each value is finite, their total is not; it used to be stored as inf
+    a = exclusive_ab.frame.atom("A")
+    with pytest.raises(ValidationError, match=r"^non-finite mass inf on A$"):
+        ColumnSums(exclusive_ab, [(a, 1e308), (a, 1e308)], 2)
+
+
+def _any_proposition(draw, frame: Frame) -> Proposition:
+    # a union of 1-3 meets of 1-3 atoms, or the void proposition; the model may empty it
+    p = frame.empty()
+    if draw(st.integers(0, 5)):
+        atom = st.integers(0, frame.n - 1)
+        for _ in range(draw(st.integers(1, 3))):
+            meet = frame.total_ignorance()
+            for _ in range(draw(st.integers(1, 3))):
+                meet = meet & frame.atom(draw(atom))
+            p = p | meet
+    return p
+
+
+@st.composite
+def column_sum_chains(draw):
+    """Raw ``(proposition, value)`` pairs on a small pool of any propositions of
+    the frame, model-empty ones and the void one included, with zeros, -0.0, ints,
+    huge floats and repeated keys; then 0-5 ``add``-ed mass functions, each a
+    source, a stored product holding conflict or its ``smets`` snapshot, whose
+    conflict sits on the void key."""
+    model = draw_model(draw, (2, 4))
+    frame = model.frame
+    pool = [_any_proposition(draw, frame) for _ in range(draw(st.integers(1, 4)))]
+    value = st.one_of(st.just(0.0), st.just(-0.0), st.integers(0, 10**6),
+                      st.floats(0.0, 1e308), st.floats(1e307, 1.7e308))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), value), max_size=8))
+
+    def source():
+        return draw_source(draw, model, partial(draw_focal, draw, model, st.booleans()), 20)
+
+    added = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("source", "product", "smets")))
+        m = source() if kind == "source" else conjunctive(source(), source())
+        added.append(transfer_smets(m) if kind == "smets" else m)
+    return model, pairs, added
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_sum_chains())
+def test_every_column_total_is_finite_and_positive(chain):
+    # rules._plan weighs a conflict party exactly when it is a column key
+    model, pairs, added = chain
+    want = {}
+    for p, v in pairs:  # each key's total, added left to right
+        want[p.bits] = want.get(p.bits, 0.0) + float(v)
+    if inf in want.values():
+        with pytest.raises(ValidationError, match=r"^non-finite mass inf on "):
+            ColumnSums(model, pairs, 0)
+        return
+    cols = ColumnSums(model, pairs, 0)
+    assert {p.bits: v for p, v in cols.sums.items()} == {k: v for k, v in want.items() if v}
+    for m in added:
+        cols = cols.add(m)
+        assert all(0.0 < v < inf for v in cols.sums.values())
 
 
 @pytest.mark.parametrize("count", [-3, 1.0, True, "2"])

@@ -415,6 +415,21 @@ def test_sdli_parties_with_partial_columns(exclusive, frame):
     assert_masses(out, {"A": 1.0}, tol=1e-12)
 
 
+def test_sdli_sends_mass_to_a_model_empty_column_key():
+    # column sums accept any proposition on the frame, as add of a stored
+    # product must; a model-empty party that is a column key is weighed, and
+    # the mass it takes fails validation, while one that is not a key falls
+    # back to the union route, here total ignorance
+    frame = Frame(("A", "B", "C"))
+    model = Model(frame, frame.atom("C").bits)
+    a, c = frame.atom("A"), frame.atom("C")
+    product = MassFunction(model, {a: 0.5, c: 0.5}, allow_conflict=True)
+    with pytest.raises(ValidationError, match="^focal element C is empty under the model$"):
+        transfer_sdli(product, ColumnSums(model, {c: 1, a: 1}, 2))
+    out = transfer_sdli(product, ColumnSums(model, {a: 1}, 1))
+    assert as_text_dict(out) == {"A": 0.5, "A|B|C": 0.5}
+
+
 # Every rule's float.hex bits on one stored product that reaches each
 # fallback of the transfer loop.  Under the model below, atom A and B&C are
 # empty.  The product holds a void term, never split, though ∅ has a column
@@ -692,9 +707,10 @@ def planned_calls(draw):
     """Routed snapshots on one 2-4-atom frame, in any interleaving.  Two models,
     each free, exclusive, excluding atom pairs or emptying one atom, share two
     key layouts (the void term allowed): per model three stored products, the
-    first two on one layout.  Per model two column sums, one weighing a set of
-    unions of atoms and one the rest, so that each snapshot taken under both
-    flips which parties weigh."""
+    first two on one layout.  Per model three column sums, one weighing a set of
+    unions of atoms, one the rest and one another set of as many unions, so that
+    each snapshot, taken under all three in a drawn order, flips which parties
+    weigh, or keeps their number and changes the set."""
     n = draw(st.integers(2, 4))
     frame = Frame(GOLDEN_ATOMS[:n])
     atom = st.integers(0, n - 1)
@@ -733,17 +749,20 @@ def planned_calls(draw):
     unions = [frame.parse("|".join(GOLDEN_ATOMS[i] for i in range(n) if mask >> i & 1))
               for mask in range(1, 1 << n)]
     weighing = set(draw(st.lists(st.sampled_from(unions), unique=True)))
+    others = set(draw(st.lists(st.sampled_from(unions), min_size=len(weighing),
+                               max_size=len(weighing), unique=True)))
     products, columns = [], []
     for model in models:
         products.append([product(model, layouts[0]), product(model, layouts[0]),
                          product(model, layouts[1])])
         columns.append([ColumnSums(model, weighed(props), 2) for props in (
-            [u for u in unions if u in weighing], [u for u in unions if u not in weighing])])
+            [u for u in unions if u in weighing], [u for u in unions if u not in weighing],
+            [u for u in unions if u in others])])
     calls = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2),
-                                    st.sampled_from(list(ROUTED)), st.booleans()),
+                                    st.sampled_from(list(ROUTED)), st.permutations(range(3))),
                           min_size=1, max_size=10))
-    return [(rule, products[m][p], columns[m][c ^ flip]) for m, p, rule, flip in calls
-            for c in (0, 1)]
+    return [(rule, products[m][p], columns[m][c]) for m, p, rule, order in calls
+            for c in order]
 
 
 @settings(max_examples=300, deadline=None)
@@ -775,6 +794,17 @@ def test_a_frame_keeps_the_last_plan_per_constraint_and_transfer():
     assert tuple(later.accumulator._masses) != first[0]
     grown = routed(later.accumulator, later.columns)  # a new layout replaces the plan
     assert grown is not first and grown[0] == tuple(later.accumulator._masses)
+    # the same column keys with other totals: a hit
+    sums = later.columns.sums
+    retotalled = ColumnSums(exclusive, {p: 2 * v + 1 for p, v in sums.items()}, 3)
+    assert routed(later.accumulator, retotalled) is grown
+    # as many column keys, one of them another: a rebuild, held to the per-step loop
+    assert frame.parse("A").bits in grown[2]  # A weighs under the plan it replaces
+    swapped = dict(sums)
+    del swapped[frame.parse("A")]
+    assert frame.parse("B|C|D|E") not in swapped
+    swapped[frame.parse("B|C|D|E")] = 1.0
+    assert routed(later.accumulator, ColumnSums(exclusive, swapped, 3)) is not grown
     # the same layout with no party weighing: every term falls back to its union
     assert routed(later.accumulator, ColumnSums.empty(exclusive)) is not grown
     ring_state = FusionState.initial(ring).fold(golden_sources("ring", ring, 3))
