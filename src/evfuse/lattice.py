@@ -98,16 +98,14 @@ class Frame(_Frozen):
                 bits |= bits << width
                 width <<= 1
             atom_bits.append(bits)
-        # full_bits, every minterm set, is the top of the lattice.  The three
+        # full_bits, every minterm set, is the top of the lattice.  The two
         # memos live as long as the frame and hold only ints, strings and
         # sequences of them, so they form no reference cycle; each has one reader
         # and filler.  _regions (_text) maps a region to (the complement of its
-        # up-set, its term text "A&B"), _routes (_route) a minterm mask to (its
-        # parties' masks, their union), and _plans (rules._plan) a (constraint
+        # up-set, its term text "A&B"), and _plans (rules._plan) a (constraint
         # mask, transfer) pair to the routing plan of the last stored key layout.
         self.__dict__.update(atoms=atoms, full_bits=(1 << (1 << len(atoms))) - 2,
-                             _atom_bits=tuple(atom_bits), _regions={}, _routes={},
-                             _plans={})
+                             _atom_bits=tuple(atom_bits), _regions={}, _plans={})
 
     def __reduce__(self):
         # pickle and deepcopy rebuild the tables rather than copy the memos
@@ -151,20 +149,17 @@ class Frame(_Frozen):
         return "|".join(terms)
 
     def _route(self, bits: int) -> tuple[tuple[int, ...], int]:
-        """The routing memo's entry for ``bits``, filled on first use: its
-        conflict parties' masks and their union; ``((0,), 0)`` for 0.  The
-        parties are the minimal atom sets T meeting every DNF term.  T misses
-        a term exactly when the region of the atoms outside T is absent, so
-        they are the complements of the maximal absent regions.  The highest
-        absent region is maximal; the union of its complement's atoms, ORed
-        from that party's own atoms, holds every region but those below it,
-        so ANDing it into the absent mask leaves the next highest maximal.
-        Parties sort by size then atom positions.  The terms form an
+        """The conflict parties' masks of ``bits`` and their union, computed
+        on each call (``rules._plan`` keeps a key layout's routes); ``((0,),
+        0)`` for 0.  The parties are the minimal atom sets T meeting every DNF
+        term.  T misses a term exactly when the region of the atoms outside T
+        is absent, so they are the complements of the maximal absent regions.
+        The highest absent region is maximal; the union of its complement's
+        atoms, ORed from that party's own atoms, holds every region but those
+        below it, so ANDing it into the absent mask leaves the next highest
+        maximal.  Parties sort by size then atom positions.  The terms form an
         antichain, so atom v of term E and the atoms outside E meet every
         term and shrink to a party holding v: their union is the atom union."""
-        entry = self._routes.get(bits)
-        if entry:
-            return entry
         top, atom_bits, found, whole = (1 << self.n) - 1, self._atom_bits, [], 0
         absent = (self.full_bits & ~bits) | 1  # the empty region is never present
         while absent:
@@ -178,8 +173,7 @@ class Frame(_Frozen):
             absent &= union
             whole |= union
         found.sort()
-        entry = self._routes[bits] = (tuple(party for *_, party in found), whole)
-        return entry
+        return tuple(party for *_, party in found), whole
 
     def atom_index(self, ref: int | str) -> int:
         if isinstance(ref, str):
@@ -267,8 +261,9 @@ class Proposition(_Frozen):
     ``bits`` must be an up-closed minterm family.  The constructors on
     :class:`Frame` and the lattice operations below guarantee this; code
     building masks by hand can check with :meth:`is_up_closed`.  A
-    proposition is a plain value and caches nothing; its decompositions
-    are memoised on the frame, by mask.
+    proposition is a plain value and caches nothing; its DNF text is
+    memoised on the frame, and its parties and atom union are computed on
+    each call.
     """
 
     _fields = ("frame", "bits")

@@ -71,8 +71,7 @@ def _plan(model, keys: tuple, target, columns) -> tuple:
     keep = [bits & visible for bits in keys]
     conflicting = list(map(not_, keep))
     out_keys = list(compress(keys, keep))
-    # the slot of each output key; with nothing conflicting none is looked up
-    slots = dict(zip(out_keys, count())) if len(out_keys) < len(keys) else {}
+    slots = dict(zip(out_keys, count()))
     parties_at, routes = {}, []
     for bits in compress(keys, conflicting):
         if (to := target) is None:

@@ -412,16 +412,20 @@ def source_pairs(draw):
 
 
 def test_atom_unions_and_eq7_scope_leave_the_rendering_memo_empty():
-    # only rendering peels into Frame._regions; eq7's scope test compares
-    # each conflicting operand with its atom union
+    # only rendering peels into Frame._regions and only a routed snapshot plans
+    # into Frame._plans; eq7's scope test compares each conflicting operand with
+    # its atom union, and parties and atom unions are computed on each call
     frame = Frame(("A", "B", "C", "D"))
     model = Model.exclusive(frame)
     a, b, c, d = (frame.atom(name) for name in frame.atoms)
+    assert (a & b | d).conflict_parties() == (a | d, b | d)
+    assert (a & b | d).atoms_union() == a | b | d
     m1 = MassFunction(model, [(a, 0.6), (b | c, 0.4)])
     assert not _closed_form_applies(model, m1, MassFunction(model, [(c, 0.5), (a & b | d, 0.5)]))
     assert _closed_form_applies(model, m1, MassFunction(model, [(c | d, 1.0)]))
     assert frame._route((a & b | d).bits)[1] == (a | b | d).bits
-    assert not frame._regions
+    assert not frame._regions and not frame._plans
+    assert set(vars(frame)) == {"atoms", "full_bits", "_atom_bits", "_regions", "_plans"}
 
 
 # sdli2 multiplies two masses, adds at most 16 products into a term, sums

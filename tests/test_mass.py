@@ -631,39 +631,16 @@ def _hex_snapshots(state):
 
 
 @pytest.mark.parametrize("first,second", [("exclusive", "ring"), ("ring", "exclusive")])
-def test_one_frames_memos_serve_every_model_on_it(first, second):
-    # the frame memoises decompositions by mask alone, so a line folded
-    # under one model reads entries another model on that frame wrote
+def test_a_model_on_a_shared_frame_snapshots_as_on_its_own_frame(first, second):
+    # a line folded under one model leaves the shared frame's memos filled;
+    # another model on that frame gives the same bits as on a fresh frame
     shared = Frame(GOLDEN_ATOMS)
     earlier = Model(shared, golden_model(first).constrained)
     _hex_snapshots(FusionState.initial(earlier).fold(golden_sources(first, earlier, 40)))
-    filled = set(shared._routes)
     later = Model(shared, golden_model(second).constrained)
     states = [FusionState.initial(m).fold(golden_sources(second, m, 40))
               for m in (later, golden_model(second))]
     assert _hex_snapshots(states[0]) == _hex_snapshots(states[1])
-    visible = ~later.constrained
-    assert {bits for bits in states[0].accumulator._masses if not bits & visible} & filled
-
-
-@pytest.mark.parametrize("reverse", [False, True])
-def test_union_and_party_routes_read_one_memo_entry(reverse):
-    # the union route fills one entry per conflicting mask, holding the
-    # mask's parties, so sdli's party split and union fallback add none
-    model = golden_model("ring")
-    sources = golden_sources("ring", model, 20)
-    state = FusionState.initial(model).fold(sources[::-1] if reverse else sources)
-    state.snapshot(Rule.DUBOIS_PRADE)
-    routes, visible = model.frame._routes, ~model.constrained
-    conflicting = [bits for bits in state.accumulator._masses if not bits & visible]
-    assert len(conflicting) > 1 and set(conflicting) <= set(routes)
-    filled = set(routes)
-    for bits in conflicting:
-        if bits:
-            assert routes[bits][0] == tuple(g.bits for g in Proposition(model.frame, bits)
-                                            .conflict_parties())
-    state.snapshot(Rule.SDLI)
-    assert set(routes) == filled
 
 
 def _dropped_line(kind):

@@ -160,7 +160,7 @@ def test_frame_memos_fill_on_a_frozen_frame():
 
 
 WIDE = tuple(f"x{i}" for i in range(16))
-MEMOS = ("_regions", "_routes", "_plans")
+MEMOS = ("_regions", "_plans")
 
 
 def _used_wide_frame():
