@@ -366,18 +366,41 @@ def ref_exact_snapshot(rule, model: Model, product, columns) -> dict[int, Fracti
     return out
 
 
+def state_limit_line() -> tuple[list[str], list[dict[str, float]]]:
+    """16 free atoms and 20 sources of 4 unions of 1-3 atoms, as the frame's
+    names and each source's ``{expression: mass}`` rows.  The state grows
+    with every source and each term is a 2**16-bit mask, so the fold passes
+    the state limit at source 6."""
+    rng, names = random.Random("state-limit"), [chr(ord("A") + i) for i in range(16)]
+    rows = []
+    for _ in range(20):
+        unions = set()
+        while len(unions) < 4:
+            unions.add("|".join(sorted(rng.sample(names, rng.randint(1, 3)))))
+        rows.append(dict(zip(sorted(unions), (0.4, 0.3, 0.2, 0.1))))
+    return names, rows
+
+
 # textbook rules on Shafer's model ------------------------------------------
-# Dempster's, Smets' and Yager's n-source rules on the power set of the
-# atoms (Shafer, "A Mathematical Theory of Evidence", 1976), in Fraction
-# arithmetic.  A focal set is the frozenset of atoms whose singleton
-# region its mask holds: the set the mask stands for under the exclusive
-# model, where every other region is empty.  Conflict is the mass on the
-# empty set.  Nothing here reads a routing entry, a column sum or a
-# stored product.
+# Dempster's, Smets' and Yager's n-source rules and the textbook union
+# rule on the power set of the atoms (Shafer, "A Mathematical Theory of
+# Evidence", 1976), in Fraction arithmetic.  A focal set is the frozenset
+# of atoms whose singleton region its mask holds: the set the mask stands
+# for under the exclusive model, where every other region is empty.
+# Conflict is the mass on the empty set.  Nothing here reads a routing
+# entry, a column sum or a stored product.
 
 def atom_set(frame: Frame, bits: int) -> frozenset:
     """The atoms whose singleton region ``bits`` holds."""
     return frozenset(a for i, a in enumerate(frame.atoms) if bits >> (1 << i) & 1)
+
+
+def _exclusive_frame(model: Model) -> Frame:
+    frame = model.frame
+    overlaps = sum(1 << r for r in range(1, 1 << frame.n) if r & (r - 1))
+    if model.constrained != overlaps:
+        raise ValueError("the power-set reference covers the exclusive model only")
+    return frame
 
 
 def ref_shafer(rule, model: Model, masses) -> dict[frozenset, Fraction] | None:
@@ -387,20 +410,11 @@ def ref_shafer(rule, model: Model, masses) -> dict[frozenset, Fraction] | None:
     of focal sets to X∩Y, or to X∪Y when that meet is empty (Dubois and
     Prade, 1988).  None where Dempster's rule is undefined because no mass
     is kept.  Exclusive models only."""
-    rule, frame = Rule(rule), model.frame
-    overlaps = sum(1 << r for r in range(1, 1 << frame.n) if r & (r - 1))
-    if model.constrained != overlaps:
-        raise ValueError("the power-set reference covers the exclusive model only")
+    rule, frame = Rule(rule), _exclusive_frame(model)
     if rule is Rule.DUBOIS_PRADE or rule is Rule.DSM_HYBRID:
         if len(masses) != 2:
             raise ValueError(f"the {rule.value} reference takes exactly two sources")
-        out: dict[frozenset, Fraction] = {}
-        for p, u in masses[0].items():
-            for q, v in masses[1].items():
-                x, y = atom_set(frame, p.bits), atom_set(frame, q.bits)
-                z = x & y or x | y
-                out[z] = out.get(z, 0) + Fraction(u) * Fraction(v)
-        return out
+        return ref_textbook_union(model, masses)
     product = {frozenset(frame.atoms): Fraction(1)}
     for m in masses:
         out: dict[frozenset, Fraction] = {}
@@ -417,6 +431,30 @@ def ref_shafer(rule, model: Model, masses) -> dict[frozenset, Fraction] | None:
     if conflict:
         product[target] = product.get(target, 0) + conflict
     return product
+
+
+def ref_textbook_union(model: Model, masses) -> dict[frozenset, Fraction]:
+    """The textbook union rule of any number of sources on the power set, by
+    atom set: each tuple of focal sets, one per source, goes to its meet
+    X1∩…∩Xn, or to the union X1∪…∪Xn of the focal sets when that meet is
+    empty (Dubois and Prade, 1988; the S3 term of the hybrid DSm rule on
+    Shafer's model).  Exclusive models only."""
+    frame = _exclusive_frame(model)
+    # (meet, union) of the focal sets taken so far
+    tuples = {(frozenset(frame.atoms), frozenset()): Fraction(1)}
+    for m in masses:
+        out: dict[tuple, Fraction] = {}
+        for (meet, union), w in tuples.items():
+            for p, v in m.items():
+                s = atom_set(frame, p.bits)
+                key = (meet & s, union | s)
+                out[key] = out.get(key, 0) + w * Fraction(v)
+        tuples = out
+    result: dict[frozenset, Fraction] = {}
+    for (meet, union), w in tuples.items():
+        z = meet or union
+        result[z] = result.get(z, 0) + w
+    return result
 
 
 # seeded fusion lines for the library-level golden record -----------------

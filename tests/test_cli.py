@@ -49,6 +49,7 @@ from support import (
     ref_exact_state,
     ref_minimal_minterms,
     ref_worst_refold,
+    state_limit_line,
 )
 
 THREE = str(SCENARIO_DIR / "three_sources.json")
@@ -962,18 +963,11 @@ def run_module(*args, python=(sys.executable, "-m", "evfuse.cli"), timeout=120):
 
 
 def test_a_state_past_the_size_limit_exits_2_under_a_memory_cap(tmp_path):
-    # 16 free atoms and 20 sources of 4 unions of 1-3 atoms: the state grows
-    # with every source, and each term is a 2**16-bit mask, so with no limit
-    # the fold runs out of memory under the cap, set in the child only
+    # with no limit the fold runs out of memory under the cap, set in the
+    # child only
     pytest.importorskip("resource")
-    rng, names = random.Random("state-limit"), [chr(ord("A") + i) for i in range(16)]
-    sources = []
-    for i in range(20):
-        unions = set()
-        while len(unions) < 4:
-            unions.add("|".join(sorted(rng.sample(names, rng.randint(1, 3)))))
-        sources.append({"name": f"s{i + 1}",
-                        "masses": dict(zip(sorted(unions), (0.4, 0.3, 0.2, 0.1)))})
+    names, rows = state_limit_line()
+    sources = [{"name": f"s{i + 1}", "masses": masses} for i, masses in enumerate(rows)]
     path = write_scenario(tmp_path, {"frame": names, "rule": "sdli", "sources": sources})
     capped = ("import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2); "
               "runpy.run_module('evfuse.cli', run_name='__main__')")

@@ -24,6 +24,7 @@ from evfuse import (
     oracle_conjunctive,
     vbf,
 )
+from evfuse import engine
 from evfuse import mass as mass_module
 from evfuse.cli import load_scenario
 
@@ -45,11 +46,13 @@ from support import (
     draw_source,
     golden_model,
     golden_sources,
+    mass_from_rows,
     random_mass,
     random_model,
     random_sources,
     ref_exact_snapshot,
     ref_exact_state,
+    state_limit_line,
 )
 
 ALL_RULES = list(Rule)
@@ -103,8 +106,8 @@ def test_first_fuse_adopts_source(exclusive, m1):
 
 
 def test_fuse_model_guard(exclusive, free, m1, frame):
-    # the successor is built without its constructor: the product's own
-    # model check is what refuses a source of another model on the frame
+    # the product's own model check refuses a source of another model on
+    # the frame, before the successor's constructor runs
     other = MassFunction(free, {frame.parse("A"): 0.5, frame.parse("A&B"): 0.5})
     for state in (FusionState.initial(exclusive), FusionState.initial(exclusive).fuse(m1)):
         with pytest.raises(ValidationError, match="^operands use different models$"):
@@ -123,6 +126,28 @@ def test_a_fused_state_is_the_state_its_constructor_builds(epsilon):
             assert state == built and vars(state) == vars(built)
             back = pickle.loads(pickle.dumps(state))
             assert back == state and state_bits(back) == state_bits(state)
+
+
+def test_a_state_past_the_size_limit_is_refused_before_the_product(monkeypatch):
+    # the line the CLI test folds under a memory cap, here in process
+    names, rows = state_limit_line()
+    model = Model.free(Frame(names))
+    sources = [mass_from_rows(model, masses) for masses in rows]
+    calls = []
+
+    def counted(a, b):
+        calls.append(b)
+        return conjunctive(a, b)
+
+    monkeypatch.setattr(engine, "conjunctive", counted)
+    state = FusionState.initial(model).fold(sources[:5])
+    before = state_bits(state)
+    with pytest.raises(ValidationError, match=re.escape(
+            "source 6: the state could grow to 2832 terms of 2**16 bits, past the limit of "
+            "134217728 mask bits; prune_epsilon bounds the state")):
+        state.fuse(sources[5])
+    assert calls == sources[:5]
+    assert state_bits(state) == before
 
 
 def test_fuse_rejects_mass_on_a_model_empty_proposition(exclusive, frame):

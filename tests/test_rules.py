@@ -1,6 +1,7 @@
 """Conjunctive combination and the transfer-operator catalog."""
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -60,6 +61,7 @@ from support import (
     random_sources,
     ref_conjunctive,
     ref_shafer,
+    ref_textbook_union,
 )
 
 
@@ -590,6 +592,55 @@ def test_shafer_reference_covers_the_exclusive_model_only(free):
         ref_shafer(Rule.DEMPSTER, free, [])
 
 
+# Past two sources the union rules route a conflicting term to the union of
+# the atoms of its meet, not to the union of the focal sets that made it:
+# the textbook rule is not neutral to a vacuous source, and the stored state
+# keeps only the meet.
+
+UNION_RULES = (Rule.DUBOIS_PRADE, Rule.DSM_HYBRID)
+UNION_THREE = ({"A": 0.5, "A|B|C": 0.5}, {"A|B": 0.5, "A|B|C": 0.5}, {"C": 0.5, "A|B|C": 0.5})
+UNION_TWO = ({"A": 0.6, "B": 0.4}, {"B": 0.5, "C": 0.5})
+
+
+def test_union_rules_past_two_sources_route_by_the_atoms_of_the_meet(exclusive):
+    # (A, A|B|C, C) meets in A&C, whose atoms' union is A|C, not A|B|C
+    state = FusionState.initial(exclusive).fold(
+        [mass_from_rows(exclusive, rows) for rows in UNION_THREE])
+    for rule in UNION_RULES:
+        assert as_text_dict(state.snapshot(rule)) == {
+            "A": 0.25, "A|B": 0.125, "C": 0.125, "A|C": 0.25, "A|B|C": 0.25}
+
+
+def test_the_textbook_union_rule_routes_by_the_union_of_the_focal_sets(exclusive):
+    sources = [mass_from_rows(exclusive, rows) for rows in UNION_THREE]
+    eighth = Fraction(1, 8)
+    assert ref_textbook_union(exclusive, sources) == {
+        frozenset("A"): 2 * eighth, frozenset("AB"): eighth, frozenset("C"): eighth,
+        frozenset("ABC"): 4 * eighth}
+
+
+def test_the_textbook_union_rule_is_not_neutral_to_a_vacuous_source(exclusive):
+    sources = [mass_from_rows(exclusive, rows) for rows in UNION_TWO]
+    two = ref_textbook_union(exclusive, sources)
+    assert {"".join(sorted(s)): float(v) for s, v in two.items()} == {
+        "B": 0.2, "AB": 0.3, "AC": 0.3, "BC": 0.2}
+    # the vacuous source moves every conflicting pair's mass, .8, to A|B|C
+    moved = ref_textbook_union(exclusive, sources + [vbf(exclusive)])
+    conflict = two[frozenset("AB")] + two[frozenset("AC")] + two[frozenset("BC")]
+    assert moved == {frozenset("B"): two[frozenset("B")], frozenset("ABC"): conflict}
+    assert float(conflict) == pytest.approx(0.8, abs=1e-15)
+    # the engine's snapshot is the textbook two-source answer, and a vacuous
+    # source leaves it bit for bit as it was
+    state = FusionState.initial(exclusive).fold(sources)
+    for rule in UNION_RULES:
+        before = state.snapshot(rule)
+        assert _by_atom_set(before) == pytest.approx(
+            {s: float(v) for s, v in two.items()}, abs=SHAFER_BOUND)
+        after = state.fuse(vbf(exclusive)).snapshot(rule)
+        assert [(p.bits, v.hex()) for p, v in after.items()] == [
+            (p.bits, v.hex()) for p, v in before.items()]
+
+
 # Snapshot keys and sources are kept in unconstrained form, so one set can
 # carry several names.  These pin the fix ROADMAP item 16 plans; when it
 # lands they pass, and the strict markers fail until they are removed.
@@ -614,7 +665,7 @@ def test_two_spellings_of_one_source_give_one_answer(exclusive, rule):
 
 
 def test_references_call_no_kernel_function(monkeypatch):
-    # sdli2, the n-way oracle and the power-set reference are what the
+    # sdli2, the n-way oracle and the power-set references are what the
     # kernel is held against, so they must give the same bits with every
     # kernel routine broken
     lines = [golden_sources(kind, golden_model(kind), 12) for kind in ("free", "exclusive", "ring")]
@@ -633,6 +684,8 @@ def test_references_call_no_kernel_function(monkeypatch):
             for rule in (Rule.DUBOIS_PRADE, Rule.DSM_HYBRID):
                 exact = ref_shafer(rule, exclusive, lines[1][i:i + 2])
                 out.append(sorted((sorted(s), str(v)) for s, v in exact.items()))
+            exact = ref_textbook_union(exclusive, lines[1][i:i + 3])
+            out.append(sorted((sorted(s), str(v)) for s, v in exact.items()))
         return out
 
     want = digests()
