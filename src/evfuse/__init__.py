@@ -1,9 +1,9 @@
 """Belief-function combination with order-invariant streaming fusion.
 
 Build a :class:`Frame`, choose a :class:`Model` (free, exclusive, or
-pairwise exclusions), assign masses to parsed propositions, and either
-combine pairs with :func:`combine2` or stream any number of sources
-through a :class:`FusionState` and take rule snapshots on demand.
+pairwise exclusions), assign masses to parsed propositions, stream any
+number of sources through a :class:`FusionState` and take rule snapshots
+on demand; :func:`combine2` is the snapshot of a two-source fold.
 """
 
 from .errors import ExpressionError, TotalConflictError, ValidationError
@@ -12,7 +12,6 @@ from .mass import ColumnSums, MassFunction, column_sums, deviation, vbf
 from .rules import (
     Rule,
     apply_transfer,
-    combine2,
     conjunctive,
     sdli2,
     transfer_dempster,
@@ -21,7 +20,7 @@ from .rules import (
     transfer_union,
     transfer_yager,
 )
-from .engine import FusionState, oracle_conjunctive
+from .engine import FusionState, combine2, oracle_conjunctive
 
 __version__ = "0.1.0"
 

@@ -6,7 +6,7 @@ engine instead keeps the raw conjunctive accumulator (plus running
 column sums for the proportional transfer) and applies a transfer only
 when a decision snapshot is requested.  That makes every catalog rule
 commutative, order-invariant, and incrementally updatable: fusing the
-stored state with a new source equals refusing everything from scratch.
+stored state with a new source equals re-fusing everything from scratch.
 """
 
 from __future__ import annotations
@@ -82,6 +82,11 @@ class FusionState(_Frozen):
         Repeated snapshots are identical; the state is never mutated.
         """
         return apply_transfer(rule, self.accumulator, self.columns)
+
+
+def combine2(rule: Rule | str, m1: MassFunction, m2: MassFunction) -> MassFunction:
+    """Two-source fold, snapshotted; refuses model-empty mass and a product past MAX_STATE_BITS."""
+    return FusionState.initial(m1.model).fold((m1, m2)).snapshot(rule)
 
 
 def _pruned(result: MassFunction, epsilon: float, source: int) -> MassFunction:

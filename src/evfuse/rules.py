@@ -18,7 +18,7 @@ from operator import not_
 
 from .errors import TotalConflictError, ValidationError
 from .lattice import _require_same
-from .mass import ColumnSums, MassFunction, column_sums, ordered_sum
+from .mass import ColumnSums, MassFunction, ordered_sum
 
 
 class Rule(str, Enum):
@@ -175,8 +175,8 @@ def sdli2(m1: MassFunction, m2: MassFunction) -> MassFunction:
     Each conflicting product m1(X)m2(A) + m1(A)m2(X) with X∩A empty is
     split between A and X in the ratio of their column sums.  It reads
     the masks alone.  Where every conflicting product comes from two
-    unions of atoms, it must match ``transfer_sdli(conjunctive(m1, m2),
-    column_sums([m1, m2]))`` to within 1e-12, as verify's eq7 checks.
+    unions of atoms, it must match ``combine2(Rule.SDLI, m1, m2)`` to
+    within 1e-12, as verify's eq7 checks.
     """
     _require_same(m1.model, m2.model, "operands use different models")
     d1, d2, visible = m1._masses, m2._masses, ~m1.model.constrained
@@ -223,8 +223,3 @@ def apply_transfer(rule: Rule | str, result: MassFunction,
     if rule is Rule.SDLI:
         return transfer_sdli(result, columns)
     return MassFunction._of_masks(result.model, dict(result._masses), allow_conflict=True)
-
-
-def combine2(rule: Rule | str, m1: MassFunction, m2: MassFunction) -> MassFunction:
-    """Combine two sources under a rule: conjunctive stage, then transfer."""
-    return apply_transfer(rule, conjunctive(m1, m2), column_sums([m1, m2]))

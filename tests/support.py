@@ -372,13 +372,17 @@ def state_limit_line() -> tuple[list[str], list[dict[str, float]]]:
     with every source and each term is a 2**16-bit mask, so the fold passes
     the state limit at source 6."""
     rng, names = random.Random("state-limit"), [chr(ord("A") + i) for i in range(16)]
-    rows = []
-    for _ in range(20):
-        unions = set()
-        while len(unions) < 4:
-            unions.add("|".join(sorted(rng.sample(names, rng.randint(1, 3)))))
-        rows.append(dict(zip(sorted(unions), (0.4, 0.3, 0.2, 0.1))))
-    return names, rows
+    return names, [dict(zip(unions_of_atoms(rng, names, 4), (0.4, 0.3, 0.2, 0.1)))
+                   for _ in range(20)]
+
+
+def unions_of_atoms(rng: random.Random, names: list[str], count: int) -> list[str]:
+    """``count`` distinct unions of 1-3 of the atom ``names``, drawn from
+    ``rng``, as sorted expressions."""
+    unions = set()
+    while len(unions) < count:
+        unions.add("|".join(sorted(rng.sample(names, rng.randint(1, 3)))))
+    return sorted(unions)
 
 
 # textbook rules on Shafer's model ------------------------------------------

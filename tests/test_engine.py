@@ -53,6 +53,7 @@ from support import (
     ref_exact_snapshot,
     ref_exact_state,
     state_limit_line,
+    unions_of_atoms,
 )
 
 ALL_RULES = list(Rule)
@@ -273,13 +274,8 @@ def _outcome(combine, *args):
         return type(exc)
 
 
-# combine2 multiplies the two sources directly, while the fold starts from
-# the vacuous state, whose first product renormalises m1 once more; the two
-# may part in the last bits.  The bound was fixed before the first run.
-COMBINE2_RELATIVE_BOUND = 8 * 2**-53
-
-
 def test_combine2_matches_the_two_source_fold():
+    # combine2 is that fold's snapshot, so the two agree to the bit
     for seed in range(600):
         rng = random.Random(seed)
         model = random_model(rng)
@@ -289,11 +285,36 @@ def test_combine2_matches_the_two_source_fold():
             direct, folded = _outcome(combine2, rule, m1, m2), _outcome(state.snapshot, rule)
             if isinstance(direct, type) or isinstance(folded, type):
                 assert direct == folded, (seed, rule)
-                continue
-            a, b = direct._masses, folded._masses
-            assert a.keys() == b.keys(), (seed, rule)
-            for bits, v in a.items():
-                assert abs(v - b[bits]) <= COMBINE2_RELATIVE_BOUND * max(v, b[bits]), (seed, rule)
+            else:
+                assert mass_bits(direct) == mass_bits(folded), (seed, rule)
+
+
+def test_combine2_refuses_a_product_past_the_state_limit_before_building_it(monkeypatch):
+    # 50 x 50 terms of 2**16 bits pass the limit, as they would for fuse
+    rng, names = random.Random("state-limit"), [chr(ord("A") + i) for i in range(16)]
+    model = Model.free(Frame(names))
+    m1, m2 = (mass_from_rows(model, dict.fromkeys(unions_of_atoms(rng, names, 50), 1 / 50))
+              for _ in range(2))
+    calls = []
+
+    def counted(a, b):
+        calls.append(b)
+        return conjunctive(a, b)
+
+    monkeypatch.setattr(engine, "conjunctive", counted)
+    with pytest.raises(ValidationError, match="^" + re.escape(
+            "source 2: the state could grow to 2500 terms of 2**16 bits")):
+        combine2(Rule.DSM_HYBRID, m1, m2)
+    assert len(calls) == 1 and calls[0] is m1
+
+
+def test_combine2_refuses_an_open_world_operand(exclusive):
+    # a Smets result keeps its conflict on the empty set, so it is no source
+    smets = combine2(Rule.SMETS, mass_from_rows(exclusive, {"A": 0.6, "B": 0.4}),
+                     mass_from_rows(exclusive, {"B": 0.5, "C": 0.5}))
+    with pytest.raises(ValidationError,
+                       match="^source puts mass on model-empty propositions$"):
+        combine2(Rule.YAGER, smets, vbf(exclusive))
 
 
 # oracle ------------------------------------------------------------------------------
@@ -331,11 +352,14 @@ def test_markov_requirement_random():
                 assert deviation(state.accumulator, oracle_conjunctive(sources[:k])) <= 1e-12
 
 
+def mass_bits(m) -> list:
+    """A mass function or column sums as its masks and float.hex values, in key order."""
+    return [(bits, v.hex()) for bits, v in m._masses.items()]
+
+
 def state_bits(state) -> tuple:
     """A stored state as its masks, float.hex values and source count."""
-    return ([(bits, v.hex()) for bits, v in state.accumulator._masses.items()],
-            [(bits, v.hex()) for bits, v in state.columns._masses.items()],
-            state.source_count)
+    return mass_bits(state.accumulator), mass_bits(state.columns), state.source_count
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.02])

@@ -435,7 +435,7 @@ def test_sdli_sends_mass_to_a_model_empty_column_key():
 # Every rule's float.hex bits on one stored product that reaches each
 # fallback of the transfer loop.  Under the model below, atom A and B&C are
 # empty.  The product holds a void term, never split, though ∅ has a column
-# total (as when combine2 takes an open-world operand); A, whose atom union
+# total (as when column sums add an open-world result); A, whose atom union
 # is empty; A&C, whose sdli parties {A} and {C} have no column mass; B&C,
 # whose party {B} alone has some; and A&B|B&C, split 1.2 : 0.4 between B
 # and A|C, where v * (w / total) and v * w / total round apart.
