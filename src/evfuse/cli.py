@@ -31,10 +31,6 @@ EXIT_RULE_ERROR = 3
 ORDERINGS_CAP = 720
 
 
-class ScenarioError(ValidationError):
-    """Scenario file rejected; the message names the offending field."""
-
-
 class Scenario:
     """A loaded scenario: its start state, its sources' names and masses in order, its rule."""
 
@@ -49,7 +45,7 @@ class Scenario:
 
 
 def _fail(field: str, problem: str):
-    raise ScenarioError(f"{field}: {problem}")
+    raise ValidationError(f"{field}: {problem}")
 
 
 def _reject_unknown(obj: dict, known: set[str], prefix: str, what: str):
@@ -101,6 +97,8 @@ def scenario_from_dict(doc) -> Scenario:
         name = entry.get("name", f"source_{i + 1}")
         if not isinstance(name, str):
             _fail(f"sources[{i}].name", "must be a string")
+        if "".join(name.splitlines()) != name:  # a table row per line could be forged
+            _fail(f"sources[{i}].name", "must not contain a line break")
         masses = entry.get("masses")
         if not isinstance(masses, dict):
             _fail(f"sources[{i}].masses", "must map expressions to numbers")
@@ -133,13 +131,13 @@ def load_scenario(path: str) -> Scenario:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ScenarioError(f"{path}: {exc.strerror or exc}") from None
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
-        raise ScenarioError(f"{path}: not valid UTF-8") from None
+        raise ValidationError(f"{path}: not valid UTF-8") from None
     except ValueError as exc:  # JSONDecodeError, or an int past the interpreter's digit limit
-        raise ScenarioError(f"{path}: not valid JSON ({exc})") from None
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     except RecursionError:  # arrays or objects nested past the decoder's depth limit
-        raise ScenarioError(f"{path}: not valid JSON (nested too deeply)") from None
+        raise ValidationError(f"{path}: not valid JSON (nested too deeply)") from None
     return scenario_from_dict(doc)
 
 
@@ -149,10 +147,6 @@ def _rows(m: MassFunction) -> list[tuple[str, float]]:
     rows = [(text(bits), v) for bits, v in m._masses.items()]
     rows.sort()
     return rows
-
-
-def _emit(lines: list[str]) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _json(value, pad: str = "") -> str:
@@ -197,14 +191,15 @@ def _report(rule: Rule, output: str, steps, with_steps: bool = False) -> int:
         if with_steps:
             payload["steps"] = [{"source": name, "conflict": c, "masses": dict(r)}
                                 for name, c, r in steps]
-        sys.stdout.write(_json({**payload, "conflict": conflict, "masses": dict(rows)}) + "\n")
+        text = _json({**payload, "conflict": conflict, "masses": dict(rows)})
     else:
         lines = [f"rule: {rule.value}"]
         for i, (name, c, r) in enumerate(steps, start=1):
             if with_steps:
                 lines.append(f"step {i}: {name}")
             lines += [f"conflict: {c:.6f}", *(f"{expr}={value:.6f}" for expr, value in r)]
-        _emit(lines)
+        text = "\n".join(lines)
+    sys.stdout.write(text + "\n")
     return EXIT_OK
 
 
@@ -314,7 +309,7 @@ def cmd_verify(scenario: Scenario, rule: Rule, checks: list[str], trials: int, s
         passed = worst <= tolerance
         all_passed &= passed
         lines.append(f"{'PASS' if passed else 'FAIL'} {name} deviation={worst:.3e}")
-    _emit(lines)
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
@@ -322,11 +317,11 @@ def _parse_checks(raw: str) -> list[str]:
     checks = [c.strip() for c in raw.split(",") if c.strip()]
     for c in checks:
         if c not in CHECKS:
-            raise ScenarioError(
+            raise ValidationError(
                 f"--checks: unknown check {c!r} (choose from {', '.join(CHECKS)})"
             )
     if not checks:
-        raise ScenarioError("--checks: need at least one check")
+        raise ValidationError("--checks: need at least one check")
     return checks
 
 
@@ -380,7 +375,7 @@ def main(argv=None) -> int:
         if args.command == "stream":
             return cmd_stream(scenario, rule, args.output)
         if args.trials < 1:
-            raise ScenarioError("--trials: must be at least 1")
+            raise ValidationError("--trials: must be at least 1")
         return cmd_verify(scenario, rule, _parse_checks(args.checks), args.trials, args.seed)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -390,9 +385,5 @@ def main(argv=None) -> int:
         return EXIT_RULE_ERROR
 
 
-def entrypoint() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    raise SystemExit(main())

@@ -385,6 +385,23 @@ def unions_of_atoms(rng: random.Random, names: list[str], count: int) -> list[st
     return sorted(unions)
 
 
+# the north star's grid ------------------------------------------------------
+# (atoms, model, focal sets per source) -> the source that the state limit
+# refuses when test_reach.py folds that cell, or None where all 400 sources
+# fold.  The fold reads no rule, so one pin holds for all of them.
+
+REACH = {
+    (3, "exclusive", 2): None, (3, "free", 2): None, (3, "ring", 2): None,
+    (3, "exclusive", 7): None, (3, "free", 7): None, (3, "ring", 7): None,
+    (8, "exclusive", 2): 21, (8, "free", 2): 24, (8, "ring", 2): 18,
+    (8, "exclusive", 8): 8, (8, "free", 8): 8, (8, "ring", 8): 8,
+    (12, "exclusive", 2): 11, (12, "free", 2): 13, (12, "ring", 2): 14,
+    (12, "exclusive", 8): 6, (12, "free", 8): 5, (12, "ring", 8): 6,
+    (16, "exclusive", 2): 8, (16, "free", 2): 8, (16, "ring", 2): 8,
+    (16, "exclusive", 8): 4, (16, "free", 8): 4, (16, "ring", 8): 4,
+}
+
+
 # textbook rules on Shafer's model ------------------------------------------
 # Dempster's, Smets' and Yager's n-source rules and the textbook union
 # rule on the power set of the atoms (Shafer, "A Mathematical Theory of
@@ -483,8 +500,10 @@ GOLDEN_LINES = (
 )
 
 
-def golden_model(kind: str) -> Model:
-    frame = Frame(GOLDEN_ATOMS)
+def golden_model(kind: str, atoms=GOLDEN_ATOMS) -> Model:
+    """``free``, ``exclusive`` or ``ring`` (each atom excludes the next, and
+    the last the first) on ``atoms``."""
+    frame = Frame(atoms)
     if kind == "ring":
         n = frame.n
         return Model.with_exclusions(frame, [(i, (i + 1) % n) for i in range(n)])

@@ -2,9 +2,11 @@
 
 import argparse
 import gc
+import importlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -19,7 +21,6 @@ from evfuse import Frame, FusionState, MassFunction, Model, Rule, cli, rules, sd
 from evfuse.cli import (
     CHECKS,
     Scenario,
-    ScenarioError,
     _check_permutation,
     _check_vbf,
     _closed_form_applies,
@@ -152,9 +153,10 @@ def test_fuse_json_round_trips_as_source(capsys, tmp_path):
 
 # JSON output is json.dumps(payload, ensure_ascii=False, indent=2), written
 # by cli._json through json's C encoder.  Source names and keys reach it
-# from any JSON string, lone surrogates included.
-_AWKWARD = ['"quoted"', "back\\slash", "\x00\x1f\n\t\x7f", "\U0001F600", "\ud800",
-            "a\udfffb", "∅", "A&B|C", "", "\u2028"]
+# from any JSON string, lone surrogates included; the first four are
+# also legal source names, which hold no line break.
+_AWKWARD = ['"quoted"', "back\\slash", "\x00\x1f\t\x7f", "\U0001F600", "\ud800",
+            "a\udfffb", "∅", "A&B|C", "", "\u2028", "\x00\x1f\n\t\x7f"]
 _text = st.one_of(
     st.sampled_from(_AWKWARD),
     st.text(st.one_of(st.characters(), st.characters(categories=["Cs"])), max_size=6),
@@ -876,6 +878,20 @@ def test_scenario_top_level_array_is_rejected(capsys, tmp_path):
     assert capsys.readouterr().err == "error: scenario: top level must be a JSON object\n"
 
 
+# every boundary str.splitlines splits on, by id; the first forges stream table rows
+LINE_BREAKS = {"forged-rows": "s1\nconflict: 0.000000\nA=1.000000", "LF": "\n", "CR": "\r",
+               "CRLF": "a\r\nb", "VT": "\x0b", "FF": "\x0c", "FS": "\x1c", "GS": "\x1d",
+               "RS": "\x1e", "NEL": "\x85", "LS": "\u2028", "PS": "\u2029"}
+
+
+@pytest.mark.parametrize("name", list(LINE_BREAKS.values()), ids=list(LINE_BREAKS))
+def test_a_source_name_with_a_line_break_is_rejected(capsys, tmp_path, name):
+    doc = {"frame": ["A", "B"], "model": "exclusive", "rule": "dempster",
+           "sources": [{"name": name, "masses": {"A": 0.5, "B": 0.5}}]}
+    assert main(["stream", write_scenario(tmp_path, doc)]) == 2
+    assert capsys.readouterr() == ("", "error: sources[0].name: must not contain a line break\n")
+
+
 def test_scenario_pair_model(tmp_path, capsys):
     doc = {
         "frame": ["A", "B", "C"],
@@ -896,7 +912,7 @@ def test_load_scenario_returns_sources_in_order():
     scenario = load_scenario(FOUR)
     assert scenario.names == ["m1", "m2", "m3", "m4"]
     assert scenario.rule.value == "dsm_hybrid"
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(SCENARIO_DIR))}: "):
         load_scenario(str(SCENARIO_DIR))  # a directory, not a file
 
 
@@ -950,6 +966,30 @@ def test_help_matches_a_fresh_parser(capsys, argv):
 
 
 ROOT = SCENARIO_DIR.parent
+
+
+def console_script_target() -> str:
+    """The ``evfuse`` target in pyproject.toml's ``[project.scripts]``, read
+    without tomllib, which Python 3.10 lacks."""
+    toml = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", toml, re.M | re.S)
+    return re.search(r'^evfuse\s*=\s*"([^"]+)"', scripts.group(1), re.M).group(1)
+
+
+def test_the_console_script_returns_its_exit_code(capsys, monkeypatch):
+    # a console script calls its target with no arguments and passes the
+    # result to sys.exit; a target that raises SystemExit itself skips that
+    module, _, attr = console_script_target().partition(":")
+    target = getattr(importlib.import_module(module), attr)
+    assert target is main
+    monkeypatch.chdir(ROOT)
+    for argv, code in [(["fuse", "scenarios/four_sources.json"], 0),
+                       (["fuse", "scenarios/no_such_file.json"], 2)]:
+        monkeypatch.setattr(sys, "argv", ["evfuse", *argv])
+        assert target() == code
+    out, err = capsys.readouterr()
+    assert out.startswith("rule: dsm_hybrid\n")
+    assert err.startswith("error: scenarios/no_such_file.json: ")
 
 
 def run_module(*args, python=(sys.executable, "-m", "evfuse.cli"), timeout=120):

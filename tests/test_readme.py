@@ -10,6 +10,8 @@ import pytest
 
 from evfuse.cli import main
 
+from support import REACH
+
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, re.M | re.S)
@@ -58,3 +60,17 @@ def test_shell_examples_exit_zero(command, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     assert main(shlex.split(command)[1:]) == 0
     assert capsys.readouterr().out
+
+
+def test_reach_table_matches_the_pins():
+    # the reach table under "Known limits", read row by row past its separator
+    body = README.partition("| atoms | focal sets | exclusive | free | ring |\n")[2]
+    kinds = ("exclusive", "free", "ring")
+    table = {}
+    for line in body.splitlines()[1:]:
+        if not line.startswith("|"):
+            break
+        atoms, focal, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+        table.update({(int(atoms), kind, int(focal)): cell for kind, cell in zip(kinds, cells)})
+    assert table == {cell: "reached 400" if k is None else f"refused at {k}"
+                     for cell, k in REACH.items()}
