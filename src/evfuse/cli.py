@@ -16,6 +16,7 @@ import struct
 import sys
 from functools import cache, cached_property
 from itertools import accumulate, combinations
+from operator import itemgetter
 
 from .engine import FusionState, oracle_conjunctive
 from .errors import TotalConflictError, ValidationError
@@ -142,10 +143,10 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _rows(m: MassFunction) -> list[tuple[str, float]]:
-    # distinct masks render to distinct texts, so the sort never compares masses
+    # distinct masks render to distinct texts: sorting by text is the tuple order
     text = m.model.frame._text
     rows = [(text(bits), v) for bits, v in m._masses.items()]
-    rows.sort()
+    rows.sort(key=itemgetter(0))
     return rows
 
 
@@ -273,7 +274,7 @@ def _check_vbf(scenario: Scenario, rule: Rule, *_) -> float:
 def _closed_form_applies(model: Model, m1: MassFunction, m2: MassFunction) -> bool:
     # every conflicting product comes from two unions of atoms, which are
     # then its conflict parties; only a union of atoms equals its atom union
-    visible, route = ~model.constrained, model.frame._route
+    visible, route = model.visible, model.frame._route
     return all(x == route(x)[1] and y == route(y)[1] for x in m1._masses for y in m2._masses
                if not x & y & visible)
 

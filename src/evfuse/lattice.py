@@ -100,10 +100,11 @@ class Frame(_Frozen):
             atom_bits.append(bits)
         # full_bits, every minterm set, is the top of the lattice.  The two
         # memos live as long as the frame and hold only ints, strings and
-        # sequences of them, so they form no reference cycle; each has one reader
-        # and filler.  _regions (_text) maps a region to (the complement of its
-        # up-set, its term text "A&B"), and _plans (rules._plan) a (constraint
-        # mask, transfer) pair to the routing plan of the last stored key layout.
+        # sequences of them, so they form no reference cycle.  _regions (read by
+        # _text, filled by _region) maps a region to (the regions not above it,
+        # its term text "A&B"), and _plans (read and filled by rules._plan) a
+        # (constraint mask, transfer) pair to the routing plan of the last stored
+        # key layout.
         self.__dict__.update(atoms=atoms, full_bits=(1 << (1 << len(atoms))) - 2,
                              _atom_bits=tuple(atom_bits), _regions={}, _plans={})
 
@@ -127,26 +128,32 @@ class Frame(_Frozen):
         region present has no subset present, so it is a term; clearing its up-set
         leaves the other terms, and the peel ends on any mask in range.  Term strings
         sort as their name tuples would, since ``&`` sorts below every character an
-        atom name may hold.  A region's up-set, memoised here with its term, is the AND
-        of its atoms' masks; region 0 has no atom, so its up-set holds bit 0 too.  A
-        memoised term costs about three whole-mask operations."""
+        atom name may hold.  A region's memo entry holds its term and the frame's
+        regions not above it, a positive mask that clears the region's up-set in one
+        AND; region 0 lies inside no atom and keeps nothing, so a mask holding it
+        empties.  A memoised term costs about three whole-mask operations."""
         if not bits:
             return "∅"
         memo, terms = self._regions, []
         while bits:
-            region = (bits & -bits).bit_length() - 1
-            if (entry := memo.get(region)) is None:
-                up, names, rest = self.full_bits | 1, [], region
-                while rest:
-                    i = (rest & -rest).bit_length() - 1
-                    up &= self._atom_bits[i]
-                    names.append(self.atoms[i])
-                    rest &= rest - 1
-                entry = memo[region] = (~up, "&".join(names))
-            terms.append(entry[1])
-            bits &= entry[0]
+            region = (bits ^ (bits - 1)).bit_length() - 1
+            below, term = memo.get(region) or self._region(region)
+            terms.append(term)
+            bits &= below
         terms.sort()
         return "|".join(terms)
+
+    def _region(self, region: int) -> tuple[int, str]:
+        # fills _regions: a region's up-set is the AND of its atoms' masks, so its entry
+        # ORs its highest atom's complement into the entry of the region less that atom
+        entry = (0, "")  # region 0
+        if region:
+            i = region.bit_length() - 1
+            below, term = self._regions.get(rest := region ^ (1 << i)) or self._region(rest)
+            entry = (below | (self.full_bits ^ self._atom_bits[i]),
+                     f"{term}&{self.atoms[i]}" if rest else self.atoms[i])
+        self._regions[region] = entry
+        return entry
 
     def _route(self, bits: int) -> tuple[tuple[int, ...], int]:
         """The conflict parties' masks of ``bits`` and their union, computed
@@ -356,7 +363,9 @@ class Model(_Frozen):
             raise ValidationError("constraint mask must be closed upward")
         if all(constrained >> (1 << i) & 1 for i in range(frame.n)):
             raise ValidationError("model leaves no possible singleton region")
-        self.__dict__.update(frame=frame, constrained=constrained)
+        # visible, the regions allowed, is no field: eq, hash and repr skip it
+        self.__dict__.update(frame=frame, constrained=constrained,
+                             visible=frame.full_bits & ~constrained)
 
     @classmethod
     def free(cls, frame: Frame) -> "Model":
@@ -388,7 +397,7 @@ class Model(_Frozen):
     def is_empty(self, p: Proposition) -> bool:
         """True when nothing of p survives outside the constrained regions."""
         _require_same(self.frame, p.frame)
-        return p.bits & ~self.constrained == 0
+        return not p.bits & self.visible
 
 
 def make_model(frame: Frame, spec) -> Model:

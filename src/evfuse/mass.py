@@ -73,7 +73,7 @@ def _validated(model: Model, merged: dict[int, float], allow_conflict: bool,
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise ValidationError(f"masses sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
     if layout is None:
-        visible = ~model.constrained
+        visible = model.visible
         order = sorted(merged)
         empty = [] if allow_conflict else [b for b in merged if not b & visible]
     else:
@@ -138,13 +138,13 @@ class MassFunction(_Frozen):
 
     def conflict_mass(self) -> float:
         """Total mass sitting on propositions empty under the model."""
-        visible = ~self.model.constrained
+        visible = self.model.visible
         return ordered_sum(v for bits, v in self._masses.items() if not bits & visible)
 
     def is_input_valid(self) -> bool:
         """True when usable as a source: no mass on empty propositions.
         Every stored mass is > 0, so that is no conflicting mask at all."""
-        visible = ~self.model.constrained
+        visible = self.model.visible
         for bits in self._masses:
             if not bits & visible:
                 return False
@@ -158,14 +158,14 @@ class MassFunction(_Frozen):
         left, the belief is int 0, as in :meth:`plausibility`.
         """
         _require_same(p.frame, self.frame)
-        visible = ~self.model.constrained
+        visible = self.model.visible
         return ordered_sum(v for bits, v in self._masses.items()
                            if (masked := bits & visible) and not masked & ~p.bits)
 
     def plausibility(self, p: Proposition) -> float:
         """Mass on everything whose overlap with p survives the model."""
         _require_same(p.frame, self.frame)
-        visible = ~self.model.constrained
+        visible = self.model.visible
         return ordered_sum(v for bits, v in self._masses.items() if bits & p.bits & visible)
 
     def __repr__(self) -> str:

@@ -63,7 +63,7 @@ def _plan(model, keys: tuple, target, columns) -> tuple:
     first-use order, as the routing below reaches them.  The parts are lists, only
     read: a tuple built from an iterator is resized as it grows, and building them so
     on every miss kept pymalloc arenas in use under CPython 3.11 (verify's RSS +1 MB)."""
-    frame, visible = model.frame, ~model.constrained
+    frame, visible = model.frame, model.visible
     memo_key = (model.constrained, target, columns is not None)
     plan = frame._plans.get(memo_key)
     if plan and plan[0] == keys and plan[1] == columns:
@@ -124,7 +124,7 @@ def _redistribute(result: MassFunction, target=None, weights=None) -> MassFuncti
 
 def transfer_dempster(result: MassFunction) -> MassFunction:
     """Drop conflicting terms and renormalise the survivors."""
-    visible = ~result.model.constrained
+    visible = result.model.visible
     kept = {bits: v for bits, v in result._masses.items() if bits & visible}
     # Divide by the kept mass itself, not by 1 - k: when k rounds to 1 on
     # long conflicting streams, 1 - k keeps no significant digit.
@@ -179,7 +179,7 @@ def sdli2(m1: MassFunction, m2: MassFunction) -> MassFunction:
     within 1e-12, as verify's eq7 checks.
     """
     _require_same(m1.model, m2.model, "operands use different models")
-    d1, d2, visible = m1._masses, m2._masses, ~m1.model.constrained
+    d1, d2, visible = m1._masses, m2._masses, m1.model.visible
     focal = sorted(d1.keys() | d2.keys())
     col = {a: d1.get(a, 0.0) + d2.get(a, 0.0) for a in focal}
     out = {}

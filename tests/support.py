@@ -232,6 +232,31 @@ def ref_text(frame: Frame, bits: int) -> str:
     return "|".join("&".join(term) for term in terms)
 
 
+def text_per_atom(self: Frame, bits: int) -> str:
+    """``Frame._text`` as it was before a region's memo entry was built from its
+    neighbour's: every missing entry ANDs each of its atoms' masks, and the peel
+    clears with the up-set's complement, a negative int.  Only the memo differs
+    from that method: a fresh dict per call, not ``self._regions``, whose entries
+    now take another form."""
+    if not bits:
+        return "∅"
+    memo, terms = {}, []
+    while bits:
+        region = (bits & -bits).bit_length() - 1
+        if (entry := memo.get(region)) is None:
+            up, names, rest = self.full_bits | 1, [], region
+            while rest:
+                i = (rest & -rest).bit_length() - 1
+                up &= self._atom_bits[i]
+                names.append(self.atoms[i])
+                rest &= rest - 1
+            entry = memo[region] = (~up, "&".join(names))
+        terms.append(entry[1])
+        bits &= entry[0]
+    terms.sort()
+    return "|".join(terms)
+
+
 def ref_conflict_parties(frame: Frame, bits: int) -> tuple[int, ...]:
     """Atom masks of the minimal hitting sets of the DNF terms, by
     exhaustive search over the support atoms, by size then position."""

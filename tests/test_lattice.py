@@ -5,7 +5,7 @@ import random
 import sys
 from functools import reduce
 from itertools import combinations
-from operator import or_
+from operator import and_, or_
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,6 +27,7 @@ from support import (
     ref_is_up_closed,
     ref_minimal_minterms,
     ref_text,
+    text_per_atom,
     union_of_atoms,
 )
 
@@ -477,29 +478,52 @@ def _regions_named(frame, text):
 
 @pytest.mark.parametrize("n", [3, MAX_ATOMS])
 def test_text_ends_on_masks_holding_region_zero(n):
-    # Region 0 lies inside no atom, so no atom mask holds it.  The up-set
-    # the peel clears when it finds region 0 must hold bit 0 itself, or a
-    # mask holding region 0 never empties.
+    # Region 0 lies inside no atom, so no atom mask holds it.  Its memo
+    # entry must clear every region, region 0 included, or a mask holding
+    # region 0 never empties.
     frame = Frame(PREFIX_NAMES[:n])
     everything = frame.full_bits | 1
     frame._text(1)  # fills region 0's memo entry
-    assert frame._regions[0][0] == ~everything
+    assert not everything & frame._regions[0][0]
     for bits in (1, everything, 1 | frame.atom(0).bits):
         assert frame._text(bits) == ""  # region 0's term, alone
 
 
 def test_text_ends_on_every_mask_of_a_small_frame():
-    # up-closed or not, region 0 or not: each step clears the region it found
+    # up-closed or not, region 0 or not: each step clears the region it found,
+    # and the text is the per-atom peel's, string for string
     frame = Frame(("A", "B", "C"))
     frame._text(1)  # fills region 0's memo entry
     assert not frame._regions[0][0] & 1  # else the masks holding region 0 never empty
     assert frame._text(0) == "∅"
     for bits in range(1, 1 << (1 << frame.n)):
         text = frame._text(bits)
+        assert text == text_per_atom(frame, bits), bits
         regions = _regions_named(frame, text)
         assert len(set(regions)) == len(regions) and all(bits >> r & 1 for r in regions)
         if ref_is_up_closed(frame, bits):
             assert text == ref_text(frame, bits), bits
+    # every region now has its entry: the frame's regions not above it, and its term
+    assert len(frame._regions) == 1 << frame.n
+    for region, entry in frame._regions.items():
+        atoms = [i for i in range(frame.n) if region >> i & 1]
+        up = reduce(and_, (frame._atom_bits[i] for i in atoms), frame.full_bits | 1)
+        assert entry == (frame.full_bits & ~up, "&".join(frame.atoms[i] for i in atoms))
+
+
+@pytest.mark.parametrize("n", [8, 12, MAX_ATOMS])
+def test_text_matches_the_per_atom_peel_on_wide_frames(n):
+    # seeded up-closed masks of 1-8 random terms, on a fresh frame and on one
+    # whose memo the earlier masks filled
+    rng = random.Random(f"peel/{n}")
+    frame = Frame(PREFIX_NAMES[:n])
+    for _ in range(300):
+        bits = 0
+        for _ in range(rng.randint(1, 8)):
+            term = rng.sample(range(n), rng.randint(1, n))
+            bits |= reduce(and_, (frame._atom_bits[i] for i in term))
+        want = text_per_atom(frame, bits)
+        assert Frame(frame.atoms)._text(bits) == frame._text(bits) == want
 
 
 @pytest.mark.parametrize("n", range(2, MAX_ATOMS + 1))

@@ -14,7 +14,7 @@ import weakref
 import pytest
 
 from evfuse import (ColumnSums, Frame, FusionState, MassFunction, Model, Proposition, Rule,
-                    apply_transfer)
+                    apply_transfer, make_model)
 from evfuse.cli import Scenario
 
 
@@ -198,6 +198,21 @@ def test_a_deepcopied_frame_starts_with_empty_memos():
         assert back is not frame and back == frame
         assert not any(getattr(back, memo) for memo in MEMOS)
         assert Proposition(back, p.bits).text() == p.text()
+
+
+def test_a_model_carries_its_visible_regions():
+    # visible is the constraint's complement within the frame, a positive int;
+    # it is not a field, so equality, hash and repr read the constraint alone
+    frame = Frame(("A", "B", "C"))
+    ring = make_model(frame, [("A", "B"), ("B", "C"), ("C", "A")])
+    for model in (Model.free(frame), Model.exclusive(frame), ring):
+        assert model.visible == frame.full_bits & ~model.constrained
+        assert model.visible >= 0
+        assert "visible" not in repr(model) and hash(model) == hash((frame, model.constrained))
+        for back in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            assert back == model and back.visible == model.visible
+        for bits in range(0, 1 << (1 << frame.n), 2):  # every mask; region 0 is never one
+            assert (not bits & model.visible) == model.is_empty(Proposition(frame, bits))
 
 
 def test_a_used_state_copies_to_identical_snapshot_bits():
