@@ -3,24 +3,15 @@
 Build a :class:`Frame`, choose a :class:`Model` (free, exclusive, or
 pairwise exclusions), assign masses to parsed propositions, stream any
 number of sources through a :class:`FusionState` and take rule snapshots
-on demand; :func:`combine2` is the snapshot of a two-source fold.
+on demand; :func:`combine2` is the snapshot of a two-source fold.  These two
+are the one way to fuse; the stages they run are not exported.
 """
 
 from .errors import ExpressionError, TotalConflictError, ValidationError
 from .lattice import Frame, Model, Proposition, make_model
-from .mass import ColumnSums, MassFunction, column_sums, deviation, vbf
-from .rules import (
-    Rule,
-    apply_transfer,
-    conjunctive,
-    sdli2,
-    transfer_dempster,
-    transfer_sdli,
-    transfer_smets,
-    transfer_union,
-    transfer_yager,
-)
-from .engine import FusionState, combine2, oracle_conjunctive
+from .mass import ColumnSums, MassFunction, deviation, vbf
+from .rules import Rule, sdli2
+from .engine import FusionState, combine2
 
 __version__ = "0.1.0"
 
@@ -35,18 +26,9 @@ __all__ = [
     "Rule",
     "TotalConflictError",
     "ValidationError",
-    "apply_transfer",
-    "column_sums",
     "combine2",
-    "conjunctive",
     "deviation",
     "make_model",
-    "oracle_conjunctive",
     "sdli2",
-    "transfer_dempster",
-    "transfer_sdli",
-    "transfer_smets",
-    "transfer_union",
-    "transfer_yager",
     "vbf",
 ]

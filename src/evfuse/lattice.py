@@ -311,13 +311,6 @@ class Proposition(_Frozen):
             out.append(low.bit_length() - 1)
         return tuple(out)
 
-    def dnf_terms(self) -> tuple[tuple[str, ...], ...]:
-        """Minimal antichain of atom sets whose union of intersections
-        rebuilds this proposition exactly, read from :meth:`text`."""
-        if self.is_void:
-            raise ValidationError("empty proposition has no DNF terms")
-        return tuple(tuple(term.split("&")) for term in self.text().split("|"))
-
     def conflict_parties(self) -> tuple["Proposition", ...]:
         """The minimal union-of-atoms factors whose intersection equals
         this proposition, ordered by size then atom position; see
@@ -334,7 +327,7 @@ class Proposition(_Frozen):
 
     def text(self) -> str:
         """Canonical DNF rendering; parses back to the same proposition.
-        :meth:`dnf_terms` splits this string; see :meth:`Frame._text`."""
+        Its terms are joined by ``|`` and their atoms by ``&``; see :meth:`Frame._text`."""
         return self.frame._text(self.bits)
 
     def __str__(self) -> str:

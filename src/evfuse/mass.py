@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from functools import reduce
 from math import inf
 from operator import sub
 
@@ -127,10 +126,6 @@ class MassFunction(_Frozen):
     def __len__(self) -> int:
         return len(self._masses)
 
-    def focal(self) -> tuple[Proposition, ...]:
-        frame = self.model.frame
-        return tuple(Proposition(frame, bits) for bits in self._masses)
-
     def mass(self, p: Proposition) -> float:
         # the same bits on another frame are another proposition
         same = p.frame is self.frame or p.frame == self.frame
@@ -213,14 +208,6 @@ class ColumnSums(_Frozen):
 
     def __repr__(self) -> str:
         return f"ColumnSums({self.sums!r}, source_count={self.source_count})"
-
-
-def column_sums(masses: Iterable[MassFunction]) -> ColumnSums:
-    """Accumulate the per-proposition column totals of several sources."""
-    masses = list(masses)
-    if not masses:
-        raise ValidationError("need at least one mass function")
-    return reduce(ColumnSums.add, masses, ColumnSums.empty(masses[0].model))
 
 
 def deviation(a, b) -> float:

@@ -16,16 +16,13 @@ from evfuse import (
     MassFunction,
     Rule,
     TotalConflictError,
-    column_sums,
     combine2,
-    conjunctive,
     deviation,
-    oracle_conjunctive,
     sdli2,
-    transfer_sdli,
-    transfer_union,
     vbf,
 )
+from evfuse.engine import oracle_conjunctive
+from evfuse.rules import conjunctive, transfer_sdli, transfer_union
 from evfuse.cli import main
 
 from support import (
@@ -103,7 +100,7 @@ def test_criterion_04_fourth_source_markov_step():
 
 def test_criterion_05_proportional_transfer_two_sources():
     model, (m1, m2, _, _) = sources_abc()
-    out = transfer_sdli(conjunctive(m1, m2), column_sums([m1, m2]))
+    out = transfer_sdli(conjunctive(m1, m2), fold(model, [m1, m2]).columns)
     assert_masses(out, SDLI_12, tol=1e-6)
     report(5, "proportional transfer, two sources")
 
@@ -150,7 +147,7 @@ def test_criterion_08_closed_formula_matches_transfer_route():
         model = random_model(rng, n=rng.randint(2, 4), kinds=(kind,))
         a, b = random_mass(rng, model), random_mass(rng, model)
         direct = sdli2(a, b)
-        routed = transfer_sdli(conjunctive(a, b), column_sums([a, b]))
+        routed = transfer_sdli(conjunctive(a, b), fold(model, [a, b]).columns)
         worst = max(worst, deviation(direct, routed))
     assert worst <= 1e-12
     print(f"criterion 8 worst deviation: {worst:.3e}")

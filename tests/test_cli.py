@@ -400,7 +400,7 @@ def ref_closed_form_applies(model, a, b) -> bool:
         return all(bin(atoms).count("1") == 1 for atoms in ref_minimal_minterms(frame, p.bits))
 
     return all(union_of_atoms(x) and union_of_atoms(y)
-               for x in a.focal() for y in b.focal() if not x.bits & y.bits & visible)
+               for x, _ in a.items() for y, _ in b.items() if not x.bits & y.bits & visible)
 
 
 @st.composite

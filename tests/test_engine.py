@@ -19,12 +19,12 @@ from evfuse import (
     TotalConflictError,
     ValidationError,
     combine2,
-    conjunctive,
     deviation,
-    oracle_conjunctive,
     vbf,
 )
 from evfuse import engine
+from evfuse.engine import oracle_conjunctive
+from evfuse.rules import conjunctive
 from evfuse import mass as mass_module
 from evfuse.cli import load_scenario
 
@@ -324,8 +324,6 @@ def test_oracle_fixture(exclusive, m1, m2, m3):
 
 
 def test_oracle_base_case(exclusive, m1, m2):
-    from evfuse import conjunctive
-
     assert deviation(oracle_conjunctive([m1, m2]), conjunctive(m1, m2)) <= 1e-15
 
 

@@ -17,10 +17,10 @@ from evfuse import (
     Model,
     Proposition,
     ValidationError,
-    conjunctive,
     make_model,
 )
 from evfuse.lattice import MAX_ATOMS
+from evfuse.rules import conjunctive
 
 from support import (
     ref_conflict_parties,
@@ -228,7 +228,7 @@ def test_masks_must_be_ints(frame, mask):
 @pytest.mark.parametrize("mask", [1, 3, 5])
 def test_masks_holding_region_zero_are_rejected(mask):
     # region 0 lies inside no atom; Proposition(frame, 1) used to build and
-    # render as "", with dnf_terms (("",),)
+    # render as "", a DNF of one empty term
     frame = Frame(("A", "B"))
     with pytest.raises(ValidationError, match="minterm mask out of range for this frame"):
         Proposition(frame, mask)
@@ -322,11 +322,15 @@ def test_is_empty_under_pair_model(frame):
 # dnf, parties, unions ---------------------------------------------------------
 
 def test_dnf_terms(frame):
-    assert frame.parse("A&B").dnf_terms() == (("A", "B"),)
-    assert frame.parse("B&(A|C)").dnf_terms() == (("A", "B"), ("B", "C"))
-    assert frame.parse("A|C").dnf_terms() == (("A",), ("C",))
-    with pytest.raises(ValidationError):
-        frame.empty().dnf_terms()
+    # text() joins the sorted terms by "|" and each term's atoms by "&"
+    def terms(p):
+        return [tuple(term.split("&")) for term in p.text().split("|")]
+
+    assert terms(frame.parse("A&B")) == [("A", "B")]
+    assert terms(frame.parse("B&(A|C)")) == [("A", "B"), ("B", "C")]
+    assert terms(frame.parse("A|C")) == [("A",), ("C",)]
+    # the empty proposition has no terms: its text names no atom
+    assert frame.empty().text() == "∅"
 
 
 def test_conflict_parties(frame):
@@ -361,9 +365,9 @@ def test_dnf_rebuilds(frame):
     for expr in ("A&B", "B&(A|C)", "A|C", "A&(B|C)|B&C"):
         p = frame.parse(expr)
         rebuilt = None
-        for term in p.dnf_terms():
+        for term in p.text().split("|"):
             factor = None
-            for name in term:
+            for name in term.split("&"):
                 atom = frame.atom(name)
                 factor = atom if factor is None else factor & atom
             rebuilt = factor if rebuilt is None else rebuilt | factor

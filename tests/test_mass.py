@@ -19,13 +19,11 @@ from evfuse import (
     Rule,
     TotalConflictError,
     ValidationError,
-    column_sums,
-    conjunctive,
     deviation,
-    transfer_smets,
     vbf,
 )
 from evfuse.mass import _validated, ordered_sum as package_sum
+from evfuse.rules import conjunctive, transfer_smets
 
 from support import (
     COLUMNS_12,
@@ -64,7 +62,7 @@ def test_duplicates_merge(exclusive, frame):
 
 def test_zero_entries_dropped(exclusive, frame):
     m = MassFunction(exclusive, {frame.parse("A"): 1.0, frame.parse("B"): 0.0})
-    assert m.focal() == (frame.parse("A"),)
+    assert [p for p, _ in m.items()] == [frame.parse("A")]
 
 
 def test_sum_violation(exclusive, frame):
@@ -131,7 +129,7 @@ def test_engine_results_fail_as_sources_do(exclusive, frame, value):
 def test_engine_results_drop_zeros(exclusive, frame, zero):
     a, b = frame.parse("A"), frame.parse("B")
     m = MassFunction._of_masks(exclusive, {b.bits: zero, a.bits: 1.0})
-    assert m._masses == {a.bits: 1.0} and m.focal() == (a,)
+    assert m._masses == {a.bits: 1.0} and [p for p, _ in m.items()] == [a]
 
 
 def test_an_empty_engine_result_sums_to_zero(exclusive):
@@ -160,7 +158,7 @@ def test_vbf(exclusive, frame):
 # column sums -------------------------------------------------------------------
 
 def test_column_sums_two_sources(m1, m2, frame):
-    cols = column_sums([m1, m2])
+    cols = FusionState.initial(m1.model).fold([m1, m2]).columns
     assert cols.source_count == 2
     got = {p.text(): v for p, v in cols.sums.items()}
     for key, want in COLUMNS_12.items():
@@ -168,7 +166,7 @@ def test_column_sums_two_sources(m1, m2, frame):
 
 
 def test_column_sums_three_sources(m1, m2, m3):
-    cols = column_sums([m1, m2, m3])
+    cols = FusionState.initial(m1.model).fold([m1, m2, m3]).columns
     got = {p.text(): v for p, v in cols.sums.items()}
     for key, want in COLUMNS_123.items():
         assert got[key] == pytest.approx(want, abs=1e-12)
@@ -176,24 +174,21 @@ def test_column_sums_three_sources(m1, m2, m3):
 
 
 def test_column_sums_vbf(exclusive):
-    cols = column_sums([vbf(exclusive)])
+    cols = FusionState.initial(exclusive).fold([vbf(exclusive)]).columns
     assert {p.text(): v for p, v in cols.sums.items()} == {"A|B|C": 1.0}
 
 
 def test_column_sums_single(m1):
-    cols = column_sums([m1])
+    cols = FusionState.initial(m1.model).fold([m1]).columns
     assert cols.sums == m1.terms
 
 
 def test_column_sums_model_mismatch(m1, free, frame):
     other = MassFunction(free, {frame.parse("A"): 1.0})
     with pytest.raises(ValidationError):
-        column_sums([m1, other])
-
-
-def test_column_sums_need_a_source():
-    with pytest.raises(ValidationError, match="^need at least one mass function$"):
-        column_sums([])
+        FusionState.initial(m1.model).fold([m1, other])
+    with pytest.raises(ValidationError, match="^mass function uses a different model$"):
+        ColumnSums.empty(m1.model).add(m1).add(other)
 
 
 def test_column_sums_permutation_and_concat():
@@ -201,16 +196,16 @@ def test_column_sums_permutation_and_concat():
     for _ in range(25):
         model = random_model(rng)
         sources = [random_mass(rng, model) for _ in range(rng.randint(1, 4))]
-        base = column_sums(sources)
+        base = FusionState.initial(model).fold(sources).columns
         shuffled = sources[:]
         rng.shuffle(shuffled)
-        other = column_sums(shuffled)
+        other = FusionState.initial(model).fold(shuffled).columns
         assert base.source_count == other.source_count
         assert set(base.sums) == set(other.sums)
         for p, v in base.sums.items():
             assert other.sums[p] == pytest.approx(v, abs=1e-12)
         extra = random_mass(rng, model)
-        combined = column_sums(sources + [extra])
+        combined = FusionState.initial(model).fold(sources + [extra]).columns
         folded = base.add(extra)
         assert combined.source_count == folded.source_count
         for p, v in combined.sums.items():
@@ -237,7 +232,8 @@ def test_column_sums_match_reference(seed):
         assert list(sums.sums.items()) == list(ref_column_sums(sources[:k]).items())
         assert list(previous.sums.items()) == before  # the old sums stay as they were
     assert grew and repeated
-    assert list(column_sums(sources).sums.items()) == list(sums.sums.items())
+    folded = FusionState.initial(model).fold(sources).columns
+    assert list(folded.sums.items()) == list(sums.sums.items())
 
 
 @pytest.fixture
@@ -424,7 +420,7 @@ def test_belief_plausibility_against_set_oracle():
     for _ in range(60):
         model = random_model(rng)
         m = random_mass(rng, model)
-        p = random_mass(rng, model).focal()[0]
+        p = random_mass(rng, model).items()[0][0]
         target = _minterm_sets(model, p)
         bel = sum(
             v
@@ -503,7 +499,7 @@ def shortcut_cases(draw):
     model = draw_model(draw, (2, 4))
     focal = partial(draw_focal, draw, model, st.booleans())
     a, b = draw_source(draw, model, focal, 100), draw_source(draw, model, focal, 100)
-    twin = MassFunction(model, zip(a.focal(), [v for _, v in reversed(a.items())]))
+    twin = MassFunction(model, zip((p for p, _ in a.items()), [v for _, v in reversed(a.items())]))
     raw = {}
     for x, mx in a._masses.items():
         for y, my in b._masses.items():
@@ -557,7 +553,7 @@ def _assert_views_agree(m: MassFunction):
     assert bits == sorted(set(bits))
     assert all(isinstance(p, Proposition) and p.frame == m.frame for p in props)
     assert list(m.terms.items()) == items
-    assert list(m.focal()) == props and len(m.focal()) == len(m) == len(items)
+    assert list(m.terms) == props and len(m) == len(items)
     # the same bits on a separately built twin frame are the same
     # proposition; on a frame with other atom names they are not
     twin = Frame(m.frame.atoms)
@@ -606,7 +602,8 @@ def test_views_agree_on_sources_and_snapshots(line, kind, count, epsilon):
     cols = state.columns
     assert [p.bits for p in cols.sums] == sorted(p.bits for p in cols.sums)
     assert cols == twin_state.columns and cols != ColumnSums.empty(model)
-    assert all(p.bits for p in cols.sums) and len(cols.sums) == len({p.bits for m in sources for p in m.focal()})
+    assert all(p.bits for p in cols.sums)
+    assert len(cols.sums) == len({p.bits for m in sources for p, _ in m.items()})
 
 
 def test_an_equal_twin_model_hands_out_its_own_propositions():
@@ -649,7 +646,7 @@ def _dropped_line(kind):
     state = FusionState.initial(model).fold(golden_sources(kind, model, 20))
     for rule in Rule:
         try:
-            assert [p.text() for p in state.snapshot(rule).focal()]
+            assert [p.text() for p, _ in state.snapshot(rule).items()]
         except TotalConflictError:
             pass
     for p in [*state.accumulator.terms, *state.columns.sums]:

@@ -7,9 +7,9 @@ import random
 
 import pytest
 
-from evfuse import (FusionState, MassFunction, Model, Rule, ValidationError, conjunctive,
-                    deviation, vbf)
+from evfuse import FusionState, MassFunction, Model, Rule, ValidationError, deviation, vbf
 from evfuse import engine
+from evfuse.rules import conjunctive
 
 from support import REACH, golden_model, ordered_sum, unions_of_atoms
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import evfuse
 from evfuse.cli import main
 
 from support import REACH
@@ -74,3 +75,12 @@ def test_reach_table_matches_the_pins():
         table.update({(int(atoms), kind, int(focal)): cell for kind, cell in zip(kinds, cells)})
     assert table == {cell: "reached 400" if k is None else f"refused at {k}"
                      for cell, k in REACH.items()}
+
+
+def test_public_surface_matches_the_exports():
+    # the "Public surface" paragraph under "Package layout": its count and its names
+    found = re.search(r"^Public surface: the package exports (\d+) names, (.*?)\.", README,
+                      re.M | re.S)
+    names = re.findall(r"`(\w+)`", found.group(2))
+    assert int(found.group(1)) == len(names)
+    assert names == evfuse.__all__

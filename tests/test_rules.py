@@ -18,19 +18,20 @@ from evfuse import (
     Rule,
     TotalConflictError,
     ValidationError,
-    apply_transfer,
-    column_sums,
     combine2,
-    conjunctive,
     deviation,
-    oracle_conjunctive,
     sdli2,
+    vbf,
+)
+from evfuse.engine import oracle_conjunctive
+from evfuse.rules import (
+    apply_transfer,
+    conjunctive,
     transfer_dempster,
     transfer_sdli,
     transfer_smets,
     transfer_union,
     transfer_yager,
-    vbf,
 )
 
 from support import (
@@ -376,14 +377,14 @@ def test_union_transfer_keeps_only_the_meet_outside_eq7s_scope(exclusive):
 # proportional partial-conflict transfer ---------------------------------------------
 
 def test_sdli_two_source_fixture(m1, m2):
-    out = transfer_sdli(conjunctive(m1, m2), column_sums([m1, m2]))
+    out = transfer_sdli(conjunctive(m1, m2), FusionState.initial(m1.model).fold([m1, m2]).columns)
     assert_masses(out, SDLI_12, tol=1e-6)
     assert_masses(out, SDLI_12_EXACT, tol=1e-12)
 
 
 def test_sdli_three_source_fixture(m1, m2, m3):
     r = conjunctive(conjunctive(m1, m2), m3)
-    out = transfer_sdli(r, column_sums([m1, m2, m3]))
+    out = transfer_sdli(r, FusionState.initial(m1.model).fold([m1, m2, m3]).columns)
     assert_masses(out, SDLI_123, tol=1e-6)
     assert_masses(out, SDLI_123_EXACT, tol=1e-12)
 
@@ -391,7 +392,7 @@ def test_sdli_three_source_fixture(m1, m2, m3):
 def test_sdli_conflict_free_unchanged(exclusive, frame):
     a = MassFunction(exclusive, {frame.parse("A"): 0.7, frame.parse("A|B"): 0.3})
     r = conjunctive(a, vbf(exclusive))
-    out = transfer_sdli(r, column_sums([a, vbf(exclusive)]))
+    out = transfer_sdli(r, FusionState.initial(exclusive).fold([a, vbf(exclusive)]).columns)
     assert deviation(out, a) <= 1e-15
 
 
@@ -505,7 +506,7 @@ def test_sdli2_matches_transfer_route(seed):
     a, b = random_mass(rng, model), random_mass(rng, model)
     assume(_closed_form_applies(model, a, b))
     direct = sdli2(a, b)
-    routed = transfer_sdli(conjunctive(a, b), column_sums([a, b]))
+    routed = transfer_sdli(conjunctive(a, b), FusionState.initial(model).fold([a, b]).columns)
     assert deviation(direct, routed) <= 1e-12
 
 
@@ -519,7 +520,7 @@ def test_sdli2_leaves_the_transfer_route_outside_the_closed_forms_scope():
     b = MassFunction(model, {frame.parse("A&B|C"): 1.0})
     assert not _closed_form_applies(model, a, b)
     assert as_text_dict(sdli2(a, b)) == {"A": 0.5, "A&B|C": 0.5}
-    routed = transfer_sdli(conjunctive(a, b), column_sums([a, b]))
+    routed = transfer_sdli(conjunctive(a, b), FusionState.initial(model).fold([a, b]).columns)
     assert as_text_dict(routed) == {"A": 1.0}
     assert deviation(sdli2(a, b), routed) > 1e-12
 

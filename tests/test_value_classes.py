@@ -14,7 +14,8 @@ import weakref
 import pytest
 
 from evfuse import (ColumnSums, Frame, FusionState, MassFunction, Model, Proposition, Rule,
-                    apply_transfer, make_model)
+                    make_model)
+from evfuse.rules import apply_transfer
 from evfuse.cli import Scenario
 
 
