@@ -13,6 +13,7 @@ is planned once per stored key layout and replayed on every snapshot.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache
 from itertools import compress, count
 from operator import not_
 
@@ -39,16 +40,44 @@ def conjunctive(a: MassFunction, b: MassFunction) -> MassFunction:
     from the other lands on X & Y, with no emptiness collapse.
 
     Operands may be sources or previously stored products; the result
-    keeps its model-empty terms for a transfer to route later.
+    keeps its model-empty terms for a transfer to route later.  The
+    product runs in ``_product``'s kernel for ``b``'s width: for each
+    term of ``a`` in order, one straight-line ``out[x & y] += mx * my``
+    per focal set of ``b`` in order, so the keys arrive and the floats
+    are added in the nested loop's order.
     """
     _require_same(a.model, b.model, "operands use different models")
-    masks_b = list(b._masses.items())
-    out: dict[int, float] = {}
-    for x, mx in a._masses.items():
-        for y, my in masks_b:
-            z = x & y
-            out[z] = out.get(z, 0.0) + mx * my
+    pairs = b._masses.items()
+    out = _product(min(len(pairs), _UNROLLED + 1))(a._masses.items(), pairs)
     return MassFunction._of_masks(a.model, out, allow_conflict=True)
+
+
+# The focal sets a kernel unrolls; every source the benchmark's workloads fuse has
+# 2-8.  A wider source shares the kernel of width _UNROLLED + 1, which loops over the
+# focal sets past these, so at most _UNROLLED + 1 kernels are ever built.
+_UNROLLED = 8
+
+
+@cache
+def _product(width: int):
+    """The product kernel for sources of ``width`` focal sets, built on first use:
+    ``kernel(items, pairs)`` returns ``{x & y: sum of mx * my}`` over the ``(x, mx)``
+    of ``items`` and the ``(y, my)`` of ``pairs``, adding the products pair by pair
+    within each term, term by term.  Its source text depends on ``width`` alone;
+    past ``_UNROLLED`` the focal sets beyond the unrolled ones are ``rest``, looped
+    over inside each term's step."""
+    unrolled = range(min(width, _UNROLLED))
+    targets = "".join(f"(y{i}, m{i}), " for i in unrolled)
+    steps = [f"        z = x & y{i}; out[z] = get(z, 0.0) + mx * m{i}" for i in unrolled]
+    if width > _UNROLLED:
+        targets += "*rest, "
+        steps += ["        for y, my in rest:",
+                  "            z = x & y; out[z] = get(z, 0.0) + mx * my"]
+    source = "\n".join(["def kernel(items, pairs):", f"    {targets}= pairs", "    out = {}",
+                        "    get = out.get", "    for x, mx in items:", *steps, "    return out"])
+    namespace: dict = {}
+    exec(compile(source, f"<evfuse.rules kernel {width}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _plan(model, keys: tuple, target, columns) -> tuple:

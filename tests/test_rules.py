@@ -1,8 +1,13 @@
 """Conjunctive combination and the transfer-operator catalog."""
 
+import gc
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
+from types import FunctionType
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -168,11 +173,28 @@ def random_pool(rng, model, size):
     return pool
 
 
-def random_source(rng, model, pool):
-    props = rng.sample(pool, rng.randint(1, len(pool) - 1))
+def random_source(rng, model, pool, width=None):
+    props = rng.sample(pool, width or rng.randint(1, len(pool) - 1))
     weights = [rng.uniform(0.05, 1.0) for _ in props]
     total = ordered_sum(weights)
     return MassFunction(model, [(p, w / total) for p, w in zip(props, weights)])
+
+
+def distinct_pool(rng, model, size):
+    # up to ``size`` distinct non-empty propositions, fewer where the model's
+    # draw has fewer (2 atoms, or exclusive models on 3)
+    pool = {}
+    for _ in range(50 * size):
+        p = random_prop(rng, model)
+        if not model.is_empty(p):
+            pool.setdefault(p.bits, p)
+            if len(pool) == size:
+                break
+    return list(pool.values())
+
+
+# the focal sets a product kernel unrolls; wider sources take the tail loop
+W = rules._UNROLLED
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 16])
@@ -192,6 +214,58 @@ def test_conjunctive_matches_reference(build, n):
             assert_same_terms(conjunctive(x, y), want)
             merged += len(want) < len(x.items()) * len(y.items())
     assert merged  # some products landed on one key
+    # the kernel's widths: one focal set, W unrolled, and W + 1 to W + 3 past them
+    pool = distinct_pool(rng, model, W + 3)
+    assert len(pool) == W + 3 or n <= 3
+    for width in (1, W, W + 1, W + 2, W + 3):
+        if width <= len(pool):
+            wide = random_source(rng, model, pool, width)
+            assert len(wide) == width
+            for x in (a, abc, wide):
+                assert_same_terms(conjunctive(x, wide), ref_conjunctive(x, wide))
+
+
+KERNEL_FILE = "<evfuse.rules kernel "
+# a fresh interpreter's live kernels after importing the library and the command line
+FRESH_KERNELS = f"""
+import gc, sys
+from types import FunctionType
+sys.path.insert(0, sys.argv[1])
+import evfuse, evfuse.cli
+print(sum(isinstance(f, FunctionType) and f.__code__.co_filename.startswith({KERNEL_FILE!r})
+          for f in gc.get_objects()))
+"""
+
+
+def test_the_product_builds_at_most_one_kernel_per_width(monkeypatch):
+    built = {}
+    product = rules._product
+
+    def spy(width):
+        kernel = product(width)
+        built.setdefault(width, set()).add(kernel)
+        return kernel
+
+    monkeypatch.setattr(rules, "_product", spy)
+    rng = random.Random("kernels")
+    model = Model.free(Frame(tuple(f"H{i}" for i in range(6))))
+    pool = distinct_pool(rng, model, 40)
+    state = FusionState.initial(model).fuse(random_source(rng, model, pool, 3))
+    for width in range(1, 41):
+        for _ in range(2):  # two sources of one width
+            state.fuse(random_source(rng, model, pool, width))
+    # widths past W share the tail kernel, and each width keeps the kernel it built
+    assert sorted(built) == list(range(1, W + 2))
+    assert all(len(kernels) == 1 for kernels in built.values())
+    assert {k.__code__.co_filename for (k,) in built.values()} == {
+        f"{KERNEL_FILE}{width}>" for width in built}
+    live = [f for f in gc.get_objects()
+            if isinstance(f, FunctionType) and f.__code__.co_filename.startswith(KERNEL_FILE)]
+    assert len(live) <= W + 1
+    src = Path(rules.__file__).resolve().parent.parent
+    fresh = subprocess.run([sys.executable, "-I", "-c", FRESH_KERNELS, str(src)],
+                           capture_output=True, encoding="utf-8", check=True)
+    assert fresh.stdout.split() == ["0"]  # importing compiles no kernel
 
 
 def test_conjunctive_merges_products_on_one_key(exclusive, frame):
@@ -695,7 +769,8 @@ def test_references_call_no_kernel_function(monkeypatch):
         raise AssertionError("a reference called a kernel routine")
 
     for owner, name in ((rules, "conjunctive"), (engine, "conjunctive"), (rules, "_redistribute"),
-                        (rules, "_plan"), (ColumnSums, "add"), (Frame, "_route")):
+                        (rules, "_product"), (rules, "_plan"), (ColumnSums, "add"),
+                        (Frame, "_route")):
         monkeypatch.setattr(owner, name, broken)
     with pytest.raises(AssertionError, match="kernel routine"):
         combine2(Rule.SDLI, *lines[1][:2])
