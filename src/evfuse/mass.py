@@ -54,16 +54,21 @@ def _summed(model: Model, pairs) -> dict[int, float]:
     return merged
 
 
+def _layout(model: Model, keys, allow_conflict: bool) -> tuple[list, list]:
+    """The one rule on a result's keys: ``keys`` in mask order, and those the model
+    makes empty, or ``[]`` where conflict is allowed."""
+    visible = model.visible
+    return sorted(keys), [] if allow_conflict else [b for b in keys if not b & visible]
+
+
 def _validated(model: Model, merged: dict[int, float], allow_conflict: bool,
                layout=None) -> dict[int, float]:
     """The one validation: ``{bits: value}`` to normalised masses by mask, in mask order.
     A finite total and a positive least value pass as they are; anything else
     (NaN, inf, a negative value, a zero) goes value by value through ``_summed``.
     The total is taken in ``merged``'s own order.  A dict already in mask order
-    whose total is exactly 1.0 is kept, not divided: ``v / 1.0 == v``.  ``layout``,
-    ``(sorted keys, model-empty keys)`` of ``merged`` as handed in, the latter
-    empty where conflict is allowed, stands for those two scans of its keys
-    unless ``_summed`` rebuilt it."""
+    whose total is exactly 1.0 is kept, not divided: ``v / 1.0 == v``.  A handed
+    ``layout``, ``_layout`` of ``merged``, is used unless ``_summed`` rebuilt it."""
     values = merged.values()
     total = ordered_sum(values)
     if not (total < inf and min(values, default=1.0) > 0.0):
@@ -71,12 +76,7 @@ def _validated(model: Model, merged: dict[int, float], allow_conflict: bool,
         total = ordered_sum(merged.values())
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise ValidationError(f"masses sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
-    if layout is None:
-        visible = model.visible
-        order = sorted(merged)
-        empty = [] if allow_conflict else [b for b in merged if not b & visible]
-    else:
-        order, empty = layout
+    order, empty = layout or _layout(model, merged, allow_conflict)
     if empty:
         text = Proposition(model.frame, min(empty)).text()
         raise ValidationError(f"focal element {text} is empty under the model")

@@ -19,7 +19,7 @@ from operator import not_
 
 from .errors import TotalConflictError, ValidationError
 from .lattice import _require_same
-from .mass import ColumnSums, MassFunction, ordered_sum
+from .mass import ColumnSums, MassFunction, _layout, ordered_sum
 
 
 class Rule(str, Enum):
@@ -85,13 +85,13 @@ def _plan(model, keys: tuple, target, columns) -> tuple:
     ``Frame._plans``' only reader and filler: the frame keeps the last plan per
     constraint and transfer, reused while ``keys`` and ``columns`` (a weighted split's
     column keys, else None) are the same.  A plan is ``(keys, columns, weighing
-    parties, visible selectors, conflicting selectors, routes, output keys, (those
-    sorted, the model-empty ones unless kept as conflict))``.  A conflicting term's
-    route is its output slot, or ``(slot, party index)`` per party of it that is a
-    column key.  Output keys are the visible ones in mask order, then new ones in
-    first-use order, as the routing below reaches them.  The parts are lists, only
-    read: a tuple built from an iterator is resized as it grows, and building them so
-    on every miss kept pymalloc arenas in use under CPython 3.11 (verify's RSS +1 MB)."""
+    parties, visible selectors, conflicting selectors, routes, output keys,
+    ``mass._layout`` of the output keys)``.  A conflicting term's route is its output
+    slot, or ``(slot, party index)`` per party of it that is a column key.  Output
+    keys are the visible ones in mask order, then new ones in first-use order, as the
+    routing below reaches them.  The parts are lists, only read: a tuple built from an
+    iterator is resized as it grows, and building them so on every miss kept pymalloc
+    arenas in use under CPython 3.11 (verify's RSS +1 MB)."""
     frame, visible = model.frame, model.visible
     memo_key = (model.constrained, target, columns is not None)
     plan = frame._plans.get(memo_key)
@@ -115,11 +115,9 @@ def _plan(model, keys: tuple, target, columns) -> tuple:
             if not to & visible:
                 to = frame.full_bits
         routes.append(slots.setdefault(to, len(slots)))
-    new = list(slots)[len(out_keys):]
-    out_keys += new
-    plan = frame._plans[memo_key] = (
-        keys, columns, list(parties_at), keep, conflicting, routes, out_keys,
-        (sorted(out_keys), [b for b in new if not b & visible] if new and target != 0 else []))
+    out_keys = list(slots)
+    plan = frame._plans[memo_key] = (keys, columns, list(parties_at), keep, conflicting,
+                                     routes, out_keys, _layout(model, out_keys, target == 0))
     return plan
 
 

@@ -34,6 +34,7 @@ from evfuse.cli import (
     scenario_from_dict,
 )
 from evfuse.errors import TotalConflictError, ValidationError
+from evfuse.mass import _layout
 
 from support import (
     SCENARIO_DIR,
@@ -603,6 +604,24 @@ def test_verify_builds_each_routing_plan_once(monkeypatch, capsys, path, rule, b
     monkeypatch.setattr(rules, "_plan", counting_plan)
     assert main(["verify", path, "--rule", rule]) == 0
     assert (calls.count(False), calls.count(True)) == (builds, hits)
+
+
+@pytest.mark.parametrize("rule", ["smets", "yager", "dubois_prade", "dsm_hybrid", "sdli"])
+@pytest.mark.parametrize("path", [FOUR, RING5], ids=["four_sources", "ring5"])
+def test_every_routing_plan_caches_the_validators_layout(monkeypatch, capsys, path, rule):
+    # a plan hands _validated its output keys' layout; the one rule for it is mass._layout
+    plans, plan = {}, rules._plan
+
+    def recording_plan(model, keys, target, columns):
+        out = plan(model, keys, target, columns)
+        plans[id(out)] = (model, target, out)
+        return out
+
+    monkeypatch.setattr(rules, "_plan", recording_plan)
+    assert main(["verify", path, "--rule", rule]) == 0
+    assert plans
+    for model, target, out in plans.values():
+        assert out[7] == _layout(model, out[6], target == 0)
 
 
 @pytest.mark.parametrize("path, count", [(FOUR, 4), (RING5, 6)], ids=["four_sources", "ring5"])

@@ -22,7 +22,7 @@ from evfuse import (
     deviation,
     vbf,
 )
-from evfuse.mass import _validated, ordered_sum as package_sum
+from evfuse.mass import _layout, _validated, ordered_sum as package_sum
 from evfuse.rules import conjunctive, transfer_smets
 
 from support import (
@@ -541,6 +541,37 @@ def test_validation_keeps_only_a_dict_in_mask_order_summing_to_exactly_one(exclu
     got = MassFunction._of_masks(exclusive, d)._masses
     assert _hexed(got) == _divided(d)
     assert all(got[bits] != v for bits, v in d.items())
+
+
+@pytest.mark.parametrize("kind", ["free", "exclusive", "ring"])
+def test_layout_is_the_sorted_keys_and_a_plain_emptiness_filter(kind):
+    # every mask of a 3-atom frame, region 0 and the void mask included, in a
+    # shuffled order, as a list and as a dict's keys
+    model = golden_model(kind, GOLDEN_ATOMS[:3])
+    frame = model.frame
+    masks = [bits for bits in range(frame.full_bits + 1) if not bits & ~frame.full_bits]
+    random.Random(kind).shuffle(masks)
+    assert len(masks) == 128
+    for keys in (masks, masks[::-1], masks[:9], [frame.full_bits], []):
+        empty = [bits for bits in keys if model.is_empty(Proposition(frame, bits))]
+        assert 0 not in keys or empty
+        for handed in (keys, dict.fromkeys(keys, 1.0)):
+            assert _layout(model, handed, True) == (sorted(keys), [])
+            assert _layout(model, handed, False) == (sorted(keys), empty)
+
+
+def test_a_rebuilt_result_drops_the_layout_its_plan_handed_over():
+    # sdli splits A&B's 5e-324 3:1 over A and B: A's share rounds to 5e-324, B's
+    # to 0.0 on a key new to the plan, so _summed rebuilds the dict without B
+    frame = Frame(("A", "B"))
+    model = Model.exclusive(frame)
+    a, b = frame.atom("A"), frame.atom("B")
+    stored = MassFunction(model, {a | b: 1.0, a & b: 5e-324}, allow_conflict=True)
+    state = FusionState(stored, ColumnSums(model, {a: 3.0, b: 1.0}, 2))
+    snapshot = state.snapshot("sdli")
+    (plan,) = frame._plans.values()
+    assert b.bits in plan[6] and b.bits in plan[7][0]
+    assert [(p.text(), v) for p, v in snapshot.items()] == [("A", 5e-324), ("A|B", 1.0)]
 
 
 # public views of the by-mask storage ---------------------------------------------------
