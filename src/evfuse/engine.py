@@ -56,8 +56,9 @@ class FusionState(_Frozen):
         """Fold one more source into the stored accumulator.
 
         The new accumulator is the conjunctive product of the old one
-        with the source, never of any transferred snapshot.  A product
-        that could pass ``MAX_STATE_BITS`` is refused before it is built.
+        with the source, never of any transferred snapshot.  A source with
+        model-empty mass, then one whose product could pass ``MAX_STATE_BITS``,
+        then one of another model is refused before the product is built.
         """
         if not m.is_input_valid():
             raise ValidationError("source puts mass on model-empty propositions")
@@ -67,6 +68,7 @@ class FusionState(_Frozen):
                 f"source {self.source_count + 1}: the state could grow to {terms} terms of "
                 f"2**{n} bits, past the limit of {MAX_STATE_BITS} mask bits; "
                 "prune_epsilon bounds the state")
+        _require_same(m.model, self.model, "operands use different models")
         accumulator = conjunctive(self.accumulator, m)
         if self.prune_epsilon > 0.0:
             accumulator = _pruned(accumulator, self.prune_epsilon, self.source_count + 1)
@@ -103,15 +105,10 @@ def _pruned(result: MassFunction, epsilon: float, source: int) -> MassFunction:
 def oracle_conjunctive(masses) -> MassFunction:
     """Direct n-way product with no incremental folding.
 
-    Walks the full cartesian product of the sources' focal sets; the
-    reference the streaming accumulator is checked against.
+    Walks the full cartesian product of the focal sets of ``masses``, a
+    non-empty list of sources of one model; the reference the streaming
+    accumulator is checked against, on each prefix of two or more sources.
     """
-    masses = list(masses)
-    if len(masses) < 2:
-        raise ValidationError("the oracle needs at least two sources")
-    model = masses[0].model
-    for m in masses:
-        _require_same(m.model, model, "sources use different models")
     terms = {}
     for combo in _cartesian(*(m._masses.items() for m in masses)):
         bits, weight = combo[0]
@@ -119,4 +116,4 @@ def oracle_conjunctive(masses) -> MassFunction:
             bits &= b
             weight *= v
         terms[bits] = terms.get(bits, 0.0) + weight
-    return MassFunction._of_masks(model, terms, allow_conflict=True)
+    return MassFunction._of_masks(masses[0].model, terms, allow_conflict=True)

@@ -17,7 +17,7 @@ from functools import cache
 from itertools import compress, count
 from operator import not_
 
-from .errors import TotalConflictError, ValidationError
+from .errors import TotalConflictError
 from .lattice import _require_same
 from .mass import ColumnSums, MassFunction, _layout, ordered_sum
 
@@ -39,14 +39,13 @@ def conjunctive(a: MassFunction, b: MassFunction) -> MassFunction:
     """Pointwise product combination: mass of X from one operand and Y
     from the other lands on X & Y, with no emptiness collapse.
 
-    Operands may be sources or previously stored products; the result
-    keeps its model-empty terms for a transfer to route later.  The
+    Its operands are of one model, as ``FusionState.fuse`` checks; the
+    result keeps its model-empty terms for a transfer to route later.  The
     product runs in ``_product``'s kernel for ``b``'s width: for each
     term of ``a`` in order, one straight-line ``out[x & y] += mx * my``
     per focal set of ``b`` in order, so the keys arrive and the floats
     are added in the nested loop's order.
     """
-    _require_same(a.model, b.model, "operands use different models")
     pairs = b._masses.items()
     out = _product(min(len(pairs), _UNROLLED + 1))(a._masses.items(), pairs)
     return MassFunction._of_masks(a.model, out, allow_conflict=True)
@@ -181,17 +180,14 @@ def transfer_union(result: MassFunction) -> MassFunction:
     return _redistribute(result)
 
 
-def transfer_sdli(result: MassFunction, columns: ColumnSums | None) -> MassFunction:
+def transfer_sdli(result: MassFunction, columns: ColumnSums) -> MassFunction:
     """Redistribute each conflicting term over its conflict parties,
     proportionally to the parties' accumulated column sums.
 
     Parties that are not column keys get nothing; if no party is one,
-    the term falls back to the union transfer.  The column
-    sums must cover exactly the sources whose product is ``result``.
+    the term falls back to the union transfer.  The column sums, as a
+    ``FusionState`` holds them, cover exactly the sources of ``result``.
     """
-    if columns is None:
-        raise ValidationError("the sdli transfer needs column sums")
-    _require_same(columns.model, result.model, "column sums use a different model")
     return _redistribute(result, weights=columns._masses)
 
 
@@ -229,9 +225,8 @@ def sdli2(m1: MassFunction, m2: MassFunction) -> MassFunction:
     return MassFunction._of_masks(m1.model, out)
 
 
-def apply_transfer(rule: Rule | str, result: MassFunction,
-                   columns: ColumnSums | None = None) -> MassFunction:
-    """Apply only the transfer stage of a rule to a stored product.
+def apply_transfer(rule: Rule | str, result: MassFunction, columns: ColumnSums) -> MassFunction:
+    """Apply only the transfer stage of a rule to a state's product and columns.
 
     ``conjunctive`` and ``dsm_classic`` (the conjunctive rule on the free
     lattice) keep the pre-transfer masses.  Those are rebuilt from a copy,

@@ -106,11 +106,20 @@ def test_first_fuse_adopts_source(exclusive, m1):
     assert state.columns.sums == m1.terms
 
 
-def test_fuse_model_guard(exclusive, free, m1, frame):
-    # the product's own model check refuses a source of another model on
-    # the frame, before the successor's constructor runs
+def test_fuse_model_guard(exclusive, free, m1, frame, monkeypatch):
+    # fuse refuses a source of another model on the frame before the
+    # product is built, so the product never sees one
     other = MassFunction(free, {frame.parse("A"): 0.5, frame.parse("A&B"): 0.5})
-    for state in (FusionState.initial(exclusive), FusionState.initial(exclusive).fuse(m1)):
+    states = (FusionState.initial(exclusive), FusionState.initial(exclusive).fuse(m1))
+    for state in states:
+        with pytest.raises(ValidationError, match="^operands use different models$"):
+            state.fuse(other)
+
+    def refused(a, b):
+        raise AssertionError("the product ran on a source of another model")
+
+    monkeypatch.setattr(engine, "conjunctive", refused)
+    for state in states:
         with pytest.raises(ValidationError, match="^operands use different models$"):
             state.fuse(other)
 
@@ -331,9 +340,12 @@ def test_oracle_vbf_neutral(exclusive, m1):
     assert deviation(oracle_conjunctive([m1, vbf(exclusive)]), m1) <= 1e-15
 
 
-def test_oracle_needs_two(exclusive, m1):
-    with pytest.raises(ValidationError):
-        oracle_conjunctive([m1])
+def test_oracle_of_one_source_is_its_fold(exclusive, m1):
+    # one source is its own product, with the fold's keys and bits
+    want = FusionState.initial(exclusive).fuse(m1).accumulator._masses
+    got = oracle_conjunctive([m1])._masses
+    assert list(got) == list(want)
+    assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
 
 
 # stored-state properties ----------------------------------------------------------------

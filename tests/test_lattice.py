@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from evfuse import (
     ExpressionError,
     Frame,
+    FusionState,
     MassFunction,
     Model,
     Proposition,
@@ -20,7 +21,6 @@ from evfuse import (
     make_model,
 )
 from evfuse.lattice import MAX_ATOMS
-from evfuse.rules import conjunctive
 
 from support import (
     ref_conflict_parties,
@@ -297,12 +297,12 @@ def test_hash_contract(data):
     assert MassFunction(free, [(p, 0.5), (q, 0.5)]).mass(p) == 1.0
     with pytest.raises(ValidationError):
         MassFunction(free, {r: 1.0})
-    source = MassFunction(free, {p: 1.0})
-    assert conjunctive(source, MassFunction(Model.free(twin), {q: 1.0})).terms == {p: 1.0}
+    state = FusionState.initial(free).fuse(MassFunction(free, {p: 1.0}))
+    assert state.fuse(MassFunction(Model.free(twin), {q: 1.0})).accumulator.terms == {p: 1.0}
     for model in (Model.free(other), Model.exclusive(frame)):
         top = model.frame.total_ignorance()
         with pytest.raises(ValidationError):
-            conjunctive(source, MassFunction(model, {top: 1.0}))
+            state.fuse(MassFunction(model, {top: 1.0}))
 
 
 def test_is_empty(frame, exclusive, free):

@@ -98,12 +98,6 @@ def test_conjunctive_vbf_neutral(m1, exclusive):
     assert deviation(r, m1) <= 1e-15
 
 
-def test_conjunctive_model_mismatch(m1, free, frame):
-    other = MassFunction(free, {frame.parse("A"): 1.0})
-    with pytest.raises(ValidationError):
-        conjunctive(m1, other)
-
-
 def test_conjunctive_keys_true_empty_as_empty(exclusive, frame):
     # feeding an open-world assignment back in keeps its ∅ share on ∅
     open_world = MassFunction(
@@ -476,12 +470,6 @@ def test_sdli_zero_column_fallback(exclusive, frame):
     cols = ColumnSums(exclusive, {frame.parse("C"): 2.0}, 2)
     out = transfer_sdli(r, cols)
     assert_masses(out, {"A|B": 0.4, "C": 0.6}, tol=1e-12)
-
-
-def test_sdli_transfer_needs_column_sums(exclusive):
-    r = result_from_rows(exclusive, {"A&B": 0.4, "C": 0.6})
-    with pytest.raises(ValidationError, match="^the sdli transfer needs column sums$"):
-        transfer_sdli(r, None)
 
 
 def test_sdli_parties_with_partial_columns(exclusive, frame):

@@ -172,7 +172,7 @@ def _used_wide_frame():
     # a routed snapshot of a conflicting product fills the plan memo
     product = MassFunction(Model.exclusive(frame), {p: 0.5, frame.parse("x0&x1"): 0.5},
                            allow_conflict=True)
-    assert apply_transfer(Rule.DUBOIS_PRADE, product).mass(frame.parse("x0|x1")) == 0.5
+    assert apply_transfer(Rule.DUBOIS_PRADE, product, ColumnSums.empty(product.model)).mass(frame.parse("x0|x1")) == 0.5
     assert all(getattr(frame, memo) for memo in MEMOS)
     return frame, p
 
