@@ -98,8 +98,7 @@ def _pruned(result: MassFunction, epsilon: float, source: int) -> MassFunction:
     if not kept:
         raise ValidationError(f"prune_epsilon={epsilon} removed every term at source {source}")
     total = ordered_sum(kept.values())
-    return MassFunction._of_masks(result.model, {bits: v / total for bits, v in kept.items()},
-                                  allow_conflict=True)
+    return MassFunction._of_masks(result.model, {bits: v / total for bits, v in kept.items()})
 
 
 def oracle_conjunctive(masses) -> MassFunction:
@@ -116,4 +115,4 @@ def oracle_conjunctive(masses) -> MassFunction:
             bits &= b
             weight *= v
         terms[bits] = terms.get(bits, 0.0) + weight
-    return MassFunction._of_masks(masses[0].model, terms, allow_conflict=True)
+    return MassFunction._of_masks(masses[0].model, terms)

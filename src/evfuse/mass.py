@@ -55,28 +55,29 @@ def _summed(model: Model, pairs) -> dict[int, float]:
 
 
 def _layout(model: Model, keys, allow_conflict: bool) -> tuple[list, list]:
-    """The one rule on a result's keys: ``keys`` in mask order, and those the model
-    makes empty, or ``[]`` where conflict is allowed."""
+    """The one statement of a result's kind: ``keys`` in mask order, and those the model
+    makes empty, or ``[]`` where the result may hold conflict."""
     visible = model.visible
     return sorted(keys), [] if allow_conflict else [b for b in keys if not b & visible]
 
 
-def _validated(model: Model, merged: dict[int, float], allow_conflict: bool,
-               layout=None) -> dict[int, float]:
+def _validated(model: Model, merged: dict[int, float], layout=None) -> dict[int, float]:
     """The one validation: ``{bits: value}`` to normalised masses by mask, in mask order.
     A finite total and a positive least value pass as they are; anything else
     (NaN, inf, a negative value, a zero) goes value by value through ``_summed``.
     The total is taken in ``merged``'s own order.  A dict already in mask order
-    whose total is exactly 1.0 is kept, not divided: ``v / 1.0 == v``.  A handed
-    ``layout``, ``_layout`` of ``merged``, is used unless ``_summed`` rebuilt it."""
+    whose total is exactly 1.0 is kept, not divided: ``v / 1.0 == v``.  ``layout`` is
+    ``_layout`` of ``merged``, or None for a product or Dempster's kept terms, where no
+    key is refused; a rebuild re-checks its keys only if the handed layout refused one."""
     values = merged.values()
     total = ordered_sum(values)
     if not (total < inf and min(values, default=1.0) > 0.0):
-        merged, layout = _summed(model, merged.items()), None
+        merged = _summed(model, merged.items())
+        layout = layout and _layout(model, merged, not layout[1])
         total = ordered_sum(merged.values())
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise ValidationError(f"masses sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
-    order, empty = layout or _layout(model, merged, allow_conflict)
+    order, empty = layout or (sorted(merged), [])
     if empty:
         text = Proposition(model.frame, min(empty)).text()
         raise ValidationError(f"focal element {text} is empty under the model")
@@ -90,25 +91,24 @@ class MassFunction(_Frozen):
 
     Only the model and the masses by minterm mask, in mask order, are
     kept; every view builds a fresh Proposition per mask.
-    Sources may not put mass on anything the model declares empty; stored
-    products and combination outputs may, with ``allow_conflict=True``.
+    Mass on what the model declares empty is refused with the default
+    ``allow_conflict=False``; stored products and Smets' snapshots may hold it.
     """
 
     _fields = ("model", "_masses")
     __hash__ = None  # the masses are a dict
 
     def __init__(self, model: Model, assignments: Assignments, *, allow_conflict: bool = False):
+        merged = _summed(model, _entering(model, assignments))
         self.__dict__.update(model=model, _masses=_validated(
-            model, _summed(model, _entering(model, assignments)), allow_conflict))
+            model, merged, _layout(model, merged, allow_conflict)))
 
     @classmethod
-    def _of_masks(cls, model: Model, masses: dict, allow_conflict: bool = False,
-                  layout=None) -> "MassFunction":
-        # the engine's results: the validator without __init__'s proposition checks.
-        # It keeps the {mask: mass} dict it is handed, built for this call alone.
+    def _of_masks(cls, model: Model, masses: dict, layout=None) -> "MassFunction":
+        # the engine's results: _validated without __init__'s proposition checks, on
+        # the {mask: mass} dict built for this call alone, with _validated's layout.
         self = cls.__new__(cls)
-        self.__dict__.update(model=model,
-                             _masses=_validated(model, masses, allow_conflict, layout))
+        self.__dict__.update(model=model, _masses=_validated(model, masses, layout))
         return self
 
     @property

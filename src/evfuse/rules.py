@@ -48,7 +48,7 @@ def conjunctive(a: MassFunction, b: MassFunction) -> MassFunction:
     """
     pairs = b._masses.items()
     out = _product(min(len(pairs), _UNROLLED + 1))(a._masses.items(), pairs)
-    return MassFunction._of_masks(a.model, out, allow_conflict=True)
+    return MassFunction._of_masks(a.model, out)
 
 
 # The focal sets a kernel unrolls; every source the benchmark's workloads fuse has
@@ -98,8 +98,7 @@ def _plan(model, keys: tuple, target, columns) -> tuple:
         return plan
     keep = [bits & visible for bits in keys]
     conflicting = list(map(not_, keep))
-    out_keys = list(compress(keys, keep))
-    slots = dict(zip(out_keys, count()))
+    slots = dict(zip(compress(keys, keep), count()))
     parties_at, routes = {}, []
     for bits in compress(keys, conflicting):
         if (to := target) is None:
@@ -145,7 +144,7 @@ def _redistribute(result: MassFunction, target=None, weights=None) -> MassFuncti
             total += weight[k]
         for slot, k in to:
             out[slot] += v * (weight[k] / total)
-    return MassFunction._of_masks(model, dict(zip(keys, out)), target == 0, layout)
+    return MassFunction._of_masks(model, dict(zip(keys, out)), layout)
 
 
 def transfer_dempster(result: MassFunction) -> MassFunction:
@@ -222,7 +221,7 @@ def sdli2(m1: MassFunction, m2: MassFunction) -> MassFunction:
                     share += num / (col[a] + col[x])
         if share:
             out[a] = out.get(a, 0.0) + col[a] * share
-    return MassFunction._of_masks(m1.model, out)
+    return MassFunction._of_masks(m1.model, out, _layout(m1.model, out, False))
 
 
 def apply_transfer(rule: Rule | str, result: MassFunction, columns: ColumnSums) -> MassFunction:
@@ -244,4 +243,4 @@ def apply_transfer(rule: Rule | str, result: MassFunction, columns: ColumnSums) 
         return transfer_union(result)
     if rule is Rule.SDLI:
         return transfer_sdli(result, columns)
-    return MassFunction._of_masks(result.model, dict(result._masses), allow_conflict=True)
+    return MassFunction._of_masks(result.model, dict(result._masses))

@@ -520,7 +520,7 @@ def test_shortcuts_give_the_bits_of_their_plain_forms(case):
         assert deviation(x, y).hex() == _union_deviation(x, y).hex()
     # a dict in mask order summing to exactly 1.0 is kept, any other divided
     for merged in (a._masses, twin._masses, product._masses, raw):
-        assert _hexed(_validated(model, dict(merged), True)) == _divided(merged)
+        assert _hexed(_validated(model, dict(merged))) == _divided(merged)
 
 
 def test_validation_keeps_only_a_dict_in_mask_order_summing_to_exactly_one(exclusive, frame):
@@ -572,6 +572,21 @@ def test_a_rebuilt_result_drops_the_layout_its_plan_handed_over():
     (plan,) = frame._plans.values()
     assert b.bits in plan[6] and b.bits in plan[7][0]
     assert [(p.text(), v) for p, v in snapshot.items()] == [("A", 5e-324), ("A|B", 1.0)]
+
+
+def test_a_rebuilt_routed_result_still_refuses_a_model_empty_party():
+    # sdli splits A&C's 5e-324 3:1 over C and A: C's share rounds to 5e-324 and
+    # A's to 0.0, so _summed rebuilds the dict, and the rebuilt result must still
+    # refuse C, which the model makes empty, as the plan's layout did
+    frame = Frame(("A", "B", "C"))
+    model = Model(frame, frame.atom("C").bits)
+    a, b, c = frame.atom("A"), frame.atom("B"), frame.atom("C")
+    stored = MassFunction(model, {a | b: 1.0, a & c: 5e-324}, allow_conflict=True)
+    state = FusionState(stored, ColumnSums(model, {c: 3.0, a: 1.0}, 2))
+    with pytest.raises(ValidationError, match="^focal element C is empty under the model$"):
+        state.snapshot("sdli")
+    (plan,) = frame._plans.values()
+    assert a.bits in plan[6] and c.bits in plan[6]
 
 
 # public views of the by-mask storage ---------------------------------------------------

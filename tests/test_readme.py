@@ -84,3 +84,37 @@ def test_public_surface_matches_the_exports():
     names = re.findall(r"`(\w+)`", found.group(2))
     assert int(found.group(1)) == len(names)
     assert names == evfuse.__all__
+
+
+def _gates(text: str) -> set[tuple]:
+    # the gates a shell text runs, read as plain text: the benchmark self-test,
+    # ("run.py", workload, flags) per looped workload, and ("golden", hash seed,
+    # test id) per looped seed and test id
+    text = re.sub(r"\\\n\s*", " ", text)
+    selftest = re.search(r"^\s*(run: )?python3 perfbench/selftest\.py\b", text, re.M)
+    gates = {("selftest",)} if selftest else set()
+    loops = re.findall(r"\bfor (\w+) in ([^;\n]+); do[^\n]*\n(.*?)^\s*done\b", text, re.M | re.S)
+    for var, values, body in loops:
+        run = re.search(rf'perfbench/run\.py --workload "?\${var}"? (--seed \S+ --seconds \S+)',
+                        body)
+        if run:
+            gates |= {("run.py", value, run.group(1)) for value in values.split()}
+        golden = re.search(rf"PYTHONHASHSEED=\${var} .*?pytest -q (.*)", body)
+        if golden:
+            gates |= {("golden", value, test) for value in values.split()
+                      for test in golden.group(1).split()}
+    return gates
+
+
+def test_readme_gate_list_matches_ci():
+    # the sh block after "CI runs these gates besides the suite" names the
+    # workflow's benchmark and golden gates, no more and no fewer
+    block = re.search(r"CI runs these gates besides the suite.*?^```sh\n(.*?)^```$", README,
+                      re.M | re.S).group(1)
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    readme = _gates(block)
+    assert readme == _gates(workflow)
+    assert sorted(gate[0] for gate in readme) == ["golden"] * 4 + ["run.py"] * 3 + ["selftest"]
+    assert {gate[1:] for gate in readme if gate[0] == "run.py"} == {
+        (workload, "--seed 1 --seconds 1") for workload in ("stream", "wide_batch", "verify")}
+    assert {gate[1] for gate in readme if gate[0] == "golden"} == {"0", "1"}

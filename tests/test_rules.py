@@ -29,6 +29,7 @@ from evfuse import (
     vbf,
 )
 from evfuse.engine import oracle_conjunctive
+from evfuse.mass import _layout
 from evfuse.rules import (
     apply_transfer,
     conjunctive,
@@ -553,6 +554,17 @@ def test_sdli2_total_conflict_split():
     assert_masses(sdli2(a, b), {"A": 0.5, "B": 0.5}, tol=1e-12)
 
 
+def test_sdli2_refuses_a_model_empty_key_from_a_conflicting_source():
+    # a public source may hold conflict; sdli2 still refuses a result that puts
+    # mass on C, which the model makes empty
+    frame = Frame(("A", "B", "C"))
+    model = Model(frame, frame.atom("C").bits)
+    a, b, c = frame.atom("A"), frame.atom("B"), frame.atom("C")
+    conflicting = MassFunction(model, {c: 0.5, a: 0.5}, allow_conflict=True)
+    with pytest.raises(ValidationError, match="^focal element C is empty under the model$"):
+        sdli2(conflicting, MassFunction(model, {a | b: 0.4, a: 0.6}))
+
+
 def test_sdli2_model_mismatch(m1, free, frame):
     other = MassFunction(free, {frame.parse("A"): 1.0})
     with pytest.raises(ValidationError):
@@ -794,7 +806,7 @@ def redistribute_per_step(result: MassFunction, target=None, weights=None) -> Ma
             if not to & visible:
                 to = frame.full_bits
         out[to] = out.get(to, 0.0) + v
-    return MassFunction._of_masks(result.model, out, target == 0)
+    return MassFunction._of_masks(result.model, out, _layout(result.model, out, target == 0))
 
 
 ROUTED = {Rule.SMETS: "smets", Rule.YAGER: "yager", Rule.DUBOIS_PRADE: "union",
