@@ -128,8 +128,7 @@ class MassFunction(_Frozen):
 
     def mass(self, p: Proposition) -> float:
         # the same bits on another frame are another proposition
-        same = p.frame is self.frame or p.frame == self.frame
-        return self._masses.get(p.bits, 0.0) if same else 0.0
+        return self._masses.get(p.bits, 0.0) if p.frame == self.frame else 0.0
 
     def conflict_mass(self) -> float:
         """Total mass sitting on propositions empty under the model."""

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 from functools import partial
 from itertools import islice, permutations
@@ -17,7 +18,7 @@ from itertools import islice, permutations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from evfuse import Frame, FusionState, MassFunction, Model, Rule, cli, rules, sdli2, vbf
+from evfuse import Frame, FusionState, MassFunction, Model, Rule, cli, lattice, rules, sdli2, vbf
 from evfuse.cli import (
     CHECKS,
     Scenario,
@@ -622,6 +623,33 @@ def test_every_routing_plan_caches_the_validators_layout(monkeypatch, capsys, pa
     assert plans
     for model, target, out in plans.values():
         assert out[7] == _layout(model, out[6], target == 0)
+
+
+def test_a_weighted_plan_keeps_the_column_keys_not_the_column_sums():
+    # the plan holds the keys view of the column sums' dict, which keeps that
+    # dict alive until the next build, but neither the ColumnSums nor the frame
+    scenario = load_scenario(FOUR)
+    state = scenario.start.fold(scenario.masses)
+    model, keys, columns = state.model, set(state.columns._masses), weakref.ref(state.columns)
+    state.snapshot("sdli")
+    del state
+    gc.collect()
+    assert columns() is None
+    plan = model.frame._plans[(model.constrained, None, True)]
+    assert type(plan[1]) is type({}.keys()) and plan[1] == keys
+
+
+def test_the_fold_reaches_no_value_equality(monkeypatch, capsys):
+    # _require_same tests identity first, so no model or frame check of a
+    # loaded scenario's commands compares two values field by field
+    def refuse(self, other):
+        raise AssertionError(f"{type(self).__name__}.__eq__ reached")
+
+    monkeypatch.setattr(lattice._Frozen, "__eq__", refuse)
+    codes = [main([command, FOUR, "--rule", rule.value])
+             for rule in Rule for command in ("fuse", "stream", "verify")]
+    capsys.readouterr()
+    assert codes == [cli.EXIT_OK] * (3 * len(Rule))
 
 
 @pytest.mark.parametrize("path, count", [(FOUR, 4), (RING5, 6)], ids=["four_sources", "ring5"])

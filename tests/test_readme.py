@@ -106,9 +106,14 @@ def _gates(text: str) -> set[tuple]:
     return gates
 
 
+def _profile_runs(text: str) -> set[tuple]:
+    # (Hypothesis profile, test file) per pytest run a shell text names a profile for
+    return set(re.findall(r"pytest -q --hypothesis-profile=(\S+) (tests/\S+)", text))
+
+
 def test_readme_gate_list_matches_ci():
     # the sh block after "CI runs these gates besides the suite" names the
-    # workflow's benchmark and golden gates, no more and no fewer
+    # workflow's benchmark, golden and larger-profile gates, no more and no fewer
     block = re.search(r"CI runs these gates besides the suite.*?^```sh\n(.*?)^```$", README,
                       re.M | re.S).group(1)
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
@@ -118,3 +123,5 @@ def test_readme_gate_list_matches_ci():
     assert {gate[1:] for gate in readme if gate[0] == "run.py"} == {
         (workload, "--seed 1 --seconds 1") for workload in ("stream", "wide_batch", "verify")}
     assert {gate[1] for gate in readme if gate[0] == "golden"} == {"0", "1"}
+    assert _profile_runs(block) == _profile_runs(workflow) == {
+        ("machine-large", "tests/test_machine.py")}
