@@ -15,9 +15,11 @@ from functools import reduce
 from itertools import product as _cartesian
 
 from .errors import ValidationError
-from .lattice import MAX_STATE_BITS, Model, _Frozen, _require_same
+from .lattice import Model, _Frozen, _require_same
 from .mass import ColumnSums, MassFunction, ordered_sum, vbf
 from .rules import Rule, apply_transfer, conjunctive
+
+MAX_STATE_BITS = 1 << 27  # input limit on a fold's product, in mask bits (terms x 2**n): 16 MiB
 
 
 class FusionState(_Frozen):
@@ -87,7 +89,7 @@ class FusionState(_Frozen):
 
 
 def combine2(rule: Rule | str, m1: MassFunction, m2: MassFunction) -> MassFunction:
-    """Two-source fold, snapshotted; refuses model-empty mass and a product past MAX_STATE_BITS."""
+    """Two-source fold, snapshotted, with the refusals of :meth:`FusionState.fuse`."""
     return FusionState.initial(m1.model).fold((m1, m2)).snapshot(rule)
 
 

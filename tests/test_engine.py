@@ -114,6 +114,9 @@ def test_fuse_model_guard(exclusive, free, m1, frame, monkeypatch):
     for state in states:
         with pytest.raises(ValidationError, match="^operands use different models$"):
             state.fuse(other)
+    # combine2's first fuse runs the product, so this comes before the patch
+    with pytest.raises(ValidationError, match="^operands use different models$"):
+        combine2(Rule.YAGER, m1, other)
 
     def refused(a, b):
         raise AssertionError("the product ran on a source of another model")

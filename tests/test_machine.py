@@ -20,10 +20,9 @@ from evfuse.errors import TotalConflictError
 from support import draw_focal, draw_model, draw_source, ref_exact_snapshot, ref_exact_state
 
 # Fixed before the first run, per key against both references: source masses
-# are 64ths, which floats hold exactly, and a fold of at most 14 sources rounds
-# a few times 2**-53 per source, far inside it.
+# are 64ths, which floats hold exactly, and a fold of at most 30 sources (one a
+# step) rounds a few times 2**-53 per source, far inside it.
 BOUND = 1e-9
-MAX_SOURCES = 14
 # Tier-1 runs 200 examples of up to 12 steps (about 5 s on CPython 3.11); the
 # larger profile of conftest.py runs 1 000 of up to 30 steps as its own CI step.
 LARGE = "machine-large"
@@ -56,7 +55,6 @@ class FusionMachine(stateful.RuleBasedStateMachine):
         self.sources.append(source)
         self.shuffled.insert(data.draw(st.integers(0, len(self.shuffled))), source)
 
-    @stateful.precondition(lambda self: len(self.sources) < MAX_SOURCES)
     @stateful.rule(data=st.data())
     def fuse_source(self, data):
         def focal():
@@ -64,7 +62,6 @@ class FusionMachine(stateful.RuleBasedStateMachine):
 
         self._fuse(draw_source(data.draw, self.model, focal, 64), data)
 
-    @stateful.precondition(lambda self: len(self.sources) < MAX_SOURCES)
     @stateful.rule(data=st.data())
     def fuse_vbf(self, data):
         self._fuse(vbf(self.model), data)

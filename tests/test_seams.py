@@ -59,7 +59,7 @@ def test_every_benchmark_seam_sees_a_call(capsys):
     calls = {name: tracer.counts[name + ".calls"] for name in seams}
     assert UNREACHED <= set(calls)
     assert sorted(name for name, n in calls.items() if n == 0 and name not in UNREACHED) == []
-    # ROADMAP item 1 rewires these four seams to Frame._route and
-    # Frame._text, as the CHANGES.md FOUND: lines on spans.instrument's
-    # Proposition seams ask; that change flips this assertion.
+    # ROADMAP item 26, the seam refresh, rewires these four seams to
+    # Frame._route and Frame._text, as the CHANGES.md FOUND: lines on
+    # spans.instrument's Proposition seams ask; that change flips this assertion.
     assert {name: calls[name] for name in UNREACHED} == dict.fromkeys(UNREACHED, 0)
